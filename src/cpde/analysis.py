@@ -16,17 +16,11 @@ leaves out the coarse, pre-asymptotic grids, so a check that states an
 asymptotic rate (fourth order, or sixth after extrapolation) judges
 that one.  A least-squares slope over all points is attached as a
 diagnostic.
-
-Independent N-runs can fan out over threads; set CPDE_THREADS to a
-positive worker count (0 or unset keeps everything sequential).  Reports
-are assembled in N order regardless of completion order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -51,6 +45,7 @@ from .steppers import (
     Compact,
     SchemeDescriptor,
     SchemeMatrices,
+    _dense_layers,
     _step,
     assemble_compact,
     c_norm_error,
@@ -143,22 +138,6 @@ class DriftReport:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("CPDE_THREADS", "0").strip()
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _map_ordered(fn, items):
-    workers = _max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def check_ns(ns: Sequence[int]) -> tuple:
@@ -257,7 +236,7 @@ def convergence_study(
         grid, report, err = _single_run(sample, n, scheme, courant, t_final)
         return ConvergenceEntry(n, grid.h, grid.tau, report.steps, err, report.muls_per_step)
 
-    entries = _map_ordered(one, list(ns))
+    entries = [one(n) for n in ns]
     errors = [e.error for e in entries]
     return ConvergenceReport(
         entries=tuple(entries),
@@ -303,7 +282,7 @@ def richardson_study(
         exact = sample.exact(grid.t_final, grid.x)
         return RichardsonEntry(n, grid.h, err, c_norm_error(extrap, exact))
 
-    entries = _map_ordered(one, list(ns))
+    entries = [one(n) for n in ns]
     return RichardsonReport(
         entries=tuple(entries),
         order_h=endpoint_order(ns, [e.error_h for e in entries]),
@@ -328,16 +307,6 @@ def cut_study(
 
 # ---------------------------------------------------------------------------
 # spectra
-
-
-def _dense_layers(mats: SchemeMatrices):
-    a_new = mats.a_new.dense()
-    a_old = mats.a_old.dense()
-    a_new[0, 2] = mats.corner_new[0]
-    a_new[-1, -3] = mats.corner_new[1]
-    a_old[0, 2] = mats.corner_old[0]
-    a_old[-1, -3] = mats.corner_old[1]
-    return a_new, a_old
 
 
 def transition_matrix(mats: SchemeMatrices, boundary=None) -> np.ndarray:
@@ -460,7 +429,7 @@ def asymmetry_study(
         s_b = asymmetry(solve_dense(a_new, b_old))
         return AsymmetryEntry(n, grid.h, grid.tau, s_a, s_b)
 
-    entries = _map_ordered(one, list(ns))
+    entries = [one(n) for n in ns]
     return AsymmetryReport(
         entries=tuple(entries),
         order_transition=endpoint_order(ns, [e.s_transition for e in entries]),
@@ -557,7 +526,7 @@ def first_integral_series(
     out = [(0, 0.0, first_integral(u, grid.h, quadrature))]
     for k in range(grid.n_steps):
         t1 = (k + 1) * grid.tau
-        u, _ = _step(mats, u, zeros, zeros, t1)
+        u = _step(mats, u, zeros, zeros, t1)
         out.append((k + 1, t1, first_integral(u, grid.h, quadrature)))
     return out
 
@@ -589,7 +558,7 @@ def first_integral_drift(
         amp = max(abs(i - base) for _, _, i in series)
         return DriftEntry(n, TWO_PI / n, base, amp)
 
-    entries = _map_ordered(one, list(ns_sorted))
+    entries = [one(n) for n in ns_sorted]
     amps = [e.amplitude for e in entries]
     return DriftReport(entries=tuple(entries), slope=endpoint_order(ns_sorted, amps))
 

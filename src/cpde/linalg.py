@@ -1,9 +1,10 @@
 """Small dense/banded linear algebra layer with explicit multiplication counts.
 
 Everything here works for real and complex data alike; the dtype of the
-inputs decides.  The tridiagonal solver and matvec report how many
-multiplications (divisions included) they spent, because the efficiency
-experiments compare schemes by arithmetic cost rather than wall time.
+inputs decides.  The tridiagonal solver and matvec return their
+multiplication counts (divisions included) next to the result, because
+the efficiency experiments compare schemes by arithmetic cost rather
+than wall time.
 """
 
 from __future__ import annotations
@@ -11,19 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 class SingularMatrixError(ValueError):
@@ -64,10 +52,6 @@ class Tridiag:
 
     def apply(self, v: np.ndarray) -> tuple[np.ndarray, int]:
         """Matvec.  Returns (result, multiplication count 3m-2)."""
-        if HAVE_NUMBA and v.dtype == self.diag.dtype:
-            out = np.empty(self.size, dtype=v.dtype)
-            _matvec_kernel(self.lower, self.diag, self.upper, v, out)
-            return out, 3 * self.size - 2
         out = self.diag * v
         out[1:] += self.lower * v[:-1]
         out[:-1] += self.upper * v[1:]
@@ -86,102 +70,62 @@ class Tridiag:
         return Tridiag(self.lower.copy(), self.diag.copy(), self.upper.copy())
 
 
-@njit(cache=True)
-def _matvec_kernel(lower, diag, upper, v, out):
-    m = diag.size
-    for i in range(m):
-        out[i] = diag[i] * v[i]
-    for i in range(1, m):
-        out[i] = out[i] + lower[i - 1] * v[i - 1]
-    for i in range(m - 1):
-        out[i] = out[i] + upper[i] * v[i + 1]
-
-
-@njit(cache=True)
-def _thomas_kernel(lower, diag, upper, rhs, x):
-    """Double-sweep elimination.  Returns (mul count, bad pivot row or -1)."""
-    m = diag.size
-    d = diag.copy()
-    r = rhs.copy()
-    muls = 0
-    for i in range(1, m):
-        piv = d[i - 1]
-        if piv == 0.0:
-            return muls, i - 1
-        w = lower[i - 1] / piv
-        d[i] = d[i] - w * upper[i - 1]
-        r[i] = r[i] - w * r[i - 1]
-        muls += 3
-    if d[m - 1] == 0.0:
-        return muls, m - 1
-    x[m - 1] = r[m - 1] / d[m - 1]
-    muls += 1
-    for i in range(m - 2, -1, -1):
-        x[i] = (r[i] - upper[i] * x[i + 1]) / d[i]
-        muls += 2
-    return muls, -1
-
-
-def _as_band(a: np.ndarray, dtype) -> np.ndarray:
-    if a.dtype == dtype and a.flags.c_contiguous:
-        return a
-    return np.ascontiguousarray(a, dtype=dtype)
-
-
 def solve_tridiag(t: Tridiag, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve t x = rhs by the double-sweep (Thomas) algorithm.
 
-    Returns (x, mul count).  The count is 5m-4 for a system of size m.
-    Raises SingularMatrixError naming the row if a pivot is exactly zero.
+    Returns (x, mul count).  The count is 5m-4 for a system of size m:
+    3(m-1) in the forward sweep, one division, 2(m-1) in the back
+    substitution.  The sweeps run on Python scalars from ``tolist()``:
+    indexing the numpy arrays entry by entry takes over three times as
+    long.  Raises SingularMatrixError naming the row if a pivot is
+    exactly zero.
     """
     rhs = np.asarray(rhs)
-    if rhs.dtype == t.diag.dtype == t.lower.dtype == t.upper.dtype:
-        dtype = rhs.dtype
-    else:
-        dtype = np.result_type(t.diag, rhs)
-    lower = _as_band(t.lower, dtype)
-    diag = _as_band(t.diag, dtype)
-    upper = _as_band(t.upper, dtype)
-    b = _as_band(rhs, dtype)
-    x = np.empty(diag.size, dtype=dtype)
-    muls, bad = _thomas_kernel(lower, diag, upper, b, x)
-    if bad >= 0:
-        raise SingularMatrixError(f"zero pivot in forward sweep at row {bad}")
-    return x, muls
+    lower, upper = t.lower.tolist(), t.upper.tolist()
+    d, r = t.diag.tolist(), rhs.tolist()
+    m = len(d)
+    for i in range(1, m):
+        piv = d[i - 1]
+        if piv == 0.0:
+            raise SingularMatrixError(f"zero pivot in forward sweep at row {i - 1}")
+        w = lower[i - 1] / piv
+        d[i] = d[i] - w * upper[i - 1]
+        r[i] = r[i] - w * r[i - 1]
+    if d[m - 1] == 0.0:
+        raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
+    r[m - 1] = r[m - 1] / d[m - 1]
+    for i in range(m - 2, -1, -1):
+        r[i] = (r[i] - upper[i] * r[i + 1]) / d[i]
+    return np.array(r, dtype=np.result_type(t.diag, rhs)), 5 * m - 4
 
 
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting.
+    """Solve a x = b by LAPACK's LU with partial pivoting.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.  Used
-    for the small derivation systems and for transition matrices, where
-    clarity beats speed.
+    ``b`` may be a vector or a matrix of stacked right-hand sides, as for
+    the transition matrices.  Raises SingularMatrixError for a zero
+    matrix, and for a numerically singular one: a diagonal entry of its
+    QR factor R (the distance of a column from the span of the columns
+    before it) below 1e-14 of the largest entry of a.  The check runs
+    before the solve, so R does not add to the solve's peak memory.
     """
-    a = np.array(a, dtype=np.result_type(a, b, float))
-    b = np.array(b, dtype=a.dtype)
+    a = np.asarray(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got {a.shape}")
-    one_d = b.ndim == 1
-    if one_d:
-        b = b[:, None]
     scale = np.abs(a).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if np.abs(a[p, k]) < 1e-14 * scale:
-            raise SingularMatrixError(f"pivot below threshold in column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        w = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= w[:, None] * a[k, k + 1 :]
-        b[k + 1 :] -= w[:, None] * b[k]
-    x = np.empty_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x[:, 0] if one_d else x
+    r_diag = np.abs(np.diagonal(np.linalg.qr(a, mode="r")))
+    dependent = np.flatnonzero(r_diag < 1e-14 * scale)
+    if dependent.size:
+        raise SingularMatrixError(
+            f"column {dependent[0]} is numerically dependent on the ones before it"
+        )
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
 
 
 def null_space_1d(a: np.ndarray, expected_rank: int, rtol: float = 1e-10) -> np.ndarray:

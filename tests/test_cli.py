@@ -295,15 +295,27 @@ def test_exit_3_on_numerical_failure(capsys):
 
 
 def test_exit_4_on_check_violation(capsys):
-    # two-grid extrapolation of this pair sits just under the 5.7 gate
+    # N=4 and 8 are far from asymptotic: the extrapolated order is 2.63
+    # under either estimator
     rc, _, err = run_main(
         capsys,
         ["richardson", "--solution", "s2", "--params", "k:2", "--scheme",
-         "compact", "--ns", "10,20,50", "--courant", "1", "--check"],
+         "compact", "--ns", "4,8", "--courant", "1", "--check"],
     )
     assert rc == 4
     assert "CHECK FAILED" in err
     assert "extrapolated compact order" in err
+
+
+def test_richardson_check_passes_on_reference_run(capsys):
+    # the k=4 extrapolated row sits at 5.37 over N=10..100 but 6.01 on
+    # the finest pair
+    rc, _, err = run_main(
+        capsys,
+        ["richardson", "--solution", "s2", "--params", "k:4", "--scheme",
+         "compact", "--ns", "10,20,50,100", "--courant", "1", "--check"],
+    )
+    assert rc == 0, err
 
 
 def test_cut_four_is_exempt_from_check(capsys):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cpde
 from cpde.linalg import (
     EigenConvergenceError,
     RankError,
@@ -69,6 +74,17 @@ def test_matvec_mixed_dtype_falls_back():
     assert np.iscomplexobj(out)
 
 
+@pytest.mark.parametrize("band_dtype, rhs_dtype", [(float, complex), (complex, float)])
+def test_thomas_mixed_dtypes_promote_to_complex(band_dtype, rhs_dtype):
+    t = random_tridiag(30, dtype=band_dtype)
+    b = rng.normal(size=30)
+    if rhs_dtype is complex:
+        b = b + 1j * rng.normal(size=30)
+    x, _ = solve_tridiag(t, b)
+    assert x.dtype == np.complex128
+    assert np.abs(t.dense() @ x - b).max() <= 1e-12
+
+
 def test_zero_pivot_names_row():
     t = Tridiag(np.array([1.0, 1.0]), np.array([0.0, 2.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(SingularMatrixError, match="row 0"):
@@ -101,6 +117,32 @@ def test_solve_dense_singular():
     a = np.ones((3, 3))
     with pytest.raises(SingularMatrixError):
         solve_dense(a, np.ones(3))
+
+
+def test_solve_dense_numerically_singular():
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(SingularMatrixError):
+        solve_dense(a, np.array([1.0, 2.0]))
+
+
+def test_solve_dense_zero_matrix():
+    with pytest.raises(SingularMatrixError, match="zero matrix"):
+        solve_dense(np.zeros((3, 3)), np.ones(3))
+
+
+def test_import_loads_neither_scipy_nor_numba():
+    # scipy's LAPACK wrappers alone add about 25 MB of resident memory and
+    # 0.3 s to start-up; the package needs only numpy
+    src = os.path.dirname(os.path.dirname(cpde.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, cpde, cpde.cli\n"
+        "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_null_space_known_vector():
