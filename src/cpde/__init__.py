@@ -78,63 +78,3 @@ from .analysis import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryRow",
-    "Classic",
-    "ClassicNeumann",
-    "ClassicRhsVariant",
-    "CoefficientDomainError",
-    "Compact",
-    "CompactRow",
-    "CompactThreePoint",
-    "ConvergenceReport",
-    "CUT_FULL",
-    "Dirichlet",
-    "EigenConvergenceError",
-    "ExpFit",
-    "Grid1D",
-    "MainTerms",
-    "Neumann",
-    "ProblemSpec",
-    "RankError",
-    "ReducedTwoPoint",
-    "SampleSolution",
-    "ScalarKind",
-    "SchemeMatrices",
-    "SingularMatrixError",
-    "StepReport",
-    "Tridiag",
-    "assemble_classic",
-    "assemble_compact",
-    "assemble_row",
-    "asymmetry",
-    "asymmetry_study",
-    "boundary_oracle",
-    "build_left_row",
-    "build_right_row",
-    "c_norm_error",
-    "convergence_study",
-    "cut_study",
-    "dense_operators",
-    "derive_row_oracle",
-    "efficiency_curve",
-    "first_integral",
-    "first_integral_drift",
-    "fit_boundary_left",
-    "fit_boundary_right",
-    "fit_interior",
-    "grid_for",
-    "make_grid",
-    "negativity_threshold",
-    "richardson",
-    "richardson_study",
-    "run",
-    "sample_solution",
-    "solve_dense",
-    "solve_tridiag",
-    "spectrum_report",
-    "step",
-    "theta_grid_max",
-    "transition_matrix",
-]

@@ -457,18 +457,13 @@ def negativity_threshold(
     nus = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(nus, nus[1:])):
         raise ValueError("nu_grid must be strictly increasing")
-    dirichlet = _is_dirichlet(boundary)
-    bound = Dirichlet(_zero, _zero) if dirichlet else Neumann()
+    bound = Dirichlet(_zero, _zero) if _is_dirichlet(boundary) else Neumann()
     problem = _matrix_problem(theta, bound)
     last_negative = None
     for nu in nus:
         grid = _matrix_grid(n, nu, theta)
-        mats = assemble_compact(problem, grid)
-        a_new, a_old = _dense_layers(mats)
-        if dirichlet:
-            a_new = a_new[1:-1, 1:-1]
-            a_old = a_old[1:-1, 1:-1]
-        vals = eigenvalues(solve_dense(a_new, a_old))
+        # A_new^{-1} A_old = -M; negation is exact
+        vals = eigenvalues(-transition_matrix(assemble_compact(problem, grid)))
         if bool(np.all(vals.real < 0.0)):
             last_negative = nu
         else:
@@ -546,6 +541,8 @@ def first_integral_drift(
     q' and q''' of q = |u|^2 vanish at both ends and the h^2 and h^4
     terms of the Euler-Maclaurin sum drop out.
     """
+    if any(int(n) != n for n in ns):
+        raise ValueError(f"grid sizes must be integers, got {list(ns)!r}")
     ns_sorted = tuple(sorted(int(n) for n in ns))
     if len(set(ns_sorted)) != len(ns_sorted) or ns_sorted[0] < 4:
         raise ValueError("grid sizes must be distinct integers >= 4")

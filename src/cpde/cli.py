@@ -12,7 +12,10 @@ Exit codes: 0 success, 2 configuration problem, 3 numerical failure
 4 threshold violation under --check.
 
 A configuration file of `key = value` lines (# comments allowed) can
-drive any subcommand via --config; explicit flags win over file values.
+drive any subcommand via --config.  A key is any value flag of the
+subcommand without the dashes (cuts, n, node, classic-rhs, ...); unknown
+keys are ignored, a repeated key keeps its last value, and explicit
+flags win over file values.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,55 +55,14 @@ class ConfigError(ValueError):
     pass
 
 
-class CheckFailure(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # configuration file
 
 
-_CONFIG_FIELDS = (
-    ("experiment", "experiment"),
-    ("solution", "solution"),
-    ("params", "params"),
-    ("scheme", "scheme"),
-    ("ns", "ns"),
-    ("courant", "courant"),
-    ("t-final", "t_final"),
-    ("output", "output"),
-)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Raw string settings; conversion happens at point of use."""
-
-    experiment: Optional[str] = None
-    solution: Optional[str] = None
-    params: Optional[str] = None
-    scheme: Optional[str] = None
-    ns: Optional[str] = None
-    courant: Optional[str] = None
-    t_final: Optional[str] = None
-    output: Optional[str] = None
-    extras: tuple = ()
-
-    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        for file_key, attr in _CONFIG_FIELDS:
-            if key == file_key:
-                val = getattr(self, attr)
-                return default if val is None else val
-        for k, v in self.extras:
-            if k == key:
-                return v
-        return default
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    known = dict(_CONFIG_FIELDS)
-    fields = {}
-    extras = []
+def parse_config(text: str) -> dict:
+    """`key = value` lines as a dict of raw strings; a repeated key keeps
+    its last value.  Conversion happens at the point of use."""
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -109,24 +70,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key in known:
-            fields[known[key]] = value
-        else:
-            extras.append((key, value))
-    return ExperimentConfig(**fields, extras=tuple(extras))
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for file_key, attr in _CONFIG_FIELDS:
-        value = getattr(cfg, attr)
-        if value is not None:
-            lines.append(f"{file_key} = {value}")
-    for key, value in cfg.extras:
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        settings[key.strip()] = value.strip()
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +200,6 @@ def parse_scheme(text: Optional[str]):
 
 def scheme_label(scheme) -> str:
     if isinstance(scheme, Compact):
-        bits = ["compact"]
         opts = []
         if scheme.cut != CUT_FULL:
             opts.append(f"cut={scheme.cut}")
@@ -266,7 +210,7 @@ def scheme_label(scheme) -> str:
                 opts.append("neumann=main")
             else:
                 opts.append(f"neumann=classic,eps={scheme.neumann.epsilon:g}")
-        return bits[0] + (":" + ",".join(opts) if opts else "")
+        return "compact" + (":" + ",".join(opts) if opts else "")
     rhs = scheme.rhs.value
     eps = scheme.neumann.epsilon if isinstance(scheme.neumann, ClassicNeumann) else 0.5
     tail = f",eps={eps:g}" if eps != 0.5 else ""
@@ -317,119 +261,34 @@ def _band(label: str, value: float, lo: float, hi: float, failures: list):
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# settings and output
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=None, help="key = value settings file")
-    p.add_argument("--output", default=None, help="CSV destination (default stdout)")
-    p.add_argument("--check", action="store_true", help="fail (exit 4) on threshold violations")
+def _settings(args: argparse.Namespace) -> dict:
+    """Config-file values overlaid by every flag given on the command line,
+    keyed by flag name without the leading dashes."""
+    settings = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            settings.update(parse_config(fh.read()))
+    for flag in _COMMON_FLAGS + _COMMANDS[args.command][2]:
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None:
+            settings[flag] = value
+    return settings
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cpde", description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convergence", help="C-norm error versus grid size")
-    _add_common(p)
-    p.add_argument("--solution", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--scheme", default=None)
-    p.add_argument("--ns", default=None)
-    p.add_argument("--courant", default=None)
-    p.add_argument("--t-final", dest="t_final", default=None)
-
-    p = sub.add_parser("richardson", help="extrapolated error versus grid size")
-    _add_common(p)
-    p.add_argument("--solution", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--scheme", default=None)
-    p.add_argument("--ns", default=None)
-    p.add_argument("--courant", default=None)
-    p.add_argument("--t-final", dest="t_final", default=None)
-
-    p = sub.add_parser("cut", help="convergence under coefficient truncation")
-    _add_common(p)
-    p.add_argument("--solution", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--ns", default=None)
-    p.add_argument("--courant", default=None)
-    p.add_argument("--t-final", dest="t_final", default=None)
-    p.add_argument("--cuts", default=None, help="comma list from 4..9 and 9+")
-
-    p = sub.add_parser("asymmetry", help="transition/forcing asymmetry decay")
-    _add_common(p)
-    p.add_argument("--ns", default=None)
-    p.add_argument("--courant", default=None)
-    p.add_argument("--t-final", dest="t_final", default=None,
-                   help="optional horizon; omit for the raw one-step tau")
-
-    p = sub.add_parser("spectrum", help="transition-matrix eigenvalues")
-    _add_common(p)
-    p.add_argument("--solution", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--courant", default=None)
-
-    p = sub.add_parser("first-integral", help="discrete first-integral history/drift")
-    _add_common(p)
-    p.add_argument("--n", default=None, help="single run: per-step history")
-    p.add_argument("--ns", default=None, help="several runs: drift amplitudes")
-    p.add_argument("--quadrature", default=None, help="trapezoid (default) or simpson")
-    p.add_argument("--courant", default=None)
-    p.add_argument("--t-final", dest="t_final", default=None)
-
-    p = sub.add_parser("efficiency", help="error against per-step cost for both schemes")
-    _add_common(p)
-    p.add_argument("--solution", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--ns", default=None)
-    p.add_argument("--courant", default=None)
-    p.add_argument("--t-final", dest="t_final", default=None)
-    p.add_argument("--classic-rhs", dest="classic_rhs", default=None,
-                   help="pointwise (default), threepoint, or fivepoint")
-
-    p = sub.add_parser("derive-row", help="dump assembled vs derived row at one node")
-    _add_common(p)
-    p.add_argument("--solution", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--node", default=None)
-    p.add_argument("--courant", default=None)
-    p.add_argument("--t-final", dest="t_final", default=None)
-
-    return ap
-
-
-class _Settings:
-    """Merged view of command-line flags over config-file values."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                self.config = parse_config(fh.read())
-        else:
-            self.config = ExperimentConfig()
-
-    def get(self, key: str, default=None):
-        attr = key.replace("-", "_")
-        cli_val = getattr(self.args, attr, None)
-        if cli_val is not None:
-            return cli_val
-        return self.config.get(key, default)
-
-    def require(self, key: str):
-        val = self.get(key)
-        if val is None:
-            raise ConfigError(f"missing required setting {key!r}")
-        return val
+def _require(settings: dict, key: str):
+    val = settings.get(key)
+    if val is None:
+        raise ConfigError(f"missing required setting {key!r}")
+    return val
 
 
 _ALIASES = {"neumann-demo": "snll"}
 
 
-def _solution_id(settings: _Settings, default: Optional[str] = "s1") -> str:
+def _solution_id(settings: dict, default: str = "s1") -> str:
     name = str(settings.get("solution", default)).strip().lower()
     return _ALIASES.get(name, name)
 
@@ -450,11 +309,11 @@ def _emit(csv_text: str, summary_lines: list, output: Optional[str]):
 # subcommands
 
 
-def _cmd_convergence(settings: _Settings) -> list:
+def _cmd_convergence(settings: dict) -> tuple:
     solution = _solution_id(settings)
     params = parse_params(settings.get("params"))
     scheme = parse_scheme(settings.get("scheme"))
-    ns = parse_ns(settings.require("ns"))
+    ns = parse_ns(_require(settings, "ns"))
     courant = parse_courant(settings.get("courant", "1"))
     t_final = float(settings.get("t-final", "1"))
     rep = convergence_study(solution, params, scheme, ns, courant, t_final)
@@ -471,7 +330,7 @@ def _cmd_convergence(settings: _Settings) -> list:
         f"  estimated order = {rep.estimated_order:.2f} (least squares {rep.lsq_order:.2f})"
     )
     failures = []
-    if settings.args.check:
+    if settings["check"]:
         if isinstance(scheme, Compact) and scheme.cut == CUT_FULL:
             _band("compact order", rep.estimated_order, 3.5, 4.5, failures)
         elif isinstance(scheme, Classic):
@@ -493,15 +352,14 @@ def _cmd_convergence(settings: _Settings) -> list:
                     failures.append(
                         f"N={e.n} error {e.error:.3e} outside factor 2 of {ref:.3e}"
                     )
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
-def _cmd_richardson(settings: _Settings) -> list:
+def _cmd_richardson(settings: dict) -> tuple:
     solution = _solution_id(settings)
     params = parse_params(settings.get("params"))
     scheme = parse_scheme(settings.get("scheme"))
-    ns = parse_ns(settings.require("ns"))
+    ns = parse_ns(_require(settings, "ns"))
     courant = parse_courant(settings.get("courant", "1"))
     t_final = float(settings.get("t-final", "1"))
     rep = richardson_study(solution, params, scheme, ns, courant, t_final)
@@ -516,21 +374,20 @@ def _cmd_richardson(settings: _Settings) -> list:
         f"  orders: plain = {rep.order_h:.2f}, extrapolated = {rep.order_extrapolated:.2f}"
     )
     failures = []
-    if settings.args.check:
+    if settings["check"]:
         order = finest_pair_order([e.n for e in rep.entries],
                                   [e.error_extrapolated for e in rep.entries])
         if isinstance(scheme, Classic):
             _band("extrapolated classic order (finest pair)", order, 3.8, 4.2, failures)
         else:
             _band("extrapolated compact order (finest pair)", order, 5.7, 6.3, failures)
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
-def _cmd_cut(settings: _Settings) -> list:
+def _cmd_cut(settings: dict) -> tuple:
     solution = _solution_id(settings)
     params = parse_params(settings.get("params"))
-    ns = parse_ns(settings.require("ns"))
+    ns = parse_ns(_require(settings, "ns"))
     courant = parse_courant(settings.get("courant", "1"))
     t_final = float(settings.get("t-final", "1"))
     tokens = [t.strip() for t in str(settings.get("cuts", "5,6,7,8,9,9+")).split(",") if t.strip()]
@@ -548,16 +405,15 @@ def _cmd_cut(settings: _Settings) -> list:
         rep = reports[cut]
         errs = " ".join(mantissa_style(e.error) for e in rep.entries)
         summary.append(f"  cut={token:<3} order={rep.estimated_order:.2f} errors: {errs}")
-        if settings.args.check and cut >= 5:
+        if settings["check"] and cut >= 5:
             order = finest_pair_order([e.n for e in rep.entries], [e.error for e in rep.entries])
             if order < 3.9:
                 failures.append(f"cut={token} finest-pair order {order:.2f} < 3.9")
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
-def _cmd_asymmetry(settings: _Settings) -> list:
-    ns = parse_ns(settings.require("ns"))
+def _cmd_asymmetry(settings: dict) -> tuple:
+    ns = parse_ns(_require(settings, "ns"))
     courant = parse_courant(settings.get("courant", "1"))
     t_raw = settings.get("t-final")
     t_final = float(t_raw) if t_raw is not None else None
@@ -573,17 +429,16 @@ def _cmd_asymmetry(settings: _Settings) -> list:
         f"  orders: transition = {rep.order_transition:.2f}, forcing = {rep.order_forcing:.2f}"
     )
     failures = []
-    if settings.args.check:
+    if settings["check"]:
         _band("transition asymmetry order", rep.order_transition, 3.62 - 0.4, 3.62 + 0.4, failures)
         _band("forcing asymmetry order", rep.order_forcing, 5.62 - 0.5, 5.62 + 0.5, failures)
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
-def _cmd_spectrum(settings: _Settings) -> list:
+def _cmd_spectrum(settings: dict) -> tuple:
     solution = _solution_id(settings, default="neumann-demo")
     params = parse_params(settings.get("params"))
-    n = int(settings.require("n"))
+    n = int(_require(settings, "n"))
     courant = parse_courant(settings.get("courant", "1"))
     kind = ScalarKind.COMPLEX if courant.imag != 0.0 else None
     sample = sample_solution(solution, kind=kind, **params)
@@ -604,7 +459,7 @@ def _cmd_spectrum(settings: _Settings) -> list:
         f"  diagonalization: {diagonalization_check(m)}",
     ]
     failures = []
-    if settings.args.check:
+    if settings["check"]:
         if is_ll:
             dev = float(np.abs(np.abs(rep.eigenvalues) - 1.0).max())
             if dev > 1e-8:
@@ -614,11 +469,10 @@ def _cmd_spectrum(settings: _Settings) -> list:
                 failures.append(f"max |lambda| = {rep.max_modulus:.6f} >= 1")
             if rep.max_imag_abs > 1e-8 * max(rep.max_modulus, 1e-300):
                 failures.append(f"max |Im lambda| = {rep.max_imag_abs:.3e} not negligible")
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
-def _cmd_first_integral(settings: _Settings) -> list:
+def _cmd_first_integral(settings: dict) -> tuple:
     quadrature = settings.get("quadrature", "trapezoid")
     courant = parse_courant(settings.get("courant", "i"))
     t_final = float(settings.get("t-final", "1"))
@@ -633,13 +487,12 @@ def _cmd_first_integral(settings: _Settings) -> list:
         for e in rep.entries:
             summary.append(f"  N={e.n:<4d} amplitude={mantissa_style(e.amplitude)}")
         summary.append(f"  amplitude slope = {rep.slope:.2f}")
-        if settings.args.check:
+        if settings["check"]:
             _band("amplitude slope", rep.slope, 3.5, 4.5, failures)
     else:
-        n = int(settings.require("n"))
+        n = int(_require(settings, "n"))
         series = first_integral_series(n, courant, t_final, quadrature)
-        rows = [(k, t, val) for k, t, val in series]
-        csv_text = make_csv(["step", "t", "integral"], rows)
+        csv_text = make_csv(["step", "t", "integral"], series)
         vals = [v for _, _, v in series]
         spread = max(vals) - min(vals)
         summary = [
@@ -647,20 +500,19 @@ def _cmd_first_integral(settings: _Settings) -> list:
             f"  I(0) = {g17(vals[0])}",
             f"  spread = {g17(spread)} ({mantissa_style(spread) if spread else '0'})",
         ]
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
-def _cmd_efficiency(settings: _Settings) -> list:
+def _cmd_efficiency(settings: dict) -> tuple:
     solution = _solution_id(settings)
     params = parse_params(settings.get("params"))
-    ns = parse_ns(settings.require("ns"))
+    ns = parse_ns(_require(settings, "ns"))
     courant = parse_courant(settings.get("courant", "1"))
     t_final = float(settings.get("t-final", "1"))
     rhs_name = settings.get("classic-rhs", "pointwise")
     schemes = [
         ("compact", Compact()),
-        (f"classic:{rhs_name}", Classic(rhs=_CLASSIC_RHS[rhs_name])),
+        (f"classic:{rhs_name}", parse_scheme(f"classic:{rhs_name}")),
     ]
     results = efficiency_curve(solution, params, schemes, ns, courant, t_final)
     rows = []
@@ -675,9 +527,8 @@ def _cmd_efficiency(settings: _Settings) -> list:
         )
         summary.append(f"  {label}: {pts}")
     failures = []
-    if settings.args.check:
-        compact_rep = dict(results)["compact"]
-        classic_rep = dict(results)[f"classic:{rhs_name}"]
+    if settings["check"]:
+        (_, compact_rep), (_, classic_rep) = results
         for ce in compact_rep.entries:
             if ce.n < 20:
                 continue
@@ -688,14 +539,13 @@ def _cmd_efficiency(settings: _Settings) -> list:
                     f"compact N={ce.n} error {ce.error:.3e} not below classic "
                     f"{min(rivals):.3e} at budget {budget}"
                 )
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
-def _cmd_derive_row(settings: _Settings) -> list:
+def _cmd_derive_row(settings: dict) -> tuple:
     solution = _solution_id(settings)
     params = parse_params(settings.get("params"))
-    n = int(settings.require("n"))
+    n = int(_require(settings, "n"))
     courant = parse_courant(settings.get("courant", "1"))
     t_final = float(settings.get("t-final", "1"))
     kind = ScalarKind.COMPLEX if courant.imag != 0.0 else None
@@ -708,8 +558,7 @@ def _cmd_derive_row(settings: _Settings) -> list:
     fit = fit_interior(sample.problem.theta, x_j, grid.h)
     kappa = sample.problem.kind.kappa
     nu = kappa * fit.theta_center * grid.tau / (grid.h * grid.h)
-    row = assemble_row(fit, nu, grid.h)
-    assembled = row.as_array()
+    assembled = assemble_row(fit, nu, grid.h).as_array()
     oracle = derive_row_oracle(fit, nu, grid.h, grid.tau).as_array()
     scale = complex(np.vdot(assembled, oracle) / np.vdot(assembled, assembled))
     residual = float(np.abs(oracle - scale * assembled).max() / np.abs(oracle).max())
@@ -726,22 +575,60 @@ def _cmd_derive_row(settings: _Settings) -> list:
         f"  max relative deviation = {mantissa_style(residual)}",
     ]
     failures = []
-    if settings.args.check and residual > 1e-8:
+    if settings["check"] and residual > 1e-8:
         failures.append(f"row deviation {residual:.3e} > 1e-8")
-    _emit(csv_text, summary, settings.get("output"))
-    return failures
+    return csv_text, summary, failures
 
 
+_COMMON_FLAGS = ("config", "output", "check")
+
+# subcommand -> (handler, help line, flags beyond the common three)
 _COMMANDS = {
-    "convergence": _cmd_convergence,
-    "richardson": _cmd_richardson,
-    "cut": _cmd_cut,
-    "asymmetry": _cmd_asymmetry,
-    "spectrum": _cmd_spectrum,
-    "first-integral": _cmd_first_integral,
-    "efficiency": _cmd_efficiency,
-    "derive-row": _cmd_derive_row,
+    "convergence": (_cmd_convergence, "C-norm error versus grid size",
+                    ("solution", "params", "scheme", "ns", "courant", "t-final")),
+    "richardson": (_cmd_richardson, "extrapolated error versus grid size",
+                   ("solution", "params", "scheme", "ns", "courant", "t-final")),
+    "cut": (_cmd_cut, "convergence under coefficient truncation",
+            ("solution", "params", "ns", "courant", "t-final", "cuts")),
+    "asymmetry": (_cmd_asymmetry, "transition/forcing asymmetry decay",
+                  ("ns", "courant", "t-final")),
+    "spectrum": (_cmd_spectrum, "transition-matrix eigenvalues",
+                 ("solution", "params", "n", "courant")),
+    "first-integral": (_cmd_first_integral, "discrete first-integral history/drift",
+                       ("n", "ns", "quadrature", "courant", "t-final")),
+    "efficiency": (_cmd_efficiency, "error against per-step cost for both schemes",
+                   ("solution", "params", "ns", "courant", "t-final", "classic-rhs")),
+    "derive-row": (_cmd_derive_row, "dump assembled vs derived row at one node",
+                   ("solution", "params", "n", "node", "courant", "t-final")),
 }
+
+# help texts by flag, or by (subcommand, flag) where one subcommand differs
+_HELP = {
+    "config": "key = value settings file",
+    "output": "CSV destination (default stdout)",
+    "check": "fail (exit 4) on threshold violations",
+    "cuts": "comma list from 4..9 and 9+",
+    "quadrature": "trapezoid (default) or simpson",
+    "classic-rhs": "pointwise (default), threepoint, or fivepoint",
+    ("asymmetry", "t-final"): "optional horizon; omit for the raw one-step tau",
+    ("first-integral", "n"): "single run: per-step history",
+    ("first-integral", "ns"): "several runs: drift amplitudes",
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="cpde", description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in _COMMON_FLAGS + flags:
+            text = _HELP.get((name, flag), _HELP.get(flag))
+            if flag == "check":
+                p.add_argument("--check", action="store_true", help=text)
+            else:
+                # no argparse default, so a config-file value is never hidden
+                p.add_argument("--" + flag, default=None, help=text)
+    return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -751,13 +638,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse reports usage problems itself
         return int(exc.code or 0)
     try:
-        settings = _Settings(args)
-        failures = _COMMANDS[args.command](settings)
-        if failures:
-            for msg in failures:
-                print(f"CHECK FAILED: {msg}", file=sys.stderr)
-            return 4
-        return 0
+        settings = _settings(args)
+        csv_text, summary, failures = _COMMANDS[args.command][0](settings)
+        _emit(csv_text, summary, settings.get("output"))
+        for msg in failures:
+            print(f"CHECK FAILED: {msg}", file=sys.stderr)
+        return 4 if failures else 0
     except (SingularMatrixError, RankError, EigenConvergenceError,
             CoefficientDomainError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ composition of the stored derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Union
 
@@ -380,16 +380,7 @@ def sample_solution(name: str, kind: ScalarKind | None = None, **params) -> Samp
     builder, default_kind = _BUILDERS[key]
     sample = builder(kind or default_kind, dict(params))
     if key == "snll":
-        sample = SampleSolution(
-            "snll",
-            sample.params,
-            sample.problem,
-            sample.exact,
-            sample.exact_dt,
-            sample.exact_dx,
-            sample.exact_dxx,
-            sample.theta_dx,
-        )
+        sample = replace(sample, name="snll")
     return sample
 
 

@@ -28,9 +28,8 @@ import numpy as np
 from .linalg import null_space_1d, RankError
 from .theta_fit import ExpFit
 
-# number of tabulated h-powers per coefficient (h^0 .. h^9)
-STACK_DEPTH = 10
-# cut = CUT_FULL keeps every power; smaller values drop powers >= cut
+# number of tabulated h-powers per coefficient (h^0 .. h^9); cut =
+# CUT_FULL keeps every power, smaller values drop powers >= cut
 CUT_FULL = 10
 
 FIELD_NAMES = (

@@ -263,13 +263,4 @@ def build_right_row(
     widens on a thin locus of complex nu, so the closed form is the one
     used for assembly.
     """
-    mirrored = _mirror_fit(fit)
-    if isinstance(variant, CompactThreePoint):
-        return _compact_left_closed(mirrored, nu_n, h, tau)
-    if isinstance(variant, ReducedTwoPoint):
-        return boundary_oracle(mirrored, nu_n, h, tau, basis=REDUCED_BASIS, points=2)
-    if isinstance(variant, MainTerms):
-        return _main_terms_row(nu_n, tau)
-    if isinstance(variant, ClassicNeumann):
-        return _classic_row(nu_n, tau, variant.epsilon)
-    raise TypeError(f"unknown Neumann variant {variant!r}")
+    return build_left_row(_mirror_fit(fit), nu_n, h, tau, variant)

@@ -312,6 +312,12 @@ def test_drift_report_validation():
         first_integral_drift((9, 16, 25, 36), quadrature="simpson")
 
 
+def test_drift_rejects_non_integral_grid_sizes():
+    # int(25.5) would quietly run N=25
+    with pytest.raises(ValueError, match="integers"):
+        first_integral_drift([25.5, 50])
+
+
 def test_drift_amplitude_shrinks():
     rep = first_integral_drift((8, 16, 32), t_final=0.25)
     amps = [e.amplitude for e in rep.entries]

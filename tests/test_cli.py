@@ -1,12 +1,14 @@
+import re
+import shlex
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpde.cli import (
     ConfigError,
-    ExperimentConfig,
     format_courant,
     g17,
     main,
@@ -19,7 +21,6 @@ from cpde.cli import (
     parse_params,
     parse_scheme,
     scheme_label,
-    serialize_config,
 )
 from cpde.interior import CUT_FULL
 from cpde.neumann import (
@@ -168,21 +169,6 @@ def test_make_csv_value_formatting():
 # config files
 
 
-def test_parse_config_full_round_trip():
-    cfg = ExperimentConfig(
-        experiment="convergence",
-        solution="s2",
-        params="k:3",
-        scheme="compact:cut=7",
-        ns="10,20",
-        courant="100i",
-        t_final="0.5",
-        output="out.csv",
-        extras=(("note", "hello world"),),
-    )
-    assert parse_config(serialize_config(cfg)) == cfg
-
-
 def test_parse_config_comments_and_extras():
     text = """
 # full experiment block
@@ -192,13 +178,13 @@ ns = 10,20
 
 threads = 2
 """
-    cfg = parse_config(text)
-    assert cfg.experiment == "convergence"
-    assert cfg.solution == "s1"
-    assert cfg.ns == "10,20"
-    assert cfg.extras == (("threads", "2"),)
-    assert cfg.get("threads") == "2"
-    assert cfg.get("courant", "1") == "1"
+    assert parse_config(text) == {
+        "experiment": "convergence",
+        "solution": "s1",
+        "ns": "10,20",
+        "threads": "2",
+    }
+    assert parse_config("ns = 8\nns = 16\n") == {"ns": "16"}
 
 
 def test_parse_config_reports_line_number():
@@ -390,6 +376,15 @@ def test_efficiency_command(capsys):
     assert "compact:" in err and "classic:pointwise:" in err
 
 
+def test_efficiency_rejects_unknown_classic_rhs(capsys):
+    rc, _, err = run_main(
+        capsys,
+        ["efficiency", "--solution", "s1", "--ns", "8,16", "--classic-rhs", "sixpoint"],
+    )
+    assert rc == 2
+    assert "unknown classic right-hand side 'sixpoint'" in err
+
+
 def test_asymmetry_command(capsys):
     rc, out, err = run_main(capsys, ["asymmetry", "--ns", "8,16"])
     assert rc == 0
@@ -419,6 +414,45 @@ def test_argparse_exit_codes(capsys):
     assert run_main(capsys, ["convergence", "--bogus"])[0] == 2
     # argparse exits through SystemExit; main folds that into the code
     assert run_main(capsys, ["--help"])[0] == 0
+
+
+def test_subcommand_flag_sets(capsys):
+    common = {"--help", "--config", "--output", "--check"}
+    expected = {
+        "convergence": {"--solution", "--params", "--scheme", "--ns", "--courant", "--t-final"},
+        "richardson": {"--solution", "--params", "--scheme", "--ns", "--courant", "--t-final"},
+        "cut": {"--solution", "--params", "--ns", "--courant", "--t-final", "--cuts"},
+        "asymmetry": {"--ns", "--courant", "--t-final"},
+        "spectrum": {"--solution", "--params", "--n", "--courant"},
+        "first-integral": {"--n", "--ns", "--quadrature", "--courant", "--t-final"},
+        "efficiency": {"--solution", "--params", "--ns", "--courant", "--t-final",
+                       "--classic-rhs"},
+        "derive-row": {"--solution", "--params", "--n", "--node", "--courant", "--t-final"},
+    }
+    for sub, flags in expected.items():
+        rc, out, _ = run_main(capsys, [sub, "--help"])
+        assert rc == 0
+        assert set(re.findall(r"--[a-z-]+", out)) == common | flags, sub
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+    ]
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        if line.startswith("printf "):
+            _, text, redirect, target = shlex.split(line)
+            assert redirect == ">"
+            (tmp_path / target).write_text(text.replace("\\n", "\n"))
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("cpde ")]
+    assert len(commands) >= 12
+    for argv in commands:
+        rc, _, err = run_main(capsys, argv)
+        assert rc == 0, (argv, err)
 
 
 @pytest.mark.skipif(shutil.which("cpde") is None, reason="script not installed")
