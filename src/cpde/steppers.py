@@ -23,6 +23,15 @@ free by convention), and ``run`` reports that figure.  Forcing
 evaluation and right-hand-side preparation are not counted (they are
 not part of the linear-algebra cost the efficiency comparison is
 about).
+
+``run`` marches with one of two engines.  The stepwise one takes the
+step above per time level.  theta does not depend on time, so the step
+is a fixed affine map u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} (g the
+Dirichlet data); the affine engine probes the step with unit vectors
+once for these maps and then takes one BLAS matvec per step.  It runs
+on grids of at most ``_AFFINE_MAX_NODES`` nodes with at least
+``_AFFINE_MIN_STEPS_PER_NODE`` steps per node.  ``muls_per_step`` is the
+analytic cost of the banded step either way, not the work executed.
 """
 
 from __future__ import annotations
@@ -438,8 +447,10 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 # hundreds of thousands of steps).  The stream below evaluates f(t, x)
 # for a block of times in one broadcast call when the callable permits
 # it, which amortizes the per-call overhead; closures that choke on
-# array times (shape mismatch or an exception) are detected on the
-# first block and evaluated one time level at a time instead.
+# array times (shape mismatch or an exception) or whose first block
+# disagrees with a scalar call are detected on that block and evaluated
+# one time level at a time instead.  The marches also check the state
+# for finiteness once per chunk.
 _FORCING_CHUNK = 256
 
 
@@ -466,6 +477,11 @@ def _forcing_stream(problem: ProblemSpec, times: np.ndarray, xf: np.ndarray, dty
             except (TypeError, ValueError, IndexError):
                 vector_ok = False
                 continue
+            if k == 0:  # a closure that reads only times[0] gets row 0 right
+                ref = _forcing_one(problem, float(times[hi - 1]), xf, dtype)
+                if not np.allclose(block[-1], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()):
+                    vector_ok = False
+                    continue
             for i in range(hi - k):
                 yield block[i]
             k = hi
@@ -475,16 +491,80 @@ def _forcing_stream(problem: ProblemSpec, times: np.ndarray, xf: np.ndarray, dty
 
 
 def _dirichlet_series(bc: Dirichlet, times: np.ndarray, dtype):
-    """(left, right) wall data at all times, or None if not vectorizable."""
+    """(left, right) wall data at all times, per time level if not vectorizable."""
     out = []
     for g in (bc.left, bc.right):
         try:
             vals = np.asarray(g(times), dtype=dtype)
             vals = np.broadcast_to(vals, times.shape)
         except (TypeError, ValueError, IndexError):
-            return None
+            vals = np.array([g(float(t)) for t in times], dtype=dtype)
         out.append(vals)
     return out[0], out[1]
+
+
+# The affine march probes the step m + 2 mf times (+2 with Dirichlet walls:
+# 3m+2 on the node grid), then costs one dense m x m matvec per step against
+# the O(m) Python sweep.  At m = 101, 3m steps took 29-33 ms stepwise against
+# 33-39 ms affine and 5m steps 49-52 ms against 37-40 ms; at m = 401 the two
+# engines were level at 4m steps.
+_AFFINE_MIN_STEPS_PER_NODE = 4
+# The dense maps are O(m^2) memory: without a cap, the m = 201 / 2027-step
+# richardson run of the README commands raised their peak RSS from 38.7 to
+# 41.5 MB; with it, 38.5 MB.
+_AFFINE_MAX_NODES = 128
+
+
+def _check_finite(u: np.ndarray, first: int, last: int):
+    if not np.isfinite(u).all():
+        raise FloatingPointError(f"state became non-finite between steps {first + 1} and {last}")
+
+
+def _march_stepwise(mats: SchemeMatrices, u, stream, walls, n_steps: int):
+    """One banded step per time level."""
+    f_n = next(stream)
+    for k in range(0, n_steps, _FORCING_CHUNK):
+        hi = min(k + _FORCING_CHUNK, n_steps)
+        for n_step in range(k, hi):
+            f_np1 = next(stream)
+            bc = None if walls is None else (walls[0][n_step], walls[1][n_step])
+            u = _step(mats, u, f_n, f_np1, bc_vals=bc)
+            f_n = f_np1
+        _check_finite(u, k, hi)
+    return u
+
+
+def _march_affine(mats: SchemeMatrices, u, stream, walls, n_steps: int):
+    """Advance u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} with dense maps.
+
+    The step is linear in its inputs, so probing ``_step`` with the unit
+    vectors of (u, f^n, f^{n+1}, g^{n+1}) yields the columns of the maps.
+    """
+    m, f = u.size, next(stream)
+    mf = f.size
+    e = np.zeros(m + 2 * mf + 2, u.dtype)
+    e_u, e_f0, e_f1, e_g = np.split(e, [m, m + mf, m + 2 * mf])
+    cols = np.empty((e.size, m), u.dtype)  # row j: the step's response to e_j
+    for j in range(e.size if walls is not None else e.size - 2):
+        e[j] = 1.0
+        cols[j] = _step(mats, e_u, e_f0, e_f1, bc_vals=None if walls is None else e_g)
+        e[j] = 0.0
+    p_t, q0_t, q1_t, w_t = np.split(cols, [m, m + mf, m + 2 * mf])
+    p = p_t.T
+    block = np.empty((_FORCING_CHUNK + 1, mf), u.dtype)
+    block[0] = f
+    for k in range(0, n_steps, _FORCING_CHUNK):
+        hi = min(k + _FORCING_CHUNK, n_steps)
+        for i in range(1, hi - k + 1):
+            block[i] = next(stream)
+        d = block[: hi - k] @ q0_t + block[1 : hi - k + 1] @ q1_t
+        if walls is not None:
+            d += np.column_stack((walls[0][k:hi], walls[1][k:hi])) @ w_t
+        for row in d:
+            u = p @ u + row
+        block[0] = block[hi - k]
+        _check_finite(u, k, hi)
+    return u
 
 
 def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepReport:
@@ -492,7 +572,9 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
 
     Forcing and Dirichlet wall callables are evaluated in vectorized
     blocks over time when they broadcast numpy-style; anything else
-    falls back to pointwise evaluation automatically.
+    falls back to pointwise evaluation automatically.  The engine is
+    chosen as the module docstring says; a non-finite state raises
+    FloatingPointError.
     """
     if isinstance(scheme, Compact):
         mats = assemble_compact(problem, grid, scheme.cut, scheme.neumann)
@@ -508,13 +590,10 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
     if mats.dirichlet is not None:
         walls = _dirichlet_series(mats.dirichlet, times[1:], dtype)
     stream = _forcing_stream(problem, times, xf, dtype)
-    f_n = next(stream)
-    for n_step in range(grid.n_steps):
-        t1 = float(times[n_step + 1])
-        f_np1 = next(stream)
-        bc = None if walls is None else (walls[0][n_step], walls[1][n_step])
-        u = _step(mats, u, f_n, f_np1, t1, bc)
-        f_n = f_np1
+    m = grid.n + 1
+    affine = m <= _AFFINE_MAX_NODES and grid.n_steps >= _AFFINE_MIN_STEPS_PER_NODE * m
+    march = _march_affine if affine else _march_stepwise
+    u = march(mats, u, stream, walls, grid.n_steps)
     return StepReport(final_state=u, muls_per_step=mats.muls_per_step, steps=grid.n_steps)
 
 

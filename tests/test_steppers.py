@@ -9,6 +9,7 @@ the two-layer form
 for every boundary treatment that has a nodal matrix representation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,10 +26,16 @@ from cpde.core import (
 )
 from cpde.linalg import solve_dense
 from cpde.neumann import ClassicNeumann, CompactThreePoint, MainTerms, ReducedTwoPoint
+from cpde import steppers
 from cpde.steppers import (
     Classic,
     ClassicRhsVariant,
     Compact,
+    _dirichlet_series,
+    _forcing_grid,
+    _forcing_stream,
+    _march_affine,
+    _march_stepwise,
     assemble_classic,
     assemble_compact,
     c_norm_error,
@@ -315,3 +322,153 @@ def test_unknown_scheme_descriptor():
     grid = grid_for(s, 8, 1.0, 0.5)
     with pytest.raises(TypeError):
         run(s.problem, grid, "compact")
+
+
+def with_steps(grid, n_steps):
+    """``grid`` with its step tau kept and ``n_steps`` steps."""
+    return dataclasses.replace(grid, n_steps=n_steps, t_final=n_steps * grid.tau)
+
+
+def takes_affine(grid):
+    m = grid.n + 1
+    return (
+        m <= steppers._AFFINE_MAX_NODES
+        and grid.n_steps >= steppers._AFFINE_MIN_STEPS_PER_NODE * m
+    )
+
+
+def march_with(march, problem, grid, scheme):
+    """The final state of ``march`` with the set-up ``run`` gives it."""
+    if isinstance(scheme, Compact):
+        mats = assemble_compact(problem, grid, scheme.cut, scheme.neumann)
+    else:
+        mats = assemble_classic(problem, grid, scheme.rhs, scheme.neumann)
+    dtype = mats.kind.dtype
+    times = np.arange(grid.n_steps + 1) * grid.tau
+    walls = None
+    if mats.dirichlet is not None:
+        walls = _dirichlet_series(mats.dirichlet, times[1:], dtype)
+    stream = _forcing_stream(problem, times, _forcing_grid(mats), dtype)
+    u = np.asarray(problem.initial(grid.x), dtype=dtype).copy()
+    return march(mats, u, stream, walls, grid.n_steps)
+
+
+def engine_deviation(problem, grid, scheme):
+    """Relative max deviation of the affine march from the stepwise one."""
+    ref = march_with(_march_stepwise, problem, grid, scheme)
+    got = march_with(_march_affine, problem, grid, scheme)
+    assert np.isfinite(ref).all()
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+WALL_SCHEMES = {
+    "compact": Compact(),
+    "compact-cut5": Compact(cut=5),
+    "classic-pointwise": Classic(),
+    "classic-threepoint": Classic(rhs=ClassicRhsVariant.THREE_POINT),
+    "classic-fivepoint": Classic(rhs=ClassicRhsVariant.FIVE_POINT),
+}
+NEUMANN_SCHEMES = {
+    **WALL_SCHEMES,
+    "compact-reduced": Compact(neumann=ReducedTwoPoint()),
+    "compact-main": Compact(neumann=MainTerms()),
+    "classic-skew": Classic(neumann=ClassicNeumann(0.8)),
+}
+ENGINE_CASES = [
+    pytest.param(name, kind, scheme, id=f"{name}-{kind.value}-{label}")
+    for name in ("s1", "s2", "s3")
+    for kind in ScalarKind
+    for label, scheme in WALL_SCHEMES.items()
+] + [
+    pytest.param(name, None, scheme, id=f"{name}-{label}")
+    for name in ("sn", "snll")
+    for label, scheme in NEUMANN_SCHEMES.items()
+]
+
+
+@pytest.mark.parametrize("name,kind,scheme", ENGINE_CASES)
+def test_affine_engine_matches_stepwise(name, kind, scheme):
+    s = sample_solution(name, kind=kind)
+    # 300 steps cross one forcing-chunk boundary
+    grid = with_steps(grid_for(s, 16, 1.0, 1.0), 300)
+    assert engine_deviation(s.problem, grid, scheme) <= 1e-12
+
+
+def test_affine_engine_matches_stepwise_long_complex_march():
+    s = sample_solution("snll")
+    grid = with_steps(grid_for(s, 20, 1j, 1.0), 2048)
+    assert engine_deviation(s.problem, grid, Compact()) <= 1e-12
+
+
+@pytest.mark.parametrize("n,n_steps,solves", [(20, 2048, 65), (20, 40, 40), (200, 2048, 2048)])
+def test_run_picks_engine_by_grid_and_step_count(monkeypatch, n, n_steps, solves):
+    """The affine engine solves only in its 3m+2 probes, the stepwise one once per step."""
+    calls = []
+    solve = steppers.solve_tridiag
+
+    def counting_solve(t, rhs):
+        calls.append(1)
+        return solve(t, rhs)
+
+    monkeypatch.setattr(steppers, "solve_tridiag", counting_solve)
+    s = sample_solution("s3", a=2.0)
+    grid = with_steps(grid_for(s, n, 100.0, 1.0), n_steps)
+    run(s.problem, grid, Compact())
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("march", [_march_stepwise, _march_affine])
+def test_non_finite_state_raises(march):
+    s = sample_solution("s1")
+    base = s.problem
+    grid = with_steps(grid_for(s, 10, 1.0, 1.0), 600)
+    t_bad = 300.5 * grid.tau
+
+    def blows_up(t, x):
+        return np.where(np.asarray(t) > t_bad, np.inf, base.forcing(t, x))
+
+    problem = dataclasses.replace(base, forcing=blows_up)
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError, match="between steps 257 and 512"
+    ):
+        march_with(march, problem, grid, Compact())
+
+
+def test_forcing_reading_only_the_first_block_time_falls_back():
+    """A closure that broadcasts f(times[0]) over a block must not corrupt the run."""
+    s = sample_solution("s1")
+    base = s.problem
+
+    def first_time_only(t, x):
+        return base.forcing(np.ravel(t)[0], x)
+
+    grid = with_steps(grid_for(s, 10, 1.0, 1.0), 600)
+    assert takes_affine(grid)
+    honest = run(base, grid, Compact()).final_state
+    got = run(dataclasses.replace(base, forcing=first_time_only), grid, Compact()).final_state
+    assert np.abs(got - honest).max() <= 1e-12 * np.abs(honest).max()
+
+
+def test_scalar_fallbacks_match_vectorized_on_affine_grid():
+    """The forcing and wall fallbacks of the tests above, on a grid for the affine engine."""
+    s = sample_solution("s1")
+    base = s.problem
+    exact = s.exact
+
+    def scalar_only_forcing(t, x):
+        if np.ndim(t) != 0:
+            raise TypeError("scalar time only")
+        return base.forcing(t, x)
+
+    scalar_walls = Dirichlet(
+        left=lambda t: float(exact(float(t), 0.0)),
+        right=lambda t: float(exact(float(t), TWO_PI)),
+    )
+    grid = with_steps(grid_for(s, 10, 1.0, 0.5), 600)
+    assert takes_affine(grid)
+    a = run(base, grid, Compact())
+    b = run(dataclasses.replace(base, forcing=scalar_only_forcing), grid, Compact())
+    assert np.array_equal(a.final_state, b.final_state)
+    assert a.muls_per_step == b.muls_per_step
+    c = run(dataclasses.replace(base, boundary=scalar_walls), grid, Compact())
+    assert np.abs(a.final_state - c.final_state).max() < 1e-14
