@@ -13,9 +13,10 @@ Exit codes: 0 success, 2 configuration problem, 3 numerical failure
 
 A configuration file of `key = value` lines (# comments allowed) can
 drive any subcommand via --config.  A key is any value flag of the
-subcommand without the dashes (cuts, n, node, classic-rhs, ...); unknown
-keys are ignored, a repeated key keeps its last value, and explicit
-flags win over file values.
+subcommand without the dashes (cuts, n, node, classic-rhs, ...).  A key
+that is command-line only (check, config) or that names a flag of another
+subcommand exits 2; other unknown keys are ignored, a repeated key keeps
+its last value, and explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -268,10 +269,16 @@ def _settings(args: argparse.Namespace) -> dict:
     """Config-file values overlaid by every flag given on the command line,
     keyed by flag name without the leading dashes."""
     settings = {}
+    flags = _COMMON_FLAGS + _COMMANDS[args.command][2]
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             settings.update(parse_config(fh.read()))
-    for flag in _COMMON_FLAGS + _COMMANDS[args.command][2]:
+        for key in settings:
+            if key in _COMMAND_LINE_ONLY:
+                raise ConfigError(f"config key {key!r} can only be given on the command line")
+            if key not in flags and any(key in spec[2] for spec in _COMMANDS.values()):
+                raise ConfigError(f"config key {key!r} is not a setting of {args.command}")
+    for flag in flags:
         value = getattr(args, flag.replace("-", "_"))
         if value is not None:
             settings[flag] = value
@@ -581,6 +588,7 @@ def _cmd_derive_row(settings: dict) -> tuple:
 
 
 _COMMON_FLAGS = ("config", "output", "check")
+_COMMAND_LINE_ONLY = ("config", "check")
 
 # subcommand -> (handler, help line, flags beyond the common three)
 _COMMANDS = {

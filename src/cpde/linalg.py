@@ -15,7 +15,8 @@ import numpy as np
 
 
 class SingularMatrixError(ValueError):
-    """A pivot vanished (or nearly vanished) during elimination."""
+    """A matrix is singular: a pivot of the tridiagonal sweep is exactly
+    zero, or a dense matrix fails the rank check of ``solve_dense``."""
 
 
 class RankError(ValueError):
@@ -51,10 +52,13 @@ class Tridiag:
         return self.diag.size
 
     def apply(self, v: np.ndarray) -> tuple[np.ndarray, int]:
-        """Matvec.  Returns (result, multiplication count 3m-2)."""
+        """Matvec over the last axis of ``v``, so a stack of vectors works.
+
+        Returns (result, multiplication count 3m-2 per vector).
+        """
         out = self.diag * v
-        out[1:] += self.lower * v[:-1]
-        out[:-1] += self.upper * v[1:]
+        out[..., 1:] += self.lower * v[..., :-1]
+        out[..., :-1] += self.upper * v[..., 1:]
         return out, 3 * self.size - 2
 
     def dense(self) -> np.ndarray:
@@ -73,16 +77,19 @@ class Tridiag:
 def solve_tridiag(t: Tridiag, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve t x = rhs by the double-sweep (Thomas) algorithm.
 
-    Returns (x, mul count).  The count is 5m-4 for a system of size m:
-    3(m-1) in the forward sweep, one division, 2(m-1) in the back
-    substitution.  The sweeps run on Python scalars from ``tolist()``:
-    indexing the numpy arrays entry by entry takes over three times as
-    long.  Raises SingularMatrixError naming the row if a pivot is
-    exactly zero.
+    ``rhs`` is one right-hand side of length m, or a stack of them with
+    the node axis last, shape (k, m); one sweep solves the whole stack.
+    Returns (x, mul count) with x shaped like ``rhs``.  The count is 5m-4
+    per right-hand side for a system of size m: 3(m-1) in the forward
+    sweep, one division, 2(m-1) in the back substitution.  The sweeps
+    run on Python scalars from ``tolist()`` (on numpy node columns for a
+    stack): indexing the numpy arrays entry by entry takes over three
+    times as long.  Raises SingularMatrixError naming the row if a pivot
+    is exactly zero.
     """
     rhs = np.asarray(rhs)
     lower, upper = t.lower.tolist(), t.upper.tolist()
-    d, r = t.diag.tolist(), rhs.tolist()
+    d, r = t.diag.tolist(), list(rhs.T) if rhs.ndim == 2 else rhs.tolist()
     m = len(d)
     for i in range(1, m):
         piv = d[i - 1]
@@ -96,7 +103,7 @@ def solve_tridiag(t: Tridiag, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     r[m - 1] = r[m - 1] / d[m - 1]
     for i in range(m - 2, -1, -1):
         r[i] = (r[i] - upper[i] * r[i + 1]) / d[i]
-    return np.array(r, dtype=np.result_type(t.diag, rhs)), 5 * m - 4
+    return np.array(r, dtype=np.result_type(t.diag, rhs)).T, 5 * m - 4
 
 
 def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,11 +27,15 @@ about).
 ``run`` marches with one of two engines.  The stepwise one takes the
 step above per time level.  theta does not depend on time, so the step
 is a fixed affine map u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} (g the
-Dirichlet data); the affine engine probes the step with unit vectors
-once for these maps and then takes one BLAS matvec per step.  It runs
-on grids of at most ``_AFFINE_MAX_NODES`` nodes with at least
-``_AFFINE_MIN_STEPS_PER_NODE`` steps per node.  ``muls_per_step`` is the
-analytic cost of the banded step either way, not the work executed.
+Dirichlet data).  The modal engine gets these maps from one ``_step``
+on a stack of unit vectors, factors P = V diag(lam) V^-1 once, and
+advances z = V^-1 u by a whole 256-step chunk at a time: two GEMMs give
+the chunk's modal forcing, and one weighted sum with powers of lam
+folds it into z.  It runs on grids of at most ``_AFFINE_MAX_NODES``
+nodes with at least ``_AFFINE_MIN_STEPS_PER_NODE`` steps per node, and
+hands over to the stepwise march when V is worse conditioned than
+``_MODAL_MAX_COND``.  ``muls_per_step`` is the analytic cost of the
+banded step either way, not the work executed.
 """
 
 from __future__ import annotations
@@ -367,11 +371,11 @@ def assemble_classic(
 
 def _node_values(f: np.ndarray, m: int) -> np.ndarray:
     """Node samples of a forcing array that may live on the half grid."""
-    if f.shape[0] == m:
+    if f.shape[-1] == m:
         return f
-    if f.shape[0] == 2 * m - 1:
-        return f[::2]
-    raise ValueError(f"forcing length {f.shape[0]} matches neither grid nor half grid")
+    if f.shape[-1] == 2 * m - 1:
+        return f[..., ::2]
+    raise ValueError(f"forcing length {f.shape[-1]} matches neither grid nor half grid")
 
 
 def _classic_average(variant: ClassicRhsVariant, f: np.ndarray, m: int) -> np.ndarray:
@@ -380,25 +384,27 @@ def _classic_average(variant: ClassicRhsVariant, f: np.ndarray, m: int) -> np.nd
     if variant is ClassicRhsVariant.THREE_POINT:
         fn = _node_values(f, m)
         out = fn.copy()
-        out[1:-1] = 0.25 * (fn[:-2] + 2.0 * fn[1:-1] + fn[2:])
+        out[..., 1:-1] = 0.25 * (fn[..., :-2] + 2.0 * fn[..., 1:-1] + fn[..., 2:])
         return out
-    if f.shape[0] != 2 * m - 1:
+    if f.shape[-1] != 2 * m - 1:
         raise ValueError("five-point averaging needs forcing on the half grid")
-    out = f[::2].copy()
-    out[1:-1] = (
-        f[:-4:2] + 2.0 * f[1:-3:2] + 2.0 * f[2:-2:2] + 2.0 * f[3:-1:2] + f[4::2]
-    ) / 8.0
+    out = f[..., ::2].copy()
+    f1, f2, f3 = f[..., 1:-3:2], f[..., 2:-2:2], f[..., 3:-1:2]
+    out[..., 1:-1] = (f[..., :-4:2] + 2.0 * f1 + 2.0 * f2 + 2.0 * f3 + f[..., 4::2]) / 8.0
     return out
 
 
 def _apply_wall_fixup(rhs, fx: _WallFixup, idx, u, f0n, f1n):
     sl = slice(0, 3) if idx == 0 else slice(-1, -4, -1)
-    rhs[idx] = (
-        np.dot(fx.d, u[sl]) + np.dot(fx.b_new_lit, f1n[sl]) + np.dot(fx.b_old_lit, f0n[sl])
+    rhs[..., idx] = (
+        np.dot(fx.d, u[..., sl].T)
+        + np.dot(fx.b_new_lit, f1n[..., sl].T)
+        + np.dot(fx.b_old_lit, f0n[..., sl].T)
     )
 
 
 def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
+    """One step; u and f may be stacks of states with the node axis last."""
     m = mats.grid.n + 1
     tau = mats.grid.tau
     if mats.classic_rhs is None:
@@ -413,8 +419,8 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
             if t_new is None:
                 raise ValueError("Dirichlet stepping needs the new time level")
             bc_vals = (mats.dirichlet.left(t_new), mats.dirichlet.right(t_new))
-        rhs[0] = u[0] + bc_vals[0]
-        rhs[m - 1] = u[m - 1] + bc_vals[1]
+        rhs[..., 0] = u[..., 0] + bc_vals[0]
+        rhs[..., m - 1] = u[..., m - 1] + bc_vals[1]
     else:
         if mats._fix_left is not None or mats._fix_right is not None:
             f0n = _node_values(f_n, m)
@@ -424,9 +430,9 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
             if mats._fix_right is not None:
                 _apply_wall_fixup(rhs, mats._fix_right, m - 1, u, f0n, f1n)
     if mats._k_left != 0.0:
-        rhs[0] -= mats._k_left * rhs[1]
+        rhs[..., 0] -= mats._k_left * rhs[..., 1]
     if mats._k_right != 0.0:
-        rhs[m - 1] -= mats._k_right * rhs[m - 2]
+        rhs[..., m - 1] -= mats._k_right * rhs[..., m - 2]
     v, _ = solve_tridiag(mats._solver, rhs)
     return v - u
 
@@ -444,13 +450,13 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 
 
 # Forcing can easily dominate the march when theta is large (stiff tau,
-# hundreds of thousands of steps).  The stream below evaluates f(t, x)
-# for a block of times in one broadcast call when the callable permits
-# it, which amortizes the per-call overhead; closures that choke on
-# array times (shape mismatch or an exception) or whose first block
-# disagrees with a scalar call are detected on that block and evaluated
-# one time level at a time instead.  The marches also check the state
-# for finiteness once per chunk.
+# hundreds of thousands of steps).  The forcing is evaluated for a block
+# of times in one broadcast call when the callable permits it, which
+# amortizes the per-call overhead; closures that choke on array times
+# (shape mismatch or an exception) or whose first block disagrees with a
+# scalar call are detected on that block and evaluated one time level at
+# a time instead.  Both engines consume the blocks chunk by chunk and
+# check the state for finiteness once per chunk.
 _FORCING_CHUNK = 256
 
 
@@ -461,33 +467,32 @@ def _forcing_one(problem: ProblemSpec, t: float, xf: np.ndarray, dtype) -> np.nd
     return f
 
 
-def _forcing_stream(problem: ProblemSpec, times: np.ndarray, xf: np.ndarray, dtype):
-    """Yield f(t_k, xf) for every entry of ``times``, in order."""
-    nt = times.size
-    k = 0
-    vector_ok = True
-    while k < nt:
+def _forcing_blocks(problem: ProblemSpec, times: np.ndarray, xf: np.ndarray, dtype):
+    """Yield f(times[k:hi+1], xf) for each chunk [k, hi) of the march.
+
+    Consecutive blocks share their boundary row, which is evaluated once.
+    """
+    vector_ok, last = True, None
+    for k in range(0, times.size - 1, _FORCING_CHUNK):
+        first = k if last is None else k + 1
+        new = times[first : k + _FORCING_CHUNK + 1]
+        rows = None
         if vector_ok:
-            hi = min(k + _FORCING_CHUNK, nt)
             try:
-                block = np.asarray(
-                    problem.forcing(times[k:hi, None], xf[None, :]), dtype=dtype
-                )
-                block = np.broadcast_to(block, (hi - k, xf.size))
+                rows = np.asarray(problem.forcing(new[:, None], xf[None, :]), dtype=dtype)
+                rows = np.broadcast_to(rows, (new.size, xf.size))
             except (TypeError, ValueError, IndexError):
-                vector_ok = False
-                continue
-            if k == 0:  # a closure that reads only times[0] gets row 0 right
-                ref = _forcing_one(problem, float(times[hi - 1]), xf, dtype)
-                if not np.allclose(block[-1], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()):
-                    vector_ok = False
-                    continue
-            for i in range(hi - k):
-                yield block[i]
-            k = hi
-        else:
-            yield _forcing_one(problem, float(times[k]), xf, dtype)
-            k += 1
+                rows = None
+            if rows is not None and last is None:  # a closure reading only times[0]
+                ref = _forcing_one(problem, float(new[-1]), xf, dtype)
+                if not np.allclose(rows[-1], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()):
+                    rows = None
+            vector_ok = rows is not None
+        if rows is None:
+            rows = np.array([_forcing_one(problem, float(t), xf, dtype) for t in new])
+        block = rows if last is None else np.concatenate((last[None], rows))
+        last = block[-1]
+        yield block
 
 
 def _dirichlet_series(bc: Dirichlet, times: np.ndarray, dtype):
@@ -503,16 +508,26 @@ def _dirichlet_series(bc: Dirichlet, times: np.ndarray, dtype):
     return out[0], out[1]
 
 
-# The affine march probes the step m + 2 mf times (+2 with Dirichlet walls:
-# 3m+2 on the node grid), then costs one dense m x m matvec per step against
-# the O(m) Python sweep.  At m = 101, 3m steps took 29-33 ms stepwise against
-# 33-39 ms affine and 5m steps 49-52 ms against 37-40 ms; at m = 401 the two
-# engines were level at 4m steps.
+# The modal march probes the step once (one batched sweep), diagonalizes
+# the m x m step map, then costs two small GEMMs and one weighted sum per
+# 256-step chunk.  Whole runs, stepwise / modal, on a 2-core Xeon with one
+# BLAS thread, s3 a=2 at courant 100 (real) and snll at courant i (complex):
+# at m = 21, 1m steps took 1.7 / 1.9 ms (real) and 2.2 / 2.4 ms (complex),
+# 2m steps 3.1 / 2.3 and 4.5 / 3.6 ms; at m = 101, 2m steps 19.9 / 17.1 and
+# 30.2 / 35.0 ms (the complex eig dominates), 4m steps 33.9 / 18.5 and
+# 48.5 / 34.3 ms.  4 is the least of these that never loses.
 _AFFINE_MIN_STEPS_PER_NODE = 4
 # The dense maps are O(m^2) memory: without a cap, the m = 201 / 2027-step
 # richardson run of the README commands raised their peak RSS from 38.7 to
 # 41.5 MB; with it, 38.5 MB.
 _AFFINE_MAX_NODES = 128
+# Bound on ||V||_1 ||V^-1||_1 for P's eigenvectors V.  The march's
+# deviation from the stepwise one is at most about steps * eps * cond(V).
+# s1, s2, s3, sn and snll, both kinds, compact, classic and every Neumann
+# closure, N = 10-100 at courant 1 and 100 measured 5.7-4.5e3 (2-norm cond
+# 1.4-571).  The worst, s3 a=2 at N = 100 and courant 100, deviated by
+# 9.0e-11 relative over its 726,350 steps (7.5e-12 over 181,588 at N = 50).
+_MODAL_MAX_COND = 1e4
 
 
 def _check_finite(u: np.ndarray, first: int, last: int):
@@ -520,51 +535,52 @@ def _check_finite(u: np.ndarray, first: int, last: int):
         raise FloatingPointError(f"state became non-finite between steps {first + 1} and {last}")
 
 
-def _march_stepwise(mats: SchemeMatrices, u, stream, walls, n_steps: int):
+def _march_stepwise(mats: SchemeMatrices, u, blocks, walls, n_steps: int):
     """One banded step per time level."""
-    f_n = next(stream)
-    for k in range(0, n_steps, _FORCING_CHUNK):
-        hi = min(k + _FORCING_CHUNK, n_steps)
-        for n_step in range(k, hi):
-            f_np1 = next(stream)
-            bc = None if walls is None else (walls[0][n_step], walls[1][n_step])
-            u = _step(mats, u, f_n, f_np1, bc_vals=bc)
-            f_n = f_np1
+    for k, block in zip(range(0, n_steps, _FORCING_CHUNK), blocks):
+        hi = k + block.shape[0] - 1
+        for i in range(hi - k):
+            bc = None if walls is None else (walls[0][k + i], walls[1][k + i])
+            u = _step(mats, u, block[i], block[i + 1], bc_vals=bc)
         _check_finite(u, k, hi)
     return u
 
 
-def _march_affine(mats: SchemeMatrices, u, stream, walls, n_steps: int):
-    """Advance u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} with dense maps.
+def _march_affine(mats: SchemeMatrices, u, blocks, walls, n_steps: int):
+    """Advance u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} in P's eigenbasis.
 
-    The step is linear in its inputs, so probing ``_step`` with the unit
-    vectors of (u, f^n, f^{n+1}, g^{n+1}) yields the columns of the maps.
+    The step is linear in its inputs, so one batched ``_step`` on the
+    unit vectors of (u, f^n, f^{n+1}, g^{n+1}) yields the maps.  With
+    P = V diag(lam) V^-1 and z = V^-1 u, a chunk of c steps is
+    z <- lam^c z + sum_k lam^(c-1-k) E_k, E_k the modal forcing of step k.
+    An ill-conditioned V falls back to the stepwise march.
     """
-    m, f = u.size, next(stream)
-    mf = f.size
-    e = np.zeros(m + 2 * mf + 2, u.dtype)
-    e_u, e_f0, e_f1, e_g = np.split(e, [m, m + mf, m + 2 * mf])
-    cols = np.empty((e.size, m), u.dtype)  # row j: the step's response to e_j
-    for j in range(e.size if walls is not None else e.size - 2):
-        e[j] = 1.0
-        cols[j] = _step(mats, e_u, e_f0, e_f1, bc_vals=None if walls is None else e_g)
-        e[j] = 0.0
+    m, mf = u.size, _forcing_grid(mats).size
+    unit = np.eye(m + 2 * mf + 2, dtype=u.dtype)
+    i_u, i_f0, i_f1, i_g = np.split(unit, [m, m + mf, m + 2 * mf], axis=1)
+    cols = _step(mats, i_u, i_f0, i_f1, bc_vals=i_g.T)  # row j: the response to e_j
     p_t, q0_t, q1_t, w_t = np.split(cols, [m, m + mf, m + 2 * mf])
-    p = p_t.T
-    block = np.empty((_FORCING_CHUNK + 1, mf), u.dtype)
-    block[0] = f
-    for k in range(0, n_steps, _FORCING_CHUNK):
-        hi = min(k + _FORCING_CHUNK, n_steps)
-        for i in range(1, hi - k + 1):
-            block[i] = next(stream)
-        d = block[: hi - k] @ q0_t + block[1 : hi - k + 1] @ q1_t
+    try:
+        lam, v = np.linalg.eig(p_t.T)
+        v_inv = np.linalg.inv(v)
+        cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
+    except np.linalg.LinAlgError:  # no convergence, or a defective P
+        cond = np.inf
+    if not cond <= _MODAL_MAX_COND:
+        return _march_stepwise(mats, u, blocks, walls, n_steps)
+    q0_t, q1_t, w_t = (q @ v_inv.T for q in (q0_t, q1_t, w_t))
+    powers = np.vstack((np.ones_like(lam), np.tile(lam, (_FORCING_CHUNK - 1, 1))))
+    weights = np.cumprod(powers, axis=0)[::-1]  # row k: lam^(255-k)
+    z = v_inv @ u
+    for k, block in zip(range(0, n_steps, _FORCING_CHUNK), blocks):
+        c = block.shape[0] - 1
+        e = block[:-1] @ q0_t + block[1:] @ q1_t
         if walls is not None:
-            d += np.column_stack((walls[0][k:hi], walls[1][k:hi])) @ w_t
-        for row in d:
-            u = p @ u + row
-        block[0] = block[hi - k]
-        _check_finite(u, k, hi)
-    return u
+            e += np.column_stack((walls[0][k : k + c], walls[1][k : k + c])) @ w_t
+        z = lam**c * z + np.einsum("km,km->m", weights[_FORCING_CHUNK - c :], e)
+        _check_finite(z, k, k + c)
+    u_new = v @ z
+    return u_new if np.iscomplexobj(u) else u_new.real.copy()
 
 
 def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepReport:
@@ -589,11 +605,11 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
     walls = None
     if mats.dirichlet is not None:
         walls = _dirichlet_series(mats.dirichlet, times[1:], dtype)
-    stream = _forcing_stream(problem, times, xf, dtype)
+    blocks = _forcing_blocks(problem, times, xf, dtype)
     m = grid.n + 1
     affine = m <= _AFFINE_MAX_NODES and grid.n_steps >= _AFFINE_MIN_STEPS_PER_NODE * m
     march = _march_affine if affine else _march_stepwise
-    u = march(mats, u, stream, walls, grid.n_steps)
+    u = march(mats, u, blocks, walls, grid.n_steps)
     return StepReport(final_state=u, muls_per_step=mats.muls_per_step, steps=grid.n_steps)
 
 

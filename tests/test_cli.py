@@ -249,6 +249,32 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("key", ["check", "config"])
+def test_exit_2_on_command_line_only_config_key(tmp_path, capsys, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"solution = s1\nns = 8,16\n{key} = 1\n")
+    rc, out, err = run_main(capsys, ["convergence", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert f"config key '{key}' can only be given on the command line" in err
+
+
+def test_exit_2_on_config_key_of_another_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("solution = s1\nns = 8,16\ncuts = 5\n")
+    rc, out, err = run_main(capsys, ["convergence", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "config key 'cuts' is not a setting of convergence" in err
+
+
+def test_unknown_config_keys_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = convergence\nsolution = s1\nns = 8,16\n")
+    rc, _, _ = run_main(capsys, ["convergence", "--config", str(cfg)])
+    assert rc == 0
+
+
 def test_exit_2_on_unknown_solution(capsys):
     rc, _, err = run_main(capsys, ["convergence", "--solution", "zz", "--ns", "8,16"])
     assert rc == 2

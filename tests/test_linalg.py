@@ -48,6 +48,28 @@ def test_thomas_matches_dense_complex():
     assert np.allclose(t.dense() @ x, b, rtol=1e-11, atol=1e-11)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_right_hand_sides_match_one_at_a_time(dtype):
+    """Node axis last: bitwise per column for real data, to rounding for complex."""
+    m, k = 17, 5
+    t = random_tridiag(m, dtype)
+    b = rng.normal(size=(k, m))
+    if dtype is complex:
+        b = b + 1j * rng.normal(size=(k, m))
+    x, muls = solve_tridiag(t, b)
+    y, _ = t.apply(b)
+    assert x.shape == y.shape == (k, m)
+    assert muls == 5 * m - 4
+    x_cols = np.array([solve_tridiag(t, row)[0] for row in b])
+    y_cols = np.array([t.apply(row)[0] for row in b])
+    if dtype is float:
+        assert np.array_equal(x, x_cols)
+        assert np.array_equal(y, y_cols)
+    else:
+        assert np.abs(x - x_cols).max() <= 1e-15 * np.abs(x_cols).max()
+        assert np.abs(y - y_cols).max() <= 1e-15 * np.abs(y_cols).max()
+
+
 def test_thomas_mul_count():
     # forward sweep 3(m-1), one division, back substitution 2(m-1)
     for m in (2, 5, 31):

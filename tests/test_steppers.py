@@ -33,7 +33,7 @@ from cpde.steppers import (
     Compact,
     _dirichlet_series,
     _forcing_grid,
-    _forcing_stream,
+    _forcing_blocks,
     _march_affine,
     _march_stepwise,
     assemble_classic,
@@ -348,9 +348,9 @@ def march_with(march, problem, grid, scheme):
     walls = None
     if mats.dirichlet is not None:
         walls = _dirichlet_series(mats.dirichlet, times[1:], dtype)
-    stream = _forcing_stream(problem, times, _forcing_grid(mats), dtype)
+    blocks = _forcing_blocks(problem, times, _forcing_grid(mats), dtype)
     u = np.asarray(problem.initial(grid.x), dtype=dtype).copy()
-    return march(mats, u, stream, walls, grid.n_steps)
+    return march(mats, u, blocks, walls, grid.n_steps)
 
 
 def engine_deviation(problem, grid, scheme):
@@ -400,9 +400,9 @@ def test_affine_engine_matches_stepwise_long_complex_march():
     assert engine_deviation(s.problem, grid, Compact()) <= 1e-12
 
 
-@pytest.mark.parametrize("n,n_steps,solves", [(20, 2048, 65), (20, 40, 40), (200, 2048, 2048)])
-def test_run_picks_engine_by_grid_and_step_count(monkeypatch, n, n_steps, solves):
-    """The affine engine solves only in its 3m+2 probes, the stepwise one once per step."""
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """A list that grows by one for each ``solve_tridiag`` call of the steppers."""
     calls = []
     solve = steppers.solve_tridiag
 
@@ -411,10 +411,55 @@ def test_run_picks_engine_by_grid_and_step_count(monkeypatch, n, n_steps, solves
         return solve(t, rhs)
 
     monkeypatch.setattr(steppers, "solve_tridiag", counting_solve)
+    return calls
+
+
+def test_modal_engine_matches_stepwise_over_the_stiff_march():
+    """All 29,054 steps of the s3 a=2 courant-100 march at N=20 (measured 2.0e-13)."""
+    s = sample_solution("s3", a=2.0)
+    grid = grid_for(s, 20, 100.0, 1.0)
+    assert grid.n_steps == 29054
+    assert engine_deviation(s.problem, grid, Compact()) <= 1e-12
+
+
+def test_modal_engine_matches_stepwise_over_100k_complex_steps():
+    """snll at courant i, where max|lambda| is 1 + O(eps): 100,000 steps (measured 7.9e-13)."""
+    s = sample_solution("snll")
+    grid = with_steps(grid_for(s, 20, 1j, 1.0), 100_000)
+    assert engine_deviation(s.problem, grid, Compact()) <= 1e-11
+
+
+def failing_eig(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize(
+    "target,name,value",
+    [(steppers, "_MODAL_MAX_COND", 0.0), (np.linalg, "eig", failing_eig)],
+    ids=["above-gate", "eig-fails"],
+)
+def test_ill_conditioned_eigenbasis_marches_stepwise(
+    monkeypatch, solve_calls, target, name, value
+):
+    """Above the conditioning gate, or without an eigenbasis, the engine probes
+    once and then steps like the stepwise one."""
+    monkeypatch.setattr(target, name, value)
+    s = sample_solution("s3", a=2.0)
+    grid = with_steps(grid_for(s, 20, 100.0, 1.0), 600)
+    assert takes_affine(grid)
+    got = march_with(_march_affine, s.problem, grid, Compact())
+    assert len(solve_calls) == 1 + 600
+    ref = march_with(_march_stepwise, s.problem, grid, Compact())
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n,n_steps,solves", [(20, 2048, 1), (20, 40, 40), (200, 2048, 2048)])
+def test_run_picks_engine_by_grid_and_step_count(solve_calls, n, n_steps, solves):
+    """The modal engine solves only in its one batched probe, the stepwise one once per step."""
     s = sample_solution("s3", a=2.0)
     grid = with_steps(grid_for(s, n, 100.0, 1.0), n_steps)
     run(s.problem, grid, Compact())
-    assert len(calls) == solves
+    assert len(solve_calls) == solves
 
 
 @pytest.mark.parametrize("march", [_march_stepwise, _march_affine])
