@@ -15,8 +15,8 @@ A configuration file of `key = value` lines (# comments allowed) can
 drive any subcommand via --config.  A key is any value flag of the
 subcommand without the dashes (cuts, n, node, classic-rhs, ...).  A key
 that is command-line only (check, config) or that names a flag of another
-subcommand exits 2; other unknown keys are ignored, a repeated key keeps
-its last value, and explicit flags win over file values.
+subcommand exits 2; any other key is ignored with a warning on stderr, a
+repeated key keeps its last value, and explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -276,8 +276,10 @@ def _settings(args: argparse.Namespace) -> dict:
         for key in settings:
             if key in _COMMAND_LINE_ONLY:
                 raise ConfigError(f"config key {key!r} can only be given on the command line")
-            if key not in flags and any(key in spec[2] for spec in _COMMANDS.values()):
-                raise ConfigError(f"config key {key!r} is not a setting of {args.command}")
+            if key not in flags:
+                if any(key in spec[2] for spec in _COMMANDS.values()):
+                    raise ConfigError(f"config key {key!r} is not a setting of {args.command}")
+                print(f"warning: config key {key!r} ignored", file=sys.stderr)
     for flag in flags:
         value = getattr(args, flag.replace("-", "_"))
         if value is not None:

@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .theta_fit import TWO_PI, CoefficientDomainError
+from .theta_fit import TWO_PI, sample_theta
 
 
 class ScalarKind(Enum):
@@ -75,23 +75,8 @@ def make_grid(n: int, courant: complex, t_final: float, theta_max: float) -> Gri
 
 def theta_grid_max(theta: Callable, grid_or_x) -> float:
     """Largest coefficient value over the grid nodes, with positivity check."""
-    x = grid_or_x.x if isinstance(grid_or_x, Grid1D) else np.asarray(grid_or_x)
-    # overflow in the user's coefficient is exactly what the finiteness
-    # check below reports, so the sweep itself runs silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray([float(theta(float(xi))) for xi in x])
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise CoefficientDomainError(
-            f"coefficient is not finite on the grid, got {vals[bad]} at x={x[bad]}"
-        )
-    if np.any(vals <= 0.0):
-        bad = int(np.argmin(vals))
-        raise CoefficientDomainError(
-            f"coefficient must be positive on the grid, got {vals[bad]} at x={x[bad]}"
-        )
-    return float(vals.max())
+    x = grid_or_x.x if isinstance(grid_or_x, Grid1D) else grid_or_x
+    return float(sample_theta(theta, x).max())
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ tabulated coefficient stacks directly; derive_row_oracle re-derives the
 same row from scratch as the null space of a test-function system, so
 the two construction routes can be checked against each other.
 
+The stacks are elementwise arithmetic, so assemble_row takes the fit of
+one node or the fit of a whole node array (fit_interior on an array of
+nodes, with an array of nu): the assembly builds every interior row in
+one call, and a single row is the scalar view of the same code.
+
 The overall scale is pinned by p_0 = 60 at h^0: the forcing-side leading
 terms are nonzero and unaffected by cut truncation, which makes them the
 most stable anchor.
@@ -50,6 +55,8 @@ FIELD_NAMES = (
 
 @dataclass(frozen=True)
 class CompactRow:
+    """The twelve coefficients of one row, or twelve node arrays of them."""
+
     b_l0: complex
     a_0: complex
     b_r0: complex

@@ -103,19 +103,6 @@ BOUNDARY_BASIS = (
 REDUCED_BASIS = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2), (3, 0))
 
 
-def _mirror_fit(fit: ExpFit) -> ExpFit:
-    """The same local model seen through x -> -x."""
-    return ExpFit(
-        c1=-fit.c1,
-        c2=fit.c2,
-        c3=-fit.c3,
-        c4=fit.c4,
-        theta_center=fit.theta_center,
-        r_minus=fit.r_plus,
-        r_plus=fit.r_minus,
-    )
-
-
 def _compact_left_closed(fit: ExpFit, nu0: complex, h: float, tau: float) -> BoundaryRow:
     # h*g'(h) and exp(-g(h)) of the boundary fit
     hgp = fit.c1 * h + 2.0 * fit.c2 * h**2 + 3.0 * fit.c3 * h**3 + 4.0 * fit.c4 * h**4
@@ -263,4 +250,4 @@ def build_right_row(
     widens on a thin locus of complex nu, so the closed form is the one
     used for assembly.
     """
-    return build_left_row(_mirror_fit(fit), nu_n, h, tau, variant)
+    return build_left_row(fit.mirrored(), nu_n, h, tau, variant)

@@ -17,6 +17,11 @@ rows that do not satisfy the layer-difference identity (e.g. the
 classic epsilon != 1/2 Neumann closure) are patched into the right-hand
 side explicitly, which costs O(1).
 
+Assembly samples theta once (``theta_fit.sample_theta``) and builds the
+interior rows of every band as array arithmetic over the nodes: the
+compact scheme through one ``fit_interior``/``assemble_row`` call on the
+node array, the classic one from theta at the half nodes.
+
 The per-step cost is data on the assembled scheme: ``_finalize`` adds
 up the multiplications and divisions the step performs (additions are
 free by convention), and ``run`` reports that figure.  Forcing
@@ -57,7 +62,7 @@ from .neumann import (
     build_left_row,
     build_right_row,
 )
-from .theta_fit import fit_boundary_left, fit_boundary_right, fit_interior
+from .theta_fit import fit_boundary_left, fit_boundary_right, fit_interior, sample_theta
 
 
 class ClassicRhsVariant(Enum):
@@ -241,6 +246,12 @@ def _interior_nu(kind: ScalarKind, theta_j: float, tau: float, h: float) -> comp
     return kind.kappa * nu if kind is ScalarKind.COMPLEX else nu
 
 
+def _fill_interior(t: Tridiag, lower, diag, upper):
+    """Set the bands of rows 1..m-2, leaving the wall rows alone."""
+    m = t.size
+    t.lower[: m - 2], t.diag[1 : m - 1], t.upper[1 : m - 1] = lower, diag, upper
+
+
 def _build_walls(problem: ProblemSpec, grid: Grid1D, variant: NeumannVariant):
     h, tau = grid.h, grid.tau
     kind = problem.kind
@@ -276,26 +287,12 @@ def assemble_compact(
         dirichlet=problem.boundary if isinstance(problem.boundary, Dirichlet) else None,
         classic_rhs=None,
     )
-    for j in range(1, n):
-        try:
-            fit = fit_interior(problem.theta, float(grid.x[j]), h)
-            nu = _interior_nu(kind, fit.theta_center, tau, h)
-            row = assemble_row(fit, nu, h, cut)
-        except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"interior row {j}: {exc}") from exc
-        mats.a_new.lower[j - 1] = row.b_l1
-        mats.a_new.diag[j] = row.a_1
-        mats.a_new.upper[j] = row.b_r1
-        mats.a_old.lower[j - 1] = row.b_l0
-        mats.a_old.diag[j] = row.a_0
-        mats.a_old.upper[j] = row.b_r0
-        for b, (ql, p, qr) in (
-            (mats.b_new, (row.q_l1, row.p_1, row.q_r1)),
-            (mats.b_old, (row.q_l0, row.p_0, row.q_r0)),
-        ):
-            b.lower[j - 1] = ql
-            b.diag[j] = p
-            b.upper[j] = qr
+    fit = fit_interior(problem.theta, grid.x[1:n], h)
+    row = assemble_row(fit, _interior_nu(kind, fit.theta_center, tau, h), h, cut)
+    _fill_interior(mats.a_new, row.b_l1, row.a_1, row.b_r1)
+    _fill_interior(mats.a_old, row.b_l0, row.a_0, row.b_r0)
+    _fill_interior(mats.b_new, row.q_l1, row.p_1, row.q_r1)
+    _fill_interior(mats.b_old, row.q_l0, row.p_0, row.q_r0)
     if isinstance(problem.boundary, Dirichlet):
         mats.a_new.diag[0] = 1.0
         mats.a_new.diag[n] = 1.0
@@ -338,27 +335,18 @@ def assemble_classic(
         dirichlet=problem.boundary if isinstance(problem.boundary, Dirichlet) else None,
         classic_rhs=rhs,
     )
+    thm, thp = sample_theta(problem.theta, grid.x[1:n, None] + np.array([-0.5 * h, 0.5 * h])).T
     sig = kind.kappa * tau / (4.0 * h * h)
-    for j in range(1, n):
-        thm = float(problem.theta(float(grid.x[j]) - 0.5 * h))
-        thp = float(problem.theta(float(grid.x[j]) + 0.5 * h))
-        if thm <= 0.0 or thp <= 0.0:
-            raise ValueError(f"interior row {j}: coefficient must be positive")
-        mats.a_new.lower[j - 1] = -sig * thm
-        mats.a_new.diag[j] = 0.5 + sig * (thm + thp)
-        mats.a_new.upper[j] = -sig * thp
-        mats.a_old.lower[j - 1] = -sig * thm
-        mats.a_old.diag[j] = -0.5 + sig * (thm + thp)
-        mats.a_old.upper[j] = -sig * thp
-        if not five_point:
-            if rhs is ClassicRhsVariant.POINTWISE:
-                weights = (0.0, 0.25, 0.0)
-            else:  # three-point average (f_{j-1} + 2 f_j + f_{j+1})/4, halved twice
-                weights = (1.0 / 16.0, 2.0 / 16.0, 1.0 / 16.0)
-            for b in (b_new, b_old):
-                b.lower[j - 1] = weights[0]
-                b.diag[j] = weights[1]
-                b.upper[j] = weights[2]
+    lower, diag, upper = -sig * thm, sig * (thm + thp), -sig * thp
+    _fill_interior(mats.a_new, lower, 0.5 + diag, upper)
+    _fill_interior(mats.a_old, lower, -0.5 + diag, upper)
+    if not five_point:
+        if rhs is ClassicRhsVariant.POINTWISE:
+            weights = (0.0, 0.25, 0.0)
+        else:  # three-point average (f_{j-1} + 2 f_j + f_{j+1})/4, halved twice
+            weights = (1.0 / 16.0, 2.0 / 16.0, 1.0 / 16.0)
+        for b in (b_new, b_old):
+            _fill_interior(b, *weights)
     if isinstance(problem.boundary, Dirichlet):
         mats.a_new.diag[0] = 1.0
         mats.a_new.diag[n] = 1.0

@@ -275,6 +275,18 @@ def test_unknown_config_keys_are_ignored(tmp_path, capsys):
     assert rc == 0
 
 
+def test_config_key_of_no_subcommand_warns_and_changes_nothing(tmp_path, capsys):
+    base = "solution = s1\nns = 8,16\n"
+    plain, typo = tmp_path / "plain.cfg", tmp_path / "typo.cfg"
+    plain.write_text(base)
+    typo.write_text(base + "cut = 5\n")
+    rc0, out0, err0 = run_main(capsys, ["convergence", "--config", str(plain)])
+    rc, out, err = run_main(capsys, ["convergence", "--config", str(typo)])
+    assert rc == rc0 == 0
+    assert out == out0
+    assert err.splitlines() == ["warning: config key 'cut' ignored"] + err0.splitlines()
+
+
 def test_exit_2_on_unknown_solution(capsys):
     rc, _, err = run_main(capsys, ["convergence", "--solution", "zz", "--ns", "8,16"])
     assert rc == 2

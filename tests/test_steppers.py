@@ -24,6 +24,7 @@ from cpde.core import (
     make_grid,
     sample_solution,
 )
+from cpde.interior import assemble_row
 from cpde.linalg import solve_dense
 from cpde.neumann import ClassicNeumann, CompactThreePoint, MainTerms, ReducedTwoPoint
 from cpde import steppers
@@ -43,7 +44,7 @@ from cpde.steppers import (
     run,
     step,
 )
-from cpde.theta_fit import TWO_PI
+from cpde.theta_fit import TWO_PI, CoefficientDomainError, fit_interior
 
 rng = np.random.default_rng(777)
 
@@ -517,3 +518,55 @@ def test_scalar_fallbacks_match_vectorized_on_affine_grid():
     assert a.muls_per_step == b.muls_per_step
     c = run(dataclasses.replace(base, boundary=scalar_walls), grid, Compact())
     assert np.abs(a.final_state - c.final_state).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# assembly over node arrays
+
+
+VIEW_SAMPLES = [("s1", {}), ("s2", {"k": 3}), ("s3", {"a": 2}), ("sn", {}), ("snll", {})]
+
+
+@pytest.mark.parametrize("name,params", VIEW_SAMPLES)
+@pytest.mark.parametrize("kind", [ScalarKind.REAL, ScalarKind.COMPLEX])
+@pytest.mark.parametrize("n", [10, 200])
+def test_assembled_bands_match_the_scalar_row_at_every_node(name, params, kind, n):
+    s = sample_solution(name, kind=kind, **params)
+    grid = grid_for(s, n, 1.0, 1.0)
+    h, tau, theta = grid.h, grid.tau, s.problem.theta
+    fits = [fit_interior(theta, float(x), h) for x in grid.x[1:n]]
+    nus = [kind.kappa * f.theta_center * tau / (h * h) for f in fits]
+    for cut in range(4, 11):
+        mats = assemble_compact(s.problem, grid, cut)
+        rows = [assemble_row(f, nu, h, cut) for f, nu in zip(fits, nus)]
+        for band, (lo, d, up) in (
+            (mats.a_new, ("b_l1", "a_1", "b_r1")),
+            (mats.a_old, ("b_l0", "a_0", "b_r0")),
+            (mats.b_new, ("q_l1", "p_1", "q_r1")),
+            (mats.b_old, ("q_l0", "p_0", "q_r0")),
+        ):
+            for got, field in ((band.lower[: n - 1], lo), (band.diag[1:n], d),
+                               (band.upper[1:n], up)):
+                want = np.array([getattr(r, field) for r in rows])
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (cut, field)
+
+
+def test_interior_fits_sample_theta_five_times_per_node():
+    s = sample_solution("s1")
+    grid = grid_for(s, 20, 1.0, 1.0)
+    calls = []
+    theta = lambda x: calls.append(x) or s.problem.theta(x)
+    assemble_compact(dataclasses.replace(s.problem, theta=theta), grid)
+    assert len(calls) == 5 * 19
+    assert all(type(x) is float for x in calls)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_classic_assembly_rejects_a_bad_half_node_value(bad):
+    # theta is fine on every node and bad at one half node only
+    grid = make_grid(10, 1.0, 1.0, 1.0)
+    x_bad = float(grid.x[3]) + 0.5 * grid.h
+    theta = lambda x: bad if x == x_bad else 1.0
+    problem = dataclasses.replace(sample_solution("s1").problem, theta=theta)
+    with pytest.raises(CoefficientDomainError, match=f"x={x_bad}"):
+        assemble_classic(problem, grid)

@@ -14,6 +14,7 @@ from cpde.theta_fit import (
     fit_boundary_left,
     fit_boundary_right,
     fit_interior,
+    sample_theta,
     TWO_PI,
 )
 
@@ -101,6 +102,32 @@ def test_boundary_right_is_reflection():
     assert right.theta_center == pytest.approx(theta(TWO_PI))
 
 
+def test_boundary_right_is_the_mirrored_left_fit_bitwise():
+    theta = lambda x: 1.0 + 0.3 * math.sin(x) + 0.1 * math.cos(3.0 * x)
+    for h in (0.3, 0.05):
+        reflected = fit_boundary_left(lambda s: theta(TWO_PI - s), h)
+        assert fit_boundary_right(theta, h) == reflected.mirrored()
+
+
+def test_mirrored_flips_odd_coefficients_and_swaps_ratios():
+    fit = fit_interior(lambda x: 1.0 + 0.3 * math.sin(x), 1.3, 0.1)
+    m = fit.mirrored()
+    assert (m.c1, m.c2, m.c3, m.c4) == (-fit.c1, fit.c2, -fit.c3, fit.c4)
+    assert (m.theta_center, m.r_minus, m.r_plus) == (fit.theta_center, fit.r_plus, fit.r_minus)
+    assert m.mirrored() == fit
+
+
+def test_interior_fit_over_a_node_array_matches_each_node():
+    theta = lambda x: 1.0 + 0.5 * math.sin(x) ** 2
+    xs = np.linspace(0.5, 5.5, 9)
+    fits = fit_interior(theta, xs, 0.1)
+    for i, x in enumerate(xs):
+        one = fit_interior(theta, float(x), 0.1)
+        for field in ("c1", "c2", "c3", "c4", "theta_center", "r_minus", "r_plus"):
+            want = getattr(one, field)
+            assert getattr(fits, field)[i] == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
 def test_boundary_right_exact_on_model():
     cs = np.array([0.2, -0.1, 0.05, 0.01])
     theta = quartic_theta(1.5, cs, TWO_PI)
@@ -125,3 +152,18 @@ def test_nonpositive_coefficient_raises_with_abscissa():
 def test_negative_at_wall_raises():
     with pytest.raises(CoefficientDomainError):
         fit_boundary_left(lambda x: -1.0, 0.1)
+
+
+def test_negative_at_right_wall_names_the_physical_abscissa():
+    with pytest.raises(CoefficientDomainError, match=f"x={TWO_PI}"):
+        fit_boundary_right(lambda x: -1.0, 0.1)
+
+
+def test_sample_theta_calls_with_floats_and_checks_once():
+    calls = []
+    theta = lambda x: calls.append(type(x)) or math.cos(x) ** 2 + 1.0
+    vals = sample_theta(theta, np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert vals.shape == (2, 2) and calls == [float] * 4
+    with pytest.raises(CoefficientDomainError, match="not finite, got nan at x=2.0"):
+        sample_theta(lambda x: math.nan if x == 2.0 else -1.0 if x > 2.0 else 1.0,
+                     [1.0, 2.0, 3.0])
