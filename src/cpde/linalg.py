@@ -10,6 +10,7 @@ than wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -74,20 +75,135 @@ class Tridiag:
         return Tridiag(self.lower.copy(), self.diag.copy(), self.upper.copy())
 
 
-def solve_tridiag(t: Tridiag, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+_BLOCK = 16  # rows per block of the factored solve
+
+
+@dataclass
+class TridiagLU:
+    """A tridiagonal matrix factored once for many solves in 16-row blocks.
+
+    ``diag`` holds the pivots of the double sweep.  With r_b the rows of
+    the right-hand side in block b, the solution's rows there are
+
+        x_b = maps[b, :16] r_b + fwd_in[b] y_(b-1) + back_in[b] x_(b+1),
+
+    where y_(b-1) is the forward sweep's value at the last row of block
+    b-1 and x_(b+1) the solution at the first row of block b+1: the two
+    values carried between blocks.  ``maps[b, 16]`` r_b is the forward
+    sweep's value at the last row of block b with nothing carried in.
+    ``loop_weights`` are the scalars of the solve's two loops over the
+    blocks: the weight of y_(b-1) in y_b, and the first columns of
+    ``fwd_in`` and ``back_in`` in reverse block order.  The last block is
+    padded with identity rows.  The maps hold products of up to 16 sweep
+    coefficients, which stay small for the diagonally dominant A_new of
+    both schemes.
+    """
+
+    diag: np.ndarray
+    maps: np.ndarray  # (nb, 17, 16)
+    fwd_in: np.ndarray  # (nb, 16)
+    back_in: np.ndarray  # (nb, 16)
+    loop_weights: tuple  # three lists of nb scalars
+
+    @property
+    def size(self) -> int:
+        return self.diag.size
+
+
+def factor_tridiag(t: Tridiag) -> TridiagLU:
+    """Run the pivot recurrence of ``solve_tridiag`` once and build its block maps.
+
+    Raises SingularMatrixError naming the row of a zero pivot, as the
+    sweep does.  The maps are built one row at a time across all blocks.
+    """
+    lower, upper, d = t.lower.tolist(), t.upper.tolist(), t.diag.tolist()
+    m = len(d)
+    w = [0.0] * m
+    for i in range(1, m):
+        piv = d[i - 1]
+        if piv == 0.0:
+            raise SingularMatrixError(f"zero pivot in forward sweep at row {i - 1}")
+        w[i] = lower[i - 1] / piv
+        d[i] = d[i] - w[i] * upper[i - 1]
+    if d[m - 1] == 0.0:
+        raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
+    dtype = np.result_type(t.lower, t.diag, t.upper)
+    nb = -(-m // _BLOCK)
+    piv = np.ones(nb * _BLOCK, dtype)
+    piv[:m] = d
+    neg_w = np.zeros(nb * _BLOCK, dtype)
+    neg_w[:m] = w
+    neg_w = -neg_w.reshape(nb, _BLOCK)  # y_i = r_i - w_i y_(i-1)
+    inv_d = (1.0 / piv).reshape(nb, _BLOCK)
+    gain = np.zeros(nb * _BLOCK, dtype)  # x_i = y_i / d_i + gain_i x_(i+1)
+    gain[: m - 1] = -t.upper / piv[: m - 1]
+    gain = gain.reshape(nb, _BLOCK)
+    # The two sweeps within a block: fwd[b, i, j] is the weight of r_(j-1)
+    # in y_i (column 0: of the y carried in), back[b, i, j] that of y_j in
+    # x_i (column 16: of the x carried in).  A sweep step scales the
+    # previous row and sets the new diagonal entry, in every block at once.
+    fwd, back = np.zeros((2, nb, _BLOCK, _BLOCK + 1), dtype)
+    fwd[:, 0, 0], fwd[:, 0, 1] = neg_w[:, 0], 1.0
+    back[:, -1, -1], back[:, -1, -2] = gain[:, -1], inv_d[:, -1]
+    for i in range(1, _BLOCK):
+        fwd[:, i] = neg_w[:, i, None] * fwd[:, i - 1]
+        fwd[:, i, i + 1] = 1.0
+        j = _BLOCK - 1 - i
+        back[:, j] = gain[:, j, None] * back[:, j + 1]
+        back[:, j, j] = inv_d[:, j]
+    both = np.matmul(back[..., :-1], fwd)  # x_i in terms of (y carried in, r)
+    maps = np.concatenate((both[..., 1:], fwd[:, -1:, 1:]), axis=1)
+    fwd_in, back_in = both[..., 0].copy(), back[..., -1].copy()
+    loops = (fwd[:, -1, 0].tolist(), fwd_in[::-1, 0].tolist(), back_in[::-1, 0].tolist())
+    return TridiagLU(piv[:m], maps, fwd_in, back_in, loops)
+
+
+def _solve_factored(lu: TridiagLU, rhs: np.ndarray) -> np.ndarray:
+    if rhs.shape != (lu.size,):
+        raise ValueError(f"a factored solve takes one right-hand side of length {lu.size}")
+    nb = lu.maps.shape[0]
+    r = np.zeros(nb * _BLOCK, np.result_type(lu.diag, rhs))
+    r[: lu.size] = rhs
+    local = np.matmul(lu.maps, r.reshape(nb, _BLOCK, 1))[..., 0]
+    fwd_gain, fwd_first, back_first = lu.loop_weights
+    y_in, y = [], 0.0  # the forward sweep over the block ends
+    for end, g in zip(local[:, -1].tolist(), fwd_gain):
+        y_in.append(y)
+        y = end + g * y
+    x_in, x = [], 0.0  # the back substitution over the block starts, last first
+    for start, a, y_carried, g in zip(local[::-1, 0].tolist(), fwd_first, y_in[::-1], back_first):
+        x_in.append(x)
+        x = start + a * y_carried + g * x
+    x_in.reverse()
+    x = local[:, :-1] + lu.fwd_in * np.array(y_in)[:, None] + lu.back_in * np.array(x_in)[:, None]
+    return x.reshape(-1)[: lu.size]
+
+
+def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve t x = rhs by the double-sweep (Thomas) algorithm.
 
     ``rhs`` is one right-hand side of length m, or a stack of them with
     the node axis last, shape (k, m); one sweep solves the whole stack.
     Returns (x, mul count) with x shaped like ``rhs``.  The count is 5m-4
     per right-hand side for a system of size m: 3(m-1) in the forward
-    sweep, one division, 2(m-1) in the back substitution.  The sweeps
-    run on Python scalars from ``tolist()`` (on numpy node columns for a
-    stack): indexing the numpy arrays entry by entry takes over three
-    times as long.  Raises SingularMatrixError naming the row if a pivot
-    is exactly zero.
+    sweep, one division, 2(m-1) in the back substitution.
+
+    For a ``Tridiag`` the sweeps run on Python scalars from ``tolist()``
+    (on numpy node columns for a stack): indexing the numpy arrays entry
+    by entry takes over three times as long.  Raises SingularMatrixError
+    naming the row if a pivot is exactly zero.
+
+    A ``TridiagLU`` (``factor_tridiag``, which makes the pivot check)
+    takes one right-hand side and solves it block by block: one batched
+    ``matmul`` over the blocks, one Python loop over the m/16 block ends
+    for each sweep, and one broadcast fix-up.  Its rounding differs from
+    the sweep's in the last digits.  It is the faster path on about 64 or
+    more nodes; the sweep is faster on small systems and on stacks.  The
+    count reported is the sweep's either way.
     """
     rhs = np.asarray(rhs)
+    if isinstance(t, TridiagLU):
+        return _solve_factored(t, rhs), 5 * t.size - 4
     lower, upper = t.lower.tolist(), t.upper.tolist()
     d, r = t.diag.tolist(), list(rhs.T) if rhs.ndim == 2 else rhs.tolist()
     m = len(d)

@@ -29,6 +29,13 @@ evaluation and right-hand-side preparation are not counted (they are
 not part of the linear-algebra cost the efficiency comparison is
 about).
 
+The solve is the Python double sweep on small grids and on stacks of
+states.  A single state on a grid of at least ``_BLOCKED_MIN_NODES``
+nodes is solved with A_new factored once per assembly
+(``linalg.factor_tridiag``) and swept in 16-row blocks; the factor is
+built by the first such ``_step``, so an assembly that is never stepped
+does not build it.
+
 ``run`` marches with one of two engines.  The stepwise one takes the
 step above per time level.  theta does not depend on time, so the step
 is a fixed affine map u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} (g the
@@ -53,7 +60,7 @@ import numpy as np
 
 from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind
 from .interior import CUT_FULL, assemble_row
-from .linalg import SingularMatrixError, Tridiag, solve_tridiag
+from .linalg import SingularMatrixError, Tridiag, TridiagLU, factor_tridiag, solve_tridiag
 from .neumann import (
     BoundaryRow,
     ClassicNeumann,
@@ -130,6 +137,7 @@ class SchemeMatrices:
     muls_per_step: int = 0
     _b4: Optional[Tridiag] = None
     _solver: Optional[Tridiag] = None
+    _factored: Optional[TridiagLU] = None
     _k_left: complex = 0.0
     _k_right: complex = 0.0
     _fix_left: Optional[_WallFixup] = None
@@ -203,7 +211,11 @@ def _finalize(mats: SchemeMatrices):
     The cost adds the counts of the operations ``_step`` performs: the
     solve (5m-4), one multiplication per eliminated corner, the B4 apply
     of the compact step (3m-2) and the wall patches.  It is what ``run``
-    reports as ``muls_per_step``.
+    reports as ``muls_per_step``, whichever way the solve runs.
+
+    The solver's blocked factor is left to the first ``_step`` that
+    needs it: assemblies used only for their matrices, as in the
+    spectral studies, would pay for it and never use it.
     """
     m = mats.grid.n + 1
     a = mats.a_new
@@ -391,6 +403,20 @@ def _apply_wall_fixup(rhs, fx: _WallFixup, idx, u, f0n, f1n):
     )
 
 
+# A single state on a grid of at least this many nodes is solved with the
+# factored A_new (``linalg.factor_tridiag``, built by the first such step)
+# rather than the sweep; stacks of states, such as the modal probe, always
+# sweep.  One compact ``_step``, sweep / factored, best of 7 alternating
+# runs, on a 2-core Xeon with one BLAS thread, s3 a=2 at courant 100 (real)
+# and snll at courant i (complex): m = 11, 26 / 34 us (real) and
+# 20 / 25 us (complex); m = 21, 30 / 35 and 25 / 26; m = 41, 24 / 23 and
+# 36 / 26; m = 65, 33 / 24 and 49 / 29; m = 201, 107 / 43 and 127 / 38;
+# m = 2001, 772 / 88 and 1198 / 135.  The factor costs 0.2-0.3 ms below
+# m = 201, the saving of a dozen steps or more near the crossover at
+# m = 33-41, so the threshold keeps a margin above it.
+_BLOCKED_MIN_NODES = 64
+
+
 def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
     """One step; u and f may be stacks of states with the node axis last."""
     m = mats.grid.n + 1
@@ -421,7 +447,12 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
         rhs[..., 0] -= mats._k_left * rhs[..., 1]
     if mats._k_right != 0.0:
         rhs[..., m - 1] -= mats._k_right * rhs[..., m - 2]
-    v, _ = solve_tridiag(mats._solver, rhs)
+    solver = mats._solver
+    if rhs.ndim == 1 and m >= _BLOCKED_MIN_NODES:
+        if mats._factored is None:
+            mats._factored = factor_tridiag(solver)
+        solver = mats._factored
+    v, _ = solve_tridiag(solver, rhs)
     return v - u
 
 

@@ -11,7 +11,9 @@ from cpde.linalg import (
     RankError,
     SingularMatrixError,
     Tridiag,
+    TridiagLU,
     eigenvalues,
+    factor_tridiag,
     frobenius,
     null_space_1d,
     solve_dense,
@@ -111,6 +113,76 @@ def test_zero_pivot_names_row():
     t = Tridiag(np.array([1.0, 1.0]), np.array([0.0, 2.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(SingularMatrixError, match="row 0"):
         solve_tridiag(t, np.ones(3))
+
+
+def relative_gap(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 33, 64, 65, 2001])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_factored_solve_matches_the_sweep(m, dtype):
+    """Exact and padded last blocks."""
+    t = random_tridiag(m, dtype)
+    lu = factor_tridiag(t)
+    assert isinstance(lu, TridiagLU) and lu.size == m
+    b = rng.normal(size=m) + (1j * rng.normal(size=m) if dtype is complex else 0)
+    ref, muls = solve_tridiag(t, b)
+    got, got_muls = solve_tridiag(lu, b)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got_muls == muls == 5 * m - 4
+    assert relative_gap(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(3, 20), (21,)])
+def test_factored_solve_takes_one_right_hand_side_of_its_size(shape):
+    with pytest.raises(ValueError, match="one right-hand side of length 20"):
+        solve_tridiag(factor_tridiag(random_tridiag(20)), np.ones(shape))
+
+
+@pytest.mark.parametrize("band_dtype, rhs_dtype", [(float, complex), (complex, float)])
+def test_factored_solve_promotes_mixed_dtypes(band_dtype, rhs_dtype):
+    t = random_tridiag(70, dtype=band_dtype)
+    b = rng.normal(size=70) + (1j * rng.normal(size=70) if rhs_dtype is complex else 0)
+    x, _ = solve_tridiag(factor_tridiag(t), b)
+    assert x.dtype == np.complex128
+    assert relative_gap(x, solve_tridiag(t, b)[0]) <= 1e-13
+
+
+def zero_pivot_at(row, m=40):
+    """A matrix whose sweep meets an exactly zero pivot at ``row``."""
+    t = Tridiag(np.full(m - 1, 1.0), np.full(m, 2.5), np.full(m - 1, 0.7))
+    d = t.diag.tolist()
+    for i in range(1, row + 1):
+        w = t.lower[i - 1] / d[i - 1]
+        if i == row:
+            t.diag[i] = w * t.upper[i - 1]  # the sweep's own pivot update gives 0
+        d[i] = t.diag[i] - w * t.upper[i - 1]
+    if row == 0:
+        t.diag[0] = 0.0
+    return t
+
+
+@pytest.mark.parametrize("row", [0, 17, 39])
+def test_factor_names_the_same_zero_pivot_row_as_the_sweep(row):
+    t = zero_pivot_at(row)
+    with pytest.raises(SingularMatrixError) as swept:
+        solve_tridiag(t, np.ones(t.size))
+    with pytest.raises(SingularMatrixError) as factored:
+        factor_tridiag(t)
+    assert str(factored.value) == str(swept.value) == f"zero pivot in forward sweep at row {row}"
+
+
+def test_factor_keeps_the_sweep_pivots_and_the_operator():
+    t = random_tridiag(50)
+    keep = t.copy()
+    lu = factor_tridiag(t)
+    d = t.diag.copy()
+    for i in range(1, 50):
+        d[i] -= t.lower[i - 1] / d[i - 1] * t.upper[i - 1]
+    assert np.array_equal(lu.diag, d)
+    for band in ("lower", "diag", "upper"):
+        assert np.array_equal(getattr(t, band), getattr(keep, band))
 
 
 def test_solver_does_not_mutate_operator():
