@@ -7,8 +7,10 @@ The solvers march
 where kappa is 1 for the diffusion (real) kind and i for the
 Schrodinger-type (complex) kind.  theta is strictly positive and does
 not depend on time.  Manufactured solutions pair an exact field with the
-forcing that makes it solve the equation; each forcing below is written
-out by hand and cross-checked in the tests against the chain-rule
+forcing that makes it solve the equation.  Every field in the catalogue
+has two time modes, cos(omega t) U_c(x) + sin(omega t) U_s(x), so each
+forcing is written out by hand as cos(omega t) f_c(x) + sin(omega t)
+f_s(x) and cross-checked in the tests against the chain-rule
 composition of the stored derivatives.
 """
 
@@ -123,6 +125,19 @@ class SampleSolution:
     theta_dx: Callable[[np.ndarray], np.ndarray]
 
 
+def _two_mode_forcing(omega: float, f_c: Callable, f_s: Callable):
+    """The forcing cos(omega t) * f_c(x) + sin(omega t) * f_s(x).
+
+    f_c and f_s see x alone, so a (k, 1) time column against a (1, m)
+    node row costs two outer products and one sum.
+    """
+
+    def forcing(t, x):
+        return np.cos(omega * t) * f_c(x) + np.sin(omega * t) * f_s(x)
+
+    return forcing
+
+
 def _dirichlet_from_exact(exact) -> Dirichlet:
     return Dirichlet(
         left=lambda t: exact(t, 0.0),
@@ -155,16 +170,14 @@ def _build_s1(kind: ScalarKind, params: dict) -> SampleSolution:
             t
         ) - 4.0 * np.sin(2.0 * x) * np.cos(t)
 
-    def forcing(t, x):
-        ut = np.sin(x) ** 3 * np.cos(t) - np.sin(2.0 * x) * np.sin(t)
-        flux = -np.sin(2.0 * x) * (
-            3.0 * np.sin(x) ** 2 * np.cos(x) * np.sin(t)
-            + 2.0 * np.cos(2.0 * x) * np.cos(t)
-        ) + (np.cos(x) ** 2 + 1.0) * (
-            (6.0 * np.sin(x) * np.cos(x) ** 2 - 3.0 * np.sin(x) ** 3) * np.sin(t)
-            - 4.0 * np.sin(2.0 * x) * np.cos(t)
-        )
-        return ut - kp * flux
+    # (theta U_c')' = -2 sin 2x (4 cos^2 x + 1), (theta U_s')' = 3 sin x (5 cos^4 x - 1)
+    def f_c(x):
+        return np.sin(x) ** 3 + kp * 2.0 * np.sin(2.0 * x) * (4.0 * np.cos(x) ** 2 + 1.0)
+
+    def f_s(x):
+        return -np.sin(2.0 * x) - kp * 3.0 * np.sin(x) * (5.0 * np.cos(x) ** 4 - 1.0)
+
+    forcing = _two_mode_forcing(1.0, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,
@@ -215,16 +228,16 @@ def _build_s2(kind: ScalarKind, params: dict) -> SampleSolution:
             )
         )
 
-    def forcing(t, x):
+    def f_c(x):
+        return np.sin(x) ** k * np.exp(x)
+
+    def f_s(x):
         s, c = np.sin(x), np.cos(x)
-        ut = np.cos(t) * s**k * np.exp(x)
-        ux = np.sin(t) * np.exp(x) * (s**k + k * s ** (k - 1) * c)
-        uxx = (
-            np.sin(t)
-            * np.exp(x)
-            * (s**k + 2.0 * k * s ** (k - 1) * c + k * (k - 1) * s ** (k - 2) * c**2 - k * s**k)
-        )
-        return ut - kp * (-np.sin(2.0 * x) * ux + (c**2 + 1.0) * uxx)
+        ux = s**k + k * s ** (k - 1) * c
+        uxx = (1 - k) * s**k + 2.0 * k * s ** (k - 1) * c + k * (k - 1) * s ** (k - 2) * c**2
+        return -kp * np.exp(x) * (-np.sin(2.0 * x) * ux + (c**2 + 1.0) * uxx)
+
+    forcing = _two_mode_forcing(1.0, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,
@@ -280,20 +293,21 @@ def _build_s3(kind: ScalarKind, params: dict) -> SampleSolution:
             + np.sin(0.5 * x) * b * b * (pa + pb)
         )
 
-    def forcing(t, x):
-        pa = np.exp(b * (TWO_PI - x)) * np.cos(omega * t)
-        pb = np.exp(b * x) * np.sin(omega * t)
-        ut = np.sin(0.5 * x) * omega * (
-            -np.exp(b * (TWO_PI - x)) * np.sin(omega * t)
-            + np.exp(b * x) * np.cos(omega * t)
+    # U_c = sin(x/2) e^{b(2pi-x)}, U_s = sin(x/2) e^{bx} and
+    # (theta U')' = e^{ax} (a U' + U'') for each mode
+    def f_c(x):
+        sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
+        flux = np.exp(a * x + b * (TWO_PI - x)) * (
+            (b * b - a * b - 0.25) * sh + (0.5 * a - b) * ch
         )
-        ux = 0.5 * np.cos(0.5 * x) * (pa + pb) + np.sin(0.5 * x) * b * (pb - pa)
-        uxx = (
-            -0.25 * np.sin(0.5 * x) * (pa + pb)
-            + np.cos(0.5 * x) * b * (pb - pa)
-            + np.sin(0.5 * x) * b * b * (pa + pb)
-        )
-        return ut - kp * (a * np.exp(a * x) * ux + np.exp(a * x) * uxx)
+        return omega * sh * np.exp(b * x) - kp * flux
+
+    def f_s(x):
+        sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
+        flux = np.exp((a + b) * x) * ((b * b + a * b - 0.25) * sh + (0.5 * a + b) * ch)
+        return -omega * sh * np.exp(b * (TWO_PI - x)) - kp * flux
+
+    forcing = _two_mode_forcing(omega, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,
@@ -326,12 +340,15 @@ def _build_sn(kind: ScalarKind, params: dict) -> SampleSolution:
     def exact_dxx(t, x):
         return -2.0 * np.cos(2.0 * x) * np.sin(t)
 
-    def forcing(t, x):
-        ut = np.cos(x) ** 2 * np.cos(t)
-        flux = -np.sin(2.0 * x) * (-np.sin(2.0 * x) * np.sin(t)) + (
-            np.cos(x) ** 2 + 1.0
-        ) * (-2.0 * np.cos(2.0 * x) * np.sin(t))
-        return ut - kp * flux
+    # (theta U_s')' = sin^2 2x - 2 (cos^2 x + 1) cos 2x = 2 + 2 cos^2 x - 8 cos^4 x
+    def f_c(x):
+        return np.cos(x) ** 2
+
+    def f_s(x):
+        c2 = np.cos(x) ** 2
+        return 2.0 * kp * (4.0 * c2 * c2 - c2 - 1.0)
+
+    forcing = _two_mode_forcing(1.0, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,

@@ -203,7 +203,12 @@ def boundary_oracle(
     n_unknowns = 2 * points + 2 * f_nodes
     dtype = complex if np.iscomplexobj(np.asarray(nu0)) else float
     system = np.array(rows, dtype=dtype)
-    v = null_space_1d(system, expected_rank=n_unknowns - 1)
+    # The entries span powers of h and tau, so on fine grids the SVD's
+    # relative cut drops real rank.  Equilibrate first: scaling rows keeps
+    # the null space, scaling columns is undone on the null vector.
+    system /= np.abs(system).max(axis=1, keepdims=True)
+    col_scale = np.abs(system).max(axis=0)
+    v = null_space_1d(system / col_scale, expected_rank=n_unknowns - 1) / col_scale
 
     # unknown layout: alpha1 (points), alpha0 (points), b1_lit (2), b0_lit (2)
     b1_at_x1 = v[2 * points + 1]

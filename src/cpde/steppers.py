@@ -469,13 +469,17 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 
 
 # Forcing can easily dominate the march when theta is large (stiff tau,
-# hundreds of thousands of steps).  The forcing is evaluated for a block
-# of times in one broadcast call when the callable permits it, which
-# amortizes the per-call overhead; closures that choke on array times
-# (shape mismatch or an exception) or whose first block disagrees with a
-# scalar call are detected on that block and evaluated one time level at
-# a time instead.  Both engines consume the blocks chunk by chunk and
-# check the state for finiteness once per chunk.
+# hundreds of thousands of steps).  The forcing is called once per chunk
+# with a (k, 1) time column and a (1, m) node row, which amortizes the
+# per-call overhead; a closure that keeps its t and x factors apart, as
+# the catalogue's cos(omega t) f_c(x) + sin(omega t) f_s(x) does, then
+# costs a few outer products per block (s3 a=2, 257 rows on a 2-core
+# Xeon: about 270 -> 70 us at m = 21 and 510 -> 100 us at m = 41, against
+# the full two-variable expression).  Closures that choke on array times (shape mismatch or an
+# exception) or whose first block disagrees with a scalar call are
+# detected on that block and evaluated one time level at a time instead.
+# Both engines consume the blocks chunk by chunk and check the state for
+# finiteness once per chunk.
 _FORCING_CHUNK = 256
 
 

@@ -1,7 +1,9 @@
+import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -502,3 +504,22 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("N,h,tau,steps,")
+
+
+def run_cli_module(*argv):
+    """``python -m cpde.cli`` in a child process, importing this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "cpde.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_cli_module_runs_as_a_process():
+    proc = run_cli_module("convergence", "--solution", "s1", "--ns", "8", "--courant", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("N,h,tau,steps,")
+    proc = run_cli_module("convergence", "--solution", "s9", "--ns", "8", "--courant", "1")
+    assert proc.returncode == 2
+    assert "unknown sample 's9'" in proc.stderr

@@ -5,6 +5,7 @@ callables through the equation itself; a sign slip in any hand-written
 forcing shows up immediately.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from cpde.core import (
     sample_solution,
     theta_grid_max,
 )
+from cpde.steppers import _FORCING_CHUNK, Compact, run
 from cpde.theta_fit import CoefficientDomainError, TWO_PI
 
 rng = np.random.default_rng(3203)
@@ -145,6 +147,43 @@ def test_forcing_matches_chain_rule_other_kind(name, params):
     x = rng.uniform(0.0, TWO_PI, size=24)
     scale = max(1.0, np.max(np.abs(other.problem.forcing(0.6, x))))
     assert residual(other, flipped, 0.6, x) < 1e-10 * scale
+
+
+def both_kinds(name, params):
+    """The sample in its own kind, then in the other kind."""
+    own = sample_solution(name, **params)
+    other = ScalarKind.REAL if own.problem.kind is ScalarKind.COMPLEX else ScalarKind.COMPLEX
+    return own, sample_solution(name, kind=other, **params)
+
+
+@pytest.mark.parametrize("name,params", ALL_SAMPLES)
+def test_forcing_block_rows_match_scalar_calls(name, params):
+    """A (k, 1) time column against a (1, m) node row gives the k scalar rows."""
+    times = np.linspace(0.0, 3.0, 9)
+    x = rng.uniform(0.0, TWO_PI, size=33)
+    for sample in both_kinds(name, params):
+        block = sample.problem.forcing(times[:, None], x[None, :])
+        assert block.shape == (times.size, x.size)
+        for k, t in enumerate(times):
+            row = sample.problem.forcing(t, x)
+            assert np.abs(block[k] - row).max() <= 1e-13 * np.abs(row).max()
+
+
+@pytest.mark.parametrize("name,params", ALL_SAMPLES)
+def test_run_evaluates_sample_forcings_in_blocks(name, params):
+    """One forcing call per 256-step chunk plus one scalar check, never one per step."""
+    grid = make_grid(10, 1.0, 600 * (TWO_PI / 10) ** 2, 1.0)
+    assert grid.n_steps == 600
+    for sample in both_kinds(name, params):
+        time_dims = []
+
+        def spy(t, x, forcing=sample.problem.forcing):
+            time_dims.append(np.ndim(t))
+            return forcing(t, x)
+
+        run(dataclasses.replace(sample.problem, forcing=spy), grid, Compact())
+        assert len(time_dims) == math.ceil(grid.n_steps / _FORCING_CHUNK) + 1
+        assert time_dims.count(0) == 1
 
 
 def test_initial_state_matches_exact():

@@ -26,7 +26,6 @@ from cpde.core import (
 )
 from cpde.interior import assemble_row
 from cpde.linalg import (
-    RankError,
     Tridiag,
     TridiagLU,
     factor_tridiag,
@@ -556,10 +555,7 @@ def relative_gap(got, ref):
 def test_factored_solve_matches_the_sweep_on_every_assembly(name, params, kind, scheme):
     """Exact (16, 64) and padded last blocks, up to the fine grid's 2001 nodes."""
     s = sample_solution(name, kind=kind, **params)
-    sizes = (16, 17, 64, 65, 201, 2001)
-    if scheme.neumann == ReducedTwoPoint():  # its walls fail at N=2000, see the xfail below
-        sizes = sizes[:-1]
-    for m in sizes:
+    for m in (16, 17, 64, 65, 201, 2001):
         mats = assemble(s.problem, grid_for(s, m - 1, 100.0, 1.0), scheme)
         rhs = rng.normal(size=m).astype(mats.kind.dtype)
         if mats.kind is ScalarKind.COMPLEX:
@@ -569,11 +565,21 @@ def test_factored_solve_matches_the_sweep_on_every_assembly(name, params, kind, 
         assert relative_gap(got, ref) <= 1e-13, m
 
 
-@pytest.mark.xfail(raises=RankError, strict=True)
-def test_reduced_two_point_walls_assemble_at_n_2000():
-    """The reduced closure's wall derivation loses rank at N=2000 (5 or 6 of 7)."""
+def test_reduced_two_point_walls_assemble_on_fine_grids_and_converge_at_third_order():
+    """The reduced closure's wall derivation keeps its rank at N=2000.
+
+    Without equilibration the wall system loses rank from N=800 up (6 or 5 of 7).
+    """
     s = sample_solution("sn")
-    assemble_compact(s.problem, grid_for(s, 2000, 1.0, 1.0), neumann_variant=ReducedTwoPoint())
+    variant = ReducedTwoPoint()
+    assemble_compact(s.problem, grid_for(s, 2000, 1.0, 1.0), neumann_variant=variant)
+    errors = []
+    for n in (200, 400, 800, 1600):
+        grid = grid_for(s, n, 1.0, 0.02)
+        state = run(s.problem, grid, Compact(neumann=variant)).final_state
+        errors.append(c_norm_error(state, s.exact(grid.t_final, grid.x)))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((orders > 2.9) & (orders < 3.1)), orders
 
 
 @pytest.mark.parametrize("name,courant", [("s2", 1.0), ("snll", 1j)])
