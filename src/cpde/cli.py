@@ -256,7 +256,30 @@ def make_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _band(label: str, value: float, lo: float, hi: float, failures: list):
+# Every --check threshold, in one table that tests/test_acceptance.py reads
+# too.  A band is (centre, half-width); a bound is one number.
+GATES = {
+    "compact order": (4.0, 0.5),
+    "classic order": (2.0, 0.2),
+    "s1 reference order": (3.83, 0.15),
+    # the s1 compact errors at N = 10, 20, 50, 100, each within a factor of 2
+    "s1 reference errors": (1.58e-2, 1.36e-3, 3.73e-5, 2.36e-6),
+    "s1 reference error factor": 2.0,
+    "extrapolated classic order": (4.0, 0.2),
+    "extrapolated compact order": (6.0, 0.3),
+    "cut order": 3.9,  # lower bound
+    "transition asymmetry order": (3.62, 0.4),
+    "forcing asymmetry order": (5.62, 0.5),
+    "unimodularity": 1e-8,  # bound on max ||lambda| - 1|
+    "imaginary part": 1e-8,  # bound on max |Im lambda| / max |lambda|
+    "drift slope": (4.0, 0.5),
+    "row deviation": 1e-8,
+}
+
+
+def _band(label: str, value: float, gate: str, failures: list):
+    centre, half = GATES[gate]
+    lo, hi = centre - half, centre + half
     if not (lo <= value <= hi):
         failures.append(f"{label} = {value:.4g} outside [{lo:.4g}, {hi:.4g}]")
 
@@ -341,13 +364,13 @@ def _cmd_convergence(settings: dict) -> tuple:
     failures = []
     if settings["check"]:
         if isinstance(scheme, Compact) and scheme.cut == CUT_FULL:
-            _band("compact order", rep.estimated_order, 3.5, 4.5, failures)
+            _band("compact order", rep.estimated_order, "compact order", failures)
         elif isinstance(scheme, Classic):
             # an asymptotic rate: the coarse grids of a complex run are pre-asymptotic
             order = finest_pair_order([e.n for e in rep.entries], [e.error for e in rep.entries])
-            _band("classic order (finest pair)", order, 1.8, 2.2, failures)
+            _band("classic order (finest pair)", order, "classic order", failures)
         else:
-            _band("truncated compact order", rep.estimated_order, 3.5, 4.5, failures)
+            _band("truncated compact order", rep.estimated_order, "compact order", failures)
         if (
             solution == "s1"
             and isinstance(scheme, Compact)
@@ -355,11 +378,12 @@ def _cmd_convergence(settings: dict) -> tuple:
             and courant == 1.0
             and tuple(sorted(ns)) == (10, 20, 50, 100)
         ):
-            _band("order (reference row)", rep.estimated_order, 3.83 - 0.15, 3.83 + 0.15, failures)
-            for e, ref in zip(rep.entries, (1.58e-2, 1.36e-3, 3.73e-5, 2.36e-6)):
-                if not (ref / 2.0 <= e.error <= ref * 2.0):
+            _band("order (reference row)", rep.estimated_order, "s1 reference order", failures)
+            fac = GATES["s1 reference error factor"]
+            for e, ref in zip(rep.entries, GATES["s1 reference errors"]):
+                if not (ref / fac <= e.error <= ref * fac):
                     failures.append(
-                        f"N={e.n} error {e.error:.3e} outside factor 2 of {ref:.3e}"
+                        f"N={e.n} error {e.error:.3e} outside factor {fac:g} of {ref:.3e}"
                     )
     return csv_text, summary, failures
 
@@ -387,9 +411,11 @@ def _cmd_richardson(settings: dict) -> tuple:
         order = finest_pair_order([e.n for e in rep.entries],
                                   [e.error_extrapolated for e in rep.entries])
         if isinstance(scheme, Classic):
-            _band("extrapolated classic order (finest pair)", order, 3.8, 4.2, failures)
+            _band("extrapolated classic order (finest pair)", order,
+                  "extrapolated classic order", failures)
         else:
-            _band("extrapolated compact order (finest pair)", order, 5.7, 6.3, failures)
+            _band("extrapolated compact order (finest pair)", order,
+                  "extrapolated compact order", failures)
     return csv_text, summary, failures
 
 
@@ -416,8 +442,9 @@ def _cmd_cut(settings: dict) -> tuple:
         summary.append(f"  cut={token:<3} order={rep.estimated_order:.2f} errors: {errs}")
         if settings["check"] and cut >= 5:
             order = finest_pair_order([e.n for e in rep.entries], [e.error for e in rep.entries])
-            if order < 3.9:
-                failures.append(f"cut={token} finest-pair order {order:.2f} < 3.9")
+            floor = GATES["cut order"]
+            if order < floor:
+                failures.append(f"cut={token} finest-pair order {order:.2f} < {floor}")
     return csv_text, summary, failures
 
 
@@ -439,8 +466,9 @@ def _cmd_asymmetry(settings: dict) -> tuple:
     )
     failures = []
     if settings["check"]:
-        _band("transition asymmetry order", rep.order_transition, 3.62 - 0.4, 3.62 + 0.4, failures)
-        _band("forcing asymmetry order", rep.order_forcing, 5.62 - 0.5, 5.62 + 0.5, failures)
+        _band("transition asymmetry order", rep.order_transition,
+              "transition asymmetry order", failures)
+        _band("forcing asymmetry order", rep.order_forcing, "forcing asymmetry order", failures)
     return csv_text, summary, failures
 
 
@@ -471,12 +499,12 @@ def _cmd_spectrum(settings: dict) -> tuple:
     if settings["check"]:
         if is_ll:
             dev = float(np.abs(np.abs(rep.eigenvalues) - 1.0).max())
-            if dev > 1e-8:
-                failures.append(f"max ||lambda|-1| = {dev:.3e} > 1e-8")
+            if dev > GATES["unimodularity"]:
+                failures.append(f"max ||lambda|-1| = {dev:.3e} > {GATES['unimodularity']:g}")
         else:
             if rep.max_modulus >= 1.0:
                 failures.append(f"max |lambda| = {rep.max_modulus:.6f} >= 1")
-            if rep.max_imag_abs > 1e-8 * max(rep.max_modulus, 1e-300):
+            if rep.max_imag_abs > GATES["imaginary part"] * max(rep.max_modulus, 1e-300):
                 failures.append(f"max |Im lambda| = {rep.max_imag_abs:.3e} not negligible")
     return csv_text, summary, failures
 
@@ -497,7 +525,7 @@ def _cmd_first_integral(settings: dict) -> tuple:
             summary.append(f"  N={e.n:<4d} amplitude={mantissa_style(e.amplitude)}")
         summary.append(f"  amplitude slope = {rep.slope:.2f}")
         if settings["check"]:
-            _band("amplitude slope", rep.slope, 3.5, 4.5, failures)
+            _band("amplitude slope", rep.slope, "drift slope", failures)
     else:
         n = int(_require(settings, "n"))
         series = first_integral_series(n, courant, t_final, quadrature)
@@ -584,8 +612,8 @@ def _cmd_derive_row(settings: dict) -> tuple:
         f"  max relative deviation = {mantissa_style(residual)}",
     ]
     failures = []
-    if settings["check"] and residual > 1e-8:
-        failures.append(f"row deviation {residual:.3e} > 1e-8")
+    if settings["check"] and residual > GATES["row deviation"]:
+        failures.append(f"row deviation {residual:.3e} > {GATES['row deviation']:g}")
     return csv_text, summary, failures
 
 

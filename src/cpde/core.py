@@ -11,7 +11,9 @@ forcing that makes it solve the equation.  Every field in the catalogue
 has two time modes, cos(omega t) U_c(x) + sin(omega t) U_s(x), so each
 forcing is written out by hand as cos(omega t) f_c(x) + sin(omega t)
 f_s(x) and cross-checked in the tests against the chain-rule
-composition of the stored derivatives.
+composition of the stored derivatives.  Forcings and Dirichlet walls
+declare those modes (``TwoModeForcing``, ``TwoModeWall``), which lets
+``steppers.run`` sum a long march in closed form.
 """
 
 from __future__ import annotations
@@ -125,24 +127,52 @@ class SampleSolution:
     theta_dx: Callable[[np.ndarray], np.ndarray]
 
 
-def _two_mode_forcing(omega: float, f_c: Callable, f_s: Callable):
-    """The forcing cos(omega t) * f_c(x) + sin(omega t) * f_s(x).
+# The two mode classes are plain classes, not frozen dataclasses: each
+# dataclass costs about 1.3 ms at import, in every process that imports cpde.
+class TwoModeForcing:
+    """The forcing cos(omega t) * f_c(x) + sin(omega t) * f_s(x), modes declared.
 
     f_c and f_s see x alone, so a (k, 1) time column against a (1, m)
-    node row costs two outer products and one sum.
+    node row costs two outer products and one sum.  ``steppers.run``
+    reads omega, f_c and f_s to sum a long march in closed form.
     """
 
-    def forcing(t, x):
-        return np.cos(omega * t) * f_c(x) + np.sin(omega * t) * f_s(x)
+    __slots__ = ("omega", "f_c", "f_s")
 
-    return forcing
+    def __init__(self, omega: float, f_c: Callable, f_s: Callable):
+        self.omega, self.f_c, self.f_s = omega, f_c, f_s
+
+    def __call__(self, t, x):
+        return np.cos(self.omega * t) * self.f_c(x) + np.sin(self.omega * t) * self.f_s(x)
 
 
-def _dirichlet_from_exact(exact) -> Dirichlet:
-    return Dirichlet(
-        left=lambda t: exact(t, 0.0),
-        right=lambda t: exact(t, TWO_PI),
-    )
+class TwoModeWall:
+    """The wall value cos(omega t) * c + sin(omega t) * s, modes declared."""
+
+    __slots__ = ("omega", "c", "s")
+
+    def __init__(self, omega: float, c: float, s: float):
+        self.omega, self.c, self.s = omega, c, s
+
+    def __call__(self, t):
+        return np.cos(self.omega * t) * self.c + np.sin(self.omega * t) * self.s
+
+
+def _dirichlet_from_exact(exact, omega: float) -> Dirichlet:
+    """The walls u(t, 0) and u(t, 2 pi) of a field cos(omega t) U_c + sin(omega t) U_s.
+
+    U_c is read at t = 0.  cos(omega t) is not exactly 0 at omega t = pi/2,
+    so U_s is solved for from the value there.
+    """
+    walls = []
+    for x in (0.0, TWO_PI):
+        c, s = float(exact(0.0, x)), 0.0
+        if omega:
+            quarter = 0.5 * math.pi / omega
+            s = float(exact(quarter, x)) - math.cos(omega * quarter) * c
+            s /= math.sin(omega * quarter)
+        walls.append(TwoModeWall(omega, c, s))
+    return Dirichlet(*walls)
 
 
 def _build_s1(kind: ScalarKind, params: dict) -> SampleSolution:
@@ -177,13 +207,13 @@ def _build_s1(kind: ScalarKind, params: dict) -> SampleSolution:
     def f_s(x):
         return -np.sin(2.0 * x) - kp * 3.0 * np.sin(x) * (5.0 * np.cos(x) ** 4 - 1.0)
 
-    forcing = _two_mode_forcing(1.0, f_c, f_s)
+    forcing = TwoModeForcing(1.0, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,
         forcing=forcing,
         initial=lambda x: exact(0.0, x),
-        boundary=_dirichlet_from_exact(exact),
+        boundary=_dirichlet_from_exact(exact, 1.0),
         kind=kind,
     )
     return SampleSolution("s1", params, problem, exact, exact_dt, exact_dx, exact_dxx, theta_dx)
@@ -237,13 +267,13 @@ def _build_s2(kind: ScalarKind, params: dict) -> SampleSolution:
         uxx = (1 - k) * s**k + 2.0 * k * s ** (k - 1) * c + k * (k - 1) * s ** (k - 2) * c**2
         return -kp * np.exp(x) * (-np.sin(2.0 * x) * ux + (c**2 + 1.0) * uxx)
 
-    forcing = _two_mode_forcing(1.0, f_c, f_s)
+    forcing = TwoModeForcing(1.0, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,
         forcing=forcing,
         initial=lambda x: exact(0.0, x),
-        boundary=_dirichlet_from_exact(exact),
+        boundary=_dirichlet_from_exact(exact, 1.0),
         kind=kind,
     )
     return SampleSolution("s2", params, problem, exact, exact_dt, exact_dx, exact_dxx, theta_dx)
@@ -307,13 +337,13 @@ def _build_s3(kind: ScalarKind, params: dict) -> SampleSolution:
         flux = np.exp((a + b) * x) * ((b * b + a * b - 0.25) * sh + (0.5 * a + b) * ch)
         return -omega * sh * np.exp(b * (TWO_PI - x)) - kp * flux
 
-    forcing = _two_mode_forcing(omega, f_c, f_s)
+    forcing = TwoModeForcing(omega, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,
         forcing=forcing,
         initial=lambda x: exact(0.0, x),
-        boundary=_dirichlet_from_exact(exact),
+        boundary=_dirichlet_from_exact(exact, omega),
         kind=kind,
     )
     return SampleSolution("s3", params, problem, exact, exact_dt, exact_dx, exact_dxx, theta_dx)
@@ -348,7 +378,7 @@ def _build_sn(kind: ScalarKind, params: dict) -> SampleSolution:
         c2 = np.cos(x) ** 2
         return 2.0 * kp * (4.0 * c2 * c2 - c2 - 1.0)
 
-    forcing = _two_mode_forcing(1.0, f_c, f_s)
+    forcing = TwoModeForcing(1.0, f_c, f_s)
 
     problem = ProblemSpec(
         theta=theta,

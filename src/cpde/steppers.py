@@ -36,29 +36,47 @@ nodes is solved with A_new factored once per assembly
 built by the first such ``_step``, so an assembly that is never stepped
 does not build it.
 
-``run`` marches with one of two engines.  The stepwise one takes the
+``run`` marches with one of three engines.  The stepwise one takes the
 step above per time level.  theta does not depend on time, so the step
 is a fixed affine map u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} (g the
-Dirichlet data).  The modal engine gets these maps from one ``_step``
-on a stack of unit vectors, factors P = V diag(lam) V^-1 once, and
-advances z = V^-1 u by a whole 256-step chunk at a time: two GEMMs give
-the chunk's modal forcing, and one weighted sum with powers of lam
-folds it into z.  It runs on grids of at most ``_AFFINE_MAX_NODES``
-nodes with at least ``_AFFINE_MIN_STEPS_PER_NODE`` steps per node, and
-hands over to the stepwise march when V is worse conditioned than
-``_MODAL_MAX_COND``.  ``muls_per_step`` is the analytic cost of the
-banded step either way, not the work executed.
+Dirichlet data), and the other two work in P's eigenbasis: one
+``_step`` on a stack of unit states and inputs gives P and the input
+maps, and P = V diag(lam) V^-1 is factored once.
+
+- The closed form serves a problem that declares its modes: a
+  ``core.TwoModeForcing`` and, for Dirichlet walls, ``core.TwoModeWall``
+  data with the same omega.  Step k's forcing is then cos(k omega tau)
+  E_c + sin(k omega tau) E_s, so besides P the probe needs only the two
+  responses E_c and E_s, and the whole march sums in closed form
+  (``_geometric``): one probe and one eigensolve whatever the step
+  count.  It runs from
+  ``max(_CLOSED_MIN_STEPS, K m^2)`` steps on any grid, K from
+  ``_CLOSED_STEPS_PER_NODE_SQUARED``: the eigensolve costs O(m^3), the
+  stepwise march O(steps).
+- The chunked modal engine serves any other problem on grids of at
+  most ``_AFFINE_MAX_NODES`` nodes with at least
+  ``_AFFINE_MIN_STEPS_PER_NODE`` steps per node.  It advances z = V^-1 u
+  by a whole 256-step chunk at a time: two GEMMs give the chunk's modal
+  forcing, and one weighted sum with powers of lam folds it into z.
+- Everything else steps.
+
+Both eigenbasis engines hand over to the stepwise march when V is worse
+conditioned than ``_MODAL_MAX_COND``.  No engine holds an array that
+grows with the step count: times, forcing and wall data are made block
+by block.  ``muls_per_step`` is the analytic cost of the banded step
+whichever engine runs, not the work executed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind
+from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind, TwoModeForcing, TwoModeWall
 from .interior import CUT_FULL, assemble_row
 from .linalg import SingularMatrixError, Tridiag, TridiagLU, factor_tridiag, solve_tridiag
 from .neumann import (
@@ -475,12 +493,13 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 # the catalogue's cos(omega t) f_c(x) + sin(omega t) f_s(x) does, then
 # costs a few outer products per block (s3 a=2, 257 rows on a 2-core
 # Xeon: about 270 -> 70 us at m = 21 and 510 -> 100 us at m = 41, against
-# the full two-variable expression).  Closures that choke on array times (shape mismatch or an
-# exception) or whose first block disagrees with a scalar call are
-# detected on that block and evaluated one time level at a time instead.
-# Both engines consume the blocks chunk by chunk and check the state for
+# the full two-variable expression).  The stepwise and chunked modal
+# engines consume the blocks chunk by chunk and check the state for
 # finiteness once per chunk.
 _FORCING_CHUNK = 256
+# Dirichlet data come in blocks of 64 chunks: 512 kB at most, and one call
+# per wall for a march of up to 16,384 steps.
+_WALL_BLOCK = 64 * _FORCING_CHUNK
 
 
 def _forcing_one(problem: ProblemSpec, t: float, xf: np.ndarray, dtype) -> np.ndarray:
@@ -490,45 +509,86 @@ def _forcing_one(problem: ProblemSpec, t: float, xf: np.ndarray, dtype) -> np.nd
     return f
 
 
-def _forcing_blocks(problem: ProblemSpec, times: np.ndarray, xf: np.ndarray, dtype):
-    """Yield f(times[k:hi+1], xf) for each chunk [k, hi) of the march.
+def _sampled(vector, scalar, time_blocks, dtype):
+    """Yield vector(t) for each array t of time levels in ``time_blocks``.
 
-    Consecutive blocks share their boundary row, which is evaluated once.
+    The first block is checked against scalar() at its last time.  A
+    callable that raises on array times, returns a shape that does not
+    broadcast, or fails that check (say, one that reads only its first
+    time) is called one time level at a time from then on.
     """
-    vector_ok, last = True, None
-    for k in range(0, times.size - 1, _FORCING_CHUNK):
-        first = k if last is None else k + 1
-        new = times[first : k + _FORCING_CHUNK + 1]
+    vector_ok = True
+    for i, times in enumerate(time_blocks):
         rows = None
         if vector_ok:
             try:
-                rows = np.asarray(problem.forcing(new[:, None], xf[None, :]), dtype=dtype)
-                rows = np.broadcast_to(rows, (new.size, xf.size))
+                rows = vector(times)
             except (TypeError, ValueError, IndexError):
                 rows = None
-            if rows is not None and last is None:  # a closure reading only times[0]
-                ref = _forcing_one(problem, float(new[-1]), xf, dtype)
-                if not np.allclose(rows[-1], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()):
+            if rows is not None and i == 0:
+                ref = scalar(float(times[-1]))
+                # np.allclose(rtol=1e-12, atol=1e-12 max|ref|) at a fifth of its cost
+                tol = 1e-12 * (np.abs(ref) + np.abs(ref).max())
+                if not (np.abs(rows[-1] - ref) <= tol).all():
                     rows = None
             vector_ok = rows is not None
         if rows is None:
-            rows = np.array([_forcing_one(problem, float(t), xf, dtype) for t in new])
-        block = rows if last is None else np.concatenate((last[None], rows))
-        last = block[-1]
-        yield block
+            rows = np.array([scalar(float(t)) for t in times], dtype=dtype)
+        yield rows
 
 
-def _dirichlet_series(bc: Dirichlet, times: np.ndarray, dtype):
-    """(left, right) wall data at all times, per time level if not vectorizable."""
-    out = []
-    for g in (bc.left, bc.right):
-        try:
-            vals = np.asarray(g(times), dtype=dtype)
-            vals = np.broadcast_to(vals, times.shape)
-        except (TypeError, ValueError, IndexError):
-            vals = np.array([g(float(t)) for t in times], dtype=dtype)
-        out.append(vals)
-    return out[0], out[1]
+def _wall_blocks(bc: Dirichlet, tau: float, n_steps: int, dtype):
+    """Yield the (left, right) Dirichlet data at levels k+1..k+b as a (b, 2)
+    array for each block [k, k + b) of ``_WALL_BLOCK`` steps."""
+
+    def levels():
+        for k in range(0, n_steps, _WALL_BLOCK):
+            yield (k + np.arange(1, min(_WALL_BLOCK, n_steps - k) + 1)) * tau
+
+    left, right = (
+        _sampled(
+            lambda t, g=g: np.broadcast_to(np.asarray(g(t), dtype=dtype), t.shape),
+            lambda t, g=g: np.asarray(g(t), dtype=dtype),
+            levels(),
+            dtype,
+        )
+        for g in (bc.left, bc.right)
+    )
+    return (np.column_stack(pair) for pair in zip(left, right))
+
+
+def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
+    """Yield (k, f, g) for each chunk [k, k + c) of the march.
+
+    f holds the forcing at time levels k..k+c; consecutive chunks share
+    their boundary row, which is evaluated once.  g holds the (left,
+    right) Dirichlet data at levels k+1..k+c as a (c, 2) array, or is
+    None for Neumann walls.  Level i is at time i * tau, and no array
+    grows with the step count.
+    """
+    tau, dtype = mats.grid.tau, mats.kind.dtype
+    xf = _forcing_grid(mats)
+    starts = range(0, n_steps, _FORCING_CHUNK)
+
+    def levels():
+        for k in starts:
+            yield (k + np.arange(1 if k else 0, min(_FORCING_CHUNK, n_steps - k) + 1)) * tau
+
+    def vector(t):
+        rows = np.asarray(problem.forcing(t[:, None], xf[None, :]), dtype=dtype)
+        return np.broadcast_to(rows, (t.size, xf.size))
+
+    forcing = _sampled(vector, lambda t: _forcing_one(problem, t, xf, dtype), levels(), dtype)
+    walls = None if mats.dirichlet is None else _wall_blocks(mats.dirichlet, tau, n_steps, dtype)
+    f = g = None
+    for k, rows in zip(starts, forcing):
+        f = rows if f is None else np.concatenate((f[-1:], rows))
+        if walls is not None:
+            at = k % _WALL_BLOCK
+            if at == 0:
+                block = next(walls)
+            g = block[at : at + f.shape[0] - 1]
+        yield k, f, g
 
 
 # The modal march probes the step once (one batched sweep), diagonalizes
@@ -544,6 +604,19 @@ _AFFINE_MIN_STEPS_PER_NODE = 4
 # richardson run of the README commands raised their peak RSS from 38.7 to
 # 41.5 MB; with it, 38.5 MB.
 _AFFINE_MAX_NODES = 128
+# The closed form costs one probe, one eig and one inv, O(m^3) whatever the
+# step count; stepping costs about 40-110 us a step at m = 11-1001.  Closed
+# form / one stepwise step, best of 1-5, on a 2-core Xeon with one BLAS
+# thread, s1 at courant 1 (real) and snll at courant i (complex): m = 11,
+# 0.79 ms / 41 us (real) and 0.80 ms / 47 us (complex); m = 21, 1.1 / 49
+# and 1.5 / 59; m = 51, 3.1 / 68 and 6.1 / 92; m = 101, 10.6 / 68 and
+# 25 / 78; m = 201, 38 / 82 and 91 / 91; m = 401, 164 / 99 and 454 / 113;
+# m = 801 and 1001 (real), 1.08 s / 91 us and 1.89 s / 111 us.  Break-even
+# is 17-25 steps below m = 30, and from m = 51 up 0.010-0.018 m^2 steps
+# (real) or 0.025-0.032 m^2 (complex, whose eig costs 2-3 times more).
+# The dense maps are O(m^2) memory: 135 MB peak at m = 1001.
+_CLOSED_MIN_STEPS = 24
+_CLOSED_STEPS_PER_NODE_SQUARED = {ScalarKind.REAL: 1 / 64, ScalarKind.COMPLEX: 1 / 32}
 # Bound on ||V||_1 ||V^-1||_1 for P's eigenvectors V.  The march's
 # deviation from the stepwise one is at most about steps * eps * cond(V).
 # s1, s2, s3, sn and snll, both kinds, compact, classic and every Neumann
@@ -558,51 +631,152 @@ def _check_finite(u: np.ndarray, first: int, last: int):
         raise FloatingPointError(f"state became non-finite between steps {first + 1} and {last}")
 
 
-def _march_stepwise(mats: SchemeMatrices, u, blocks, walls, n_steps: int):
+def _modes(problem: ProblemSpec):
+    """The problem's ``TwoModeForcing`` and ``TwoModeWall`` walls, or None.
+
+    None unless the forcing and any Dirichlet walls declare their modes
+    with one omega.
+    """
+    f, bc = problem.forcing, problem.boundary
+    walls = (bc.left, bc.right) if isinstance(bc, Dirichlet) else ()
+    if isinstance(f, TwoModeForcing) and all(
+        isinstance(g, TwoModeWall) and g.omega == f.omega for g in walls
+    ):
+        return f, walls
+    return None
+
+
+def _engine(problem: ProblemSpec, grid: Grid1D):
+    """The march ``run`` uses: the rule of the module docstring."""
+    m, n_steps = grid.n + 1, grid.n_steps
+    if _modes(problem) is not None and n_steps >= max(
+        _CLOSED_MIN_STEPS, _CLOSED_STEPS_PER_NODE_SQUARED[problem.kind] * m * m
+    ):
+        return _march_closed
+    if m <= _AFFINE_MAX_NODES and n_steps >= _AFFINE_MIN_STEPS_PER_NODE * m:
+        return _march_affine
+    return _march_stepwise
+
+
+def _march_stepwise(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
     """One banded step per time level."""
-    for k, block in zip(range(0, n_steps, _FORCING_CHUNK), blocks):
-        hi = k + block.shape[0] - 1
-        for i in range(hi - k):
-            bc = None if walls is None else (walls[0][k + i], walls[1][k + i])
-            u = _step(mats, u, block[i], block[i + 1], bc_vals=bc)
-        _check_finite(u, k, hi)
+    for k, f, g in _chunks(problem, mats, n_steps):
+        c = f.shape[0] - 1
+        for i in range(c):
+            u = _step(mats, u, f[i], f[i + 1], bc_vals=None if g is None else g[i])
+        _check_finite(u, k, k + c)
     return u
 
 
-def _march_affine(mats: SchemeMatrices, u, blocks, walls, n_steps: int):
-    """Advance u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} in P's eigenbasis.
+def _eigen_maps(mats: SchemeMatrices, dtype, f0, f1, g):
+    """Diagonalize the step map P and project extra inputs onto its modes.
 
-    The step is linear in its inputs, so one batched ``_step`` on the
-    unit vectors of (u, f^n, f^{n+1}, g^{n+1}) yields the maps.  With
-    P = V diag(lam) V^-1 and z = V^-1 u, a chunk of c steps is
-    z <- lam^c z + sum_k lam^(c-1-k) E_k, E_k the modal forcing of step k.
-    An ill-conditioned V falls back to the stepwise march.
+    The step is linear in (u, f^n, f^{n+1}, g^{n+1}), so one batched
+    ``_step`` on the m unit states and on the inputs j (state 0, f^n =
+    f0[j], f^{n+1} = f1[j], Dirichlet data g[j]) yields P and the
+    responses.  Returns (lam, V, V^-1, E) with P = V diag(lam) V^-1 and
+    row j of E the response to input j in P's eigenbasis, or None when V
+    is worse conditioned than ``_MODAL_MAX_COND`` or does not exist.
     """
-    m, mf = u.size, _forcing_grid(mats).size
-    unit = np.eye(m + 2 * mf + 2, dtype=u.dtype)
-    i_u, i_f0, i_f1, i_g = np.split(unit, [m, m + mf, m + 2 * mf], axis=1)
-    cols = _step(mats, i_u, i_f0, i_f1, bc_vals=i_g.T)  # row j: the response to e_j
-    p_t, q0_t, q1_t, w_t = np.split(cols, [m, m + mf, m + 2 * mf])
-    try:
-        lam, v = np.linalg.eig(p_t.T)
+    m, k = mats.grid.n + 1, f0.shape[0]
+    u = np.zeros((m + k, m), dtype)
+    u[:m] = np.eye(m)
+    pad = np.zeros((m, f0.shape[1]), dtype)
+    bc = np.zeros((m + k, 2), dtype)
+    if g is not None:
+        bc[m:] = g
+    cols = _step(mats, u, np.vstack((pad, f0)), np.vstack((pad, f1)), bc_vals=bc.T)
+    try:  # row j of cols: the response to input j
+        lam, v = np.linalg.eig(cols[:m].T)
         v_inv = np.linalg.inv(v)
         cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
     except np.linalg.LinAlgError:  # no convergence, or a defective P
         cond = np.inf
     if not cond <= _MODAL_MAX_COND:
-        return _march_stepwise(mats, u, blocks, walls, n_steps)
-    q0_t, q1_t, w_t = (q @ v_inv.T for q in (q0_t, q1_t, w_t))
+        return None
+    return lam, v, v_inv, cols[m:] @ v_inv.T
+
+
+def _march_affine(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
+    """Advance u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} in P's eigenbasis.
+
+    With P = V diag(lam) V^-1 and z = V^-1 u, a chunk of c steps is
+    z <- lam^c z + sum_k lam^(c-1-k) E_k, E_k the modal forcing of step k,
+    read off the responses to unit f^n, f^{n+1} and g^{n+1}.
+    """
+    mf = _forcing_grid(mats).size
+    unit = np.eye(2 * mf + 2, dtype=u.dtype)
+    maps = _eigen_maps(mats, u.dtype, unit[:, :mf], unit[:, mf : 2 * mf], unit[:, 2 * mf :])
+    if maps is None:
+        return _march_stepwise(mats, u, problem, n_steps)
+    lam, v, v_inv, e = maps
+    q0_t, q1_t, w_t = np.split(e, [mf, 2 * mf])
     powers = np.vstack((np.ones_like(lam), np.tile(lam, (_FORCING_CHUNK - 1, 1))))
     weights = np.cumprod(powers, axis=0)[::-1]  # row k: lam^(255-k)
     z = v_inv @ u
-    for k, block in zip(range(0, n_steps, _FORCING_CHUNK), blocks):
-        c = block.shape[0] - 1
-        e = block[:-1] @ q0_t + block[1:] @ q1_t
-        if walls is not None:
-            e += np.column_stack((walls[0][k : k + c], walls[1][k : k + c])) @ w_t
+    for k, f, g in _chunks(problem, mats, n_steps):
+        c = f.shape[0] - 1
+        e = f[:-1] @ q0_t + f[1:] @ q1_t
+        if g is not None:
+            e += g @ w_t
         z = lam**c * z + np.einsum("km,km->m", weights[_FORCING_CHUNK - c :], e)
         _check_finite(z, k, k + c)
     u_new = v @ z
+    return u_new if np.iscomplexobj(u) else u_new.real.copy()
+
+
+def _geometric(lam: np.ndarray, nu: complex, n: int) -> np.ndarray:
+    """sum_{k<n} lam^(n-1-k) nu^k for |nu| = 1, accurate for lam near nu.
+
+    With r = lam / nu = 1 + d the sum is nu^(n-1) expm1(n log1p(d)) / d.
+    numpy's complex log1p loses the digits of a small d, so log|1 + d| is
+    taken as log1p(2 Re d + |d|^2) / 2.  A mode with lam = 0 (a Dirichlet
+    wall row) keeps the last term alone, nu^(n-1): the formula would take
+    log(0), which times n is NaN.
+    """
+    zero = lam == 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = np.where(zero, -0.5, (lam - nu) / nu)
+        log_abs = 0.5 * np.log1p(d.real * (2.0 + d.real) + d.imag**2)
+        n_log_r = n * log_abs + 1j * (n * np.arctan2(d.imag, 1.0 + d.real))
+        ratio = np.where(d == 0, n, np.expm1(n_log_r) / d)
+    return nu ** (n - 1) * np.where(zero, 1.0, ratio)
+
+
+def _march_closed(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
+    """Sum the whole march of a problem that declares its modes.
+
+    Step k's forcing is cos(k theta) E_c + sin(k theta) E_s with theta =
+    omega tau, where E_c and E_s are the step's responses to the inputs
+    of k = 0 and of omega t = pi/2.  In P's eigenbasis this is
+    a+ mu^k + a- mu^-k with mu = e^(i theta), so
+    z_n = lam^n z_0 + a+ G(mu) + a- G(1/mu), G the sum ``_geometric`` takes.
+    """
+    forcing, walls = _modes(problem)
+    theta = forcing.omega * mats.grid.tau
+    cb, sb = math.cos(theta), math.sin(theta)
+    xf = _forcing_grid(mats)
+    f_c, f_s = (
+        np.broadcast_to(np.asarray(mode(xf), u.dtype), xf.shape)
+        for mode in (forcing.f_c, forcing.f_s)
+    )
+    g = None
+    if walls:
+        g_c, g_s = np.array([w.c for w in walls]), np.array([w.s for w in walls])
+        g = np.stack((cb * g_c + sb * g_s, cb * g_s - sb * g_c))
+    f1 = np.stack((cb * f_c + sb * f_s, cb * f_s - sb * f_c))
+    maps = _eigen_maps(mats, u.dtype, np.stack((f_c, f_s)), f1, g)
+    if maps is None:
+        return _march_stepwise(mats, u, problem, n_steps)
+    lam, v, v_inv, (e_c, e_s) = maps
+    mu = complex(cb, sb)
+    z = (
+        lam**n_steps * (v_inv @ u)
+        + 0.5 * (e_c - 1j * e_s) * _geometric(lam, mu, n_steps)
+        + 0.5 * (e_c + 1j * e_s) * _geometric(lam, mu.conjugate(), n_steps)
+    )
+    u_new = v @ z
+    _check_finite(u_new, 0, n_steps)
     return u_new if np.iscomplexobj(u) else u_new.real.copy()
 
 
@@ -621,18 +795,8 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
         mats = assemble_classic(problem, grid, scheme.rhs, scheme.neumann)
     else:
         raise TypeError(f"unknown scheme descriptor {scheme!r}")
-    xf = _forcing_grid(mats)
-    dtype = mats.kind.dtype
-    u = np.asarray(problem.initial(grid.x), dtype=dtype).copy()
-    times = np.arange(grid.n_steps + 1) * grid.tau
-    walls = None
-    if mats.dirichlet is not None:
-        walls = _dirichlet_series(mats.dirichlet, times[1:], dtype)
-    blocks = _forcing_blocks(problem, times, xf, dtype)
-    m = grid.n + 1
-    affine = m <= _AFFINE_MAX_NODES and grid.n_steps >= _AFFINE_MIN_STEPS_PER_NODE * m
-    march = _march_affine if affine else _march_stepwise
-    u = march(mats, u, blocks, walls, grid.n_steps)
+    u = np.asarray(problem.initial(grid.x), dtype=mats.kind.dtype).copy()
+    u = _engine(problem, grid)(mats, u, problem, grid.n_steps)
     return StepReport(final_state=u, muls_per_step=mats.muls_per_step, steps=grid.n_steps)
 
 

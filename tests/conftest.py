@@ -1,8 +1,9 @@
 """Pin BLAS to one thread before any test imports numpy.
 
-The suite's dense work (modal-march GEMMs and eigensolves on at most 128
-nodes) is too small to gain from a second BLAS thread, which only burns
-CPU.  A thread count set in the environment is left as it is.
+The suite's dense work (the modal march's GEMMs, and eigensolves of step
+maps of up to 401 nodes for the closed-form march) is too small to gain
+from a second BLAS thread, which only burns CPU.  A thread count set in
+the environment is left as it is.
 """
 
 import os

@@ -15,6 +15,8 @@ from cpde.core import (
     Dirichlet,
     Neumann,
     ScalarKind,
+    TwoModeForcing,
+    TwoModeWall,
     grid_for,
     make_grid,
     sample_solution,
@@ -200,6 +202,21 @@ def test_dirichlet_walls_track_exact():
     for t in (0.0, 0.5, 1.0):
         assert bc.left(t) == pytest.approx(complex(s.exact(t, np.array([0.0]))[0]))
         assert bc.right(t) == pytest.approx(complex(s.exact(t, np.array([TWO_PI]))[0]))
+
+
+@pytest.mark.parametrize("name,params", ALL_SAMPLES + [("s3", {"a": 2, "omega": 0})])
+def test_samples_declare_their_modes(name, params):
+    """Every catalogue forcing and Dirichlet wall carries (omega, cos mode, sin
+    mode), and the declared wall modes give u(t, 0) and u(t, 2 pi) to rounding."""
+    t = np.linspace(0.0, 3.0, 31)
+    for sample in both_kinds(name, params):
+        forcing, bc = sample.problem.forcing, sample.problem.boundary
+        assert isinstance(forcing, TwoModeForcing)
+        walls = (bc.left, bc.right) if isinstance(bc, Dirichlet) else ()
+        for wall, x in zip(walls, (0.0, TWO_PI)):
+            assert isinstance(wall, TwoModeWall) and wall.omega == forcing.omega
+            want = sample.exact(t, x)
+            assert np.abs(wall(t) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_neumann_samples_have_flat_walls():

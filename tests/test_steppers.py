@@ -20,6 +20,8 @@ from cpde.core import (
     Neumann,
     ProblemSpec,
     ScalarKind,
+    TwoModeForcing,
+    TwoModeWall,
     grid_for,
     make_grid,
     sample_solution,
@@ -38,10 +40,9 @@ from cpde.steppers import (
     Classic,
     ClassicRhsVariant,
     Compact,
-    _dirichlet_series,
-    _forcing_grid,
-    _forcing_blocks,
+    _geometric,
     _march_affine,
+    _march_closed,
     _march_stepwise,
     _step,
     assemble_classic,
@@ -265,7 +266,7 @@ def test_pointwise_forcing_fallback_matches_vectorized():
         kind=base.kind,
     )
     grid = grid_for(s, 10, 1.0, 0.5)
-    a = run(base, grid, Compact())
+    a = run(opaque(base), grid, Compact())
     b = run(awkward, grid, Compact())
     assert np.array_equal(a.final_state, b.final_state)
     assert a.muls_per_step == b.muls_per_step
@@ -288,7 +289,7 @@ def test_scalar_wall_callables_match_vectorized():
         kind=base.kind,
     )
     grid = grid_for(s, 10, 1.0, 0.5)
-    a = run(base, grid, Compact())
+    a = run(opaque(base), grid, Compact())
     b = run(awkward, grid, Compact())
     assert np.abs(a.final_state - b.final_state).max() < 1e-14
 
@@ -337,12 +338,19 @@ def with_steps(grid, n_steps):
     return dataclasses.replace(grid, n_steps=n_steps, t_final=n_steps * grid.tau)
 
 
-def takes_affine(grid):
-    m = grid.n + 1
-    return (
-        m <= steppers._AFFINE_MAX_NODES
-        and grid.n_steps >= steppers._AFFINE_MIN_STEPS_PER_NODE * m
-    )
+def opaque(problem):
+    """``problem`` with its forcing and Dirichlet walls behind plain closures,
+    which hide any declared modes: ``run`` then picks the chunked modal or
+    the stepwise engine."""
+    forcing, boundary = problem.forcing, problem.boundary
+    if isinstance(boundary, Dirichlet):
+        left, right = boundary.left, boundary.right
+        boundary = Dirichlet(lambda t: left(t), lambda t: right(t))
+    return dataclasses.replace(problem, forcing=lambda t, x: forcing(t, x), boundary=boundary)
+
+
+def takes_affine(problem, grid):
+    return steppers._engine(problem, grid) is _march_affine
 
 
 def assemble(problem, grid, scheme):
@@ -354,22 +362,19 @@ def assemble(problem, grid, scheme):
 def march_with(march, problem, grid, scheme):
     """The final state of ``march`` with the set-up ``run`` gives it."""
     mats = assemble(problem, grid, scheme)
-    dtype = mats.kind.dtype
-    times = np.arange(grid.n_steps + 1) * grid.tau
-    walls = None
-    if mats.dirichlet is not None:
-        walls = _dirichlet_series(mats.dirichlet, times[1:], dtype)
-    blocks = _forcing_blocks(problem, times, _forcing_grid(mats), dtype)
-    u = np.asarray(problem.initial(grid.x), dtype=dtype).copy()
-    return march(mats, u, blocks, walls, grid.n_steps)
+    u = np.asarray(problem.initial(grid.x), dtype=mats.kind.dtype).copy()
+    return march(mats, u, problem, grid.n_steps)
 
 
-def engine_deviation(problem, grid, scheme):
-    """Relative max deviation of the affine march from the stepwise one."""
+def engine_deviation(problem, grid, scheme, *marches):
+    """Largest relative max deviation of ``marches`` (default: the affine
+    march) from the stepwise march."""
     ref = march_with(_march_stepwise, problem, grid, scheme)
-    got = march_with(_march_affine, problem, grid, scheme)
     assert np.isfinite(ref).all()
-    return np.abs(got - ref).max() / np.abs(ref).max()
+    return max(
+        np.abs(march_with(march, problem, grid, scheme) - ref).max() / np.abs(ref).max()
+        for march in marches or (_march_affine,)
+    )
 
 
 WALL_SCHEMES = {
@@ -405,6 +410,24 @@ def test_affine_engine_matches_stepwise(name, kind, scheme):
     assert engine_deviation(s.problem, grid, scheme) <= 1e-12
 
 
+@pytest.mark.parametrize("name,kind,scheme", ENGINE_CASES)
+def test_closed_form_matches_stepwise(name, kind, scheme):
+    s = sample_solution(name, kind=kind)
+    grid = with_steps(grid_for(s, 16, 1.0, 1.0), 300)
+    assert steppers._engine(s.problem, grid) is _march_closed
+    assert engine_deviation(s.problem, grid, scheme, _march_closed) <= 1e-11
+
+
+@pytest.mark.parametrize("name,kind,scheme", ENGINE_CASES)
+def test_closed_form_matches_the_modal_march_over_2000_steps(name, kind, scheme):
+    """N=50: the two eigenbasis engines agree to 3e-13 (measured), while the
+    stepwise march's own rounding puts it up to 1.4e-11 from both."""
+    s = sample_solution(name, kind=kind)
+    grid = with_steps(grid_for(s, 50, 1.0, 1.0), 2000)
+    got = march_with(_march_closed, s.problem, grid, scheme)
+    assert relative_gap(got, march_with(_march_affine, s.problem, grid, scheme)) <= 1e-12
+
+
 def test_affine_engine_matches_stepwise_long_complex_march():
     s = sample_solution("snll")
     grid = with_steps(grid_for(s, 20, 1j, 1.0), 2048)
@@ -427,51 +450,159 @@ def solve_calls(monkeypatch):
 
 
 def test_modal_engine_matches_stepwise_over_the_stiff_march():
-    """All 29,054 steps of the s3 a=2 courant-100 march at N=20 (measured 2.0e-13)."""
+    """All 29,054 steps of the s3 a=2 courant-100 march at N=20, for the modal
+    march and the closed form (measured 1.9e-13 for both)."""
     s = sample_solution("s3", a=2.0)
     grid = grid_for(s, 20, 100.0, 1.0)
     assert grid.n_steps == 29054
-    assert engine_deviation(s.problem, grid, Compact()) <= 1e-12
+    assert engine_deviation(s.problem, grid, Compact(), _march_affine, _march_closed) <= 1e-12
 
 
 def test_modal_engine_matches_stepwise_over_100k_complex_steps():
-    """snll at courant i, where max|lambda| is 1 + O(eps): 100,000 steps (measured 7.9e-13)."""
+    """snll at courant i, where max|lambda| is 1 + O(eps): 100,000 steps, for the
+    modal march and the closed form (measured 8.5e-13 and 2.4e-12)."""
     s = sample_solution("snll")
     grid = with_steps(grid_for(s, 20, 1j, 1.0), 100_000)
-    assert engine_deviation(s.problem, grid, Compact()) <= 1e-11
+    assert engine_deviation(s.problem, grid, Compact(), _march_affine, _march_closed) <= 1e-11
+
+
+def test_geometric_sum_near_resonance():
+    """lam within 1e-12 of nu: the plain (r^n - 1)/(r - 1) loses about 4 digits."""
+    n = 1000
+    nu = np.exp(0.3j)
+    lam = nu * (1.0 + 1e-12 * np.exp(np.array([0.0, 0.7, 2.0, 3.1]) * 1j))
+    lam = np.append(lam, [0.0, 0.5, 0.9j, nu])
+    got = _geometric(lam, nu, n)
+    want = np.zeros_like(lam)
+    for k in range(n):  # Horner: lam^(n-1-k) nu^k summed term by term
+        want = want * lam + nu**k
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_closed_form_stays_accurate_at_resonance():
+    """A forcing whose mu = e^(i omega tau) sits within 1e-12 of a mode of P."""
+    s = sample_solution("snll")
+    grid = with_steps(grid_for(s, 16, 1j, 1.0), 2000)
+    none = np.zeros((0, grid.n + 1), complex)
+    lam = steppers._eigen_maps(assemble_compact(s.problem, grid), complex, none, none, None)[0]
+    j = np.argmin(np.abs(np.angle(lam) - 1.0))
+    omega = (np.angle(lam[j]) + 1e-12) / grid.tau
+    assert abs(np.exp(1j * omega * grid.tau) - lam[j]) < 2e-12
+    f = s.problem.forcing
+    problem = dataclasses.replace(s.problem, forcing=TwoModeForcing(omega, f.f_c, f.f_s))
+    assert engine_deviation(problem, grid, Compact(), _march_closed) <= 1e-11
 
 
 def failing_eig(a):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
+@pytest.mark.parametrize("march", [_march_affine, _march_closed])
 @pytest.mark.parametrize(
     "target,name,value",
     [(steppers, "_MODAL_MAX_COND", 0.0), (np.linalg, "eig", failing_eig)],
     ids=["above-gate", "eig-fails"],
 )
 def test_ill_conditioned_eigenbasis_marches_stepwise(
-    monkeypatch, solve_calls, target, name, value
+    monkeypatch, solve_calls, target, name, value, march
 ):
-    """Above the conditioning gate, or without an eigenbasis, the engine probes
-    once and then steps like the stepwise one."""
+    """Above the conditioning gate, or without an eigenbasis, both eigenbasis
+    engines probe once and then step like the stepwise one."""
     monkeypatch.setattr(target, name, value)
     s = sample_solution("s3", a=2.0)
+    problem = s.problem if march is _march_closed else opaque(s.problem)
     grid = with_steps(grid_for(s, 20, 100.0, 1.0), 600)
-    assert takes_affine(grid)
-    got = march_with(_march_affine, s.problem, grid, Compact())
+    assert steppers._engine(problem, grid) is march
+    got = march_with(march, problem, grid, Compact())
     assert len(solve_calls) == 1 + 600
-    ref = march_with(_march_stepwise, s.problem, grid, Compact())
+    ref = march_with(_march_stepwise, problem, grid, Compact())
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("n,n_steps,solves", [(20, 2048, 1), (20, 40, 40), (200, 2048, 2048)])
-def test_run_picks_engine_by_grid_and_step_count(solve_calls, n, n_steps, solves):
-    """The modal engine solves only in its one batched probe, the stepwise one once per step."""
+@pytest.mark.parametrize(
+    "declared,n,n_steps,solves",
+    [
+        (False, 20, 2048, 1),
+        (False, 20, 40, 40),
+        (False, 200, 2048, 2048),
+        (True, 20, 40, 1),
+        (True, 20, 23, 23),
+        (True, 200, 2048, 1),
+        (True, 200, 600, 600),
+        (True, 400, 2600, 1),
+    ],
+)
+def test_run_picks_engine_by_grid_and_step_count(solve_calls, declared, n, n_steps, solves):
+    """The eigenbasis engines solve only in their one batched probe, the stepwise
+    one once per step.  A problem that declares its modes is summed in closed
+    form from max(24, m^2 / 64) steps, on any grid; an opaque one marches by
+    chunks on grids of at most 128 nodes with 4 steps per node."""
     s = sample_solution("s3", a=2.0)
     grid = with_steps(grid_for(s, n, 100.0, 1.0), n_steps)
-    run(s.problem, grid, Compact())
+    run(s.problem if declared else opaque(s.problem), grid, Compact())
     assert len(solve_calls) == solves
+
+
+class UncalledForcing(TwoModeForcing):
+    def __call__(self, t, x):
+        raise AssertionError("the closed form evaluates no forcing block")
+
+
+class UncalledWall(TwoModeWall):
+    def __call__(self, t):
+        raise AssertionError("the closed form evaluates no wall data")
+
+
+def test_closed_form_evaluates_no_time_series():
+    """Only the modes are read: f_c and f_s once each on the nodes."""
+    s = sample_solution("s3", a=2.0)
+    f, bc = s.problem.forcing, s.problem.boundary
+    reads = []
+    problem = dataclasses.replace(
+        s.problem,
+        forcing=UncalledForcing(f.omega, lambda x: reads.append(x) or f.f_c(x), f.f_s),
+        boundary=Dirichlet(*(UncalledWall(g.omega, g.c, g.s) for g in (bc.left, bc.right))),
+    )
+    grid = grid_for(s, 50, 100.0, 1.0)
+    assert grid.n_steps == 181588
+    got = run(problem, grid, Compact()).final_state
+    assert len(reads) == 1 and reads[0] is not None
+    assert np.array_equal(got, run(s.problem, grid, Compact()).final_state)
+
+
+def test_closed_form_non_finite_result_raises():
+    s = sample_solution("s1")
+    f = s.problem.forcing
+    problem = dataclasses.replace(
+        s.problem, forcing=TwoModeForcing(f.omega, lambda x: np.full_like(x, np.inf), f.f_s)
+    )
+    grid = with_steps(grid_for(s, 10, 1.0, 1.0), 600)
+    assert steppers._engine(problem, grid) is _march_closed
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError, match="between steps 1 and 600"
+    ):
+        run(problem, grid, Compact())
+
+
+def test_closed_form_keeps_constant_and_linear_states_exact():
+    """omega = 0: the mirrors of the constant and linear-in-time tests above."""
+    const, c = 0.75, 1.3
+    theta = lambda x: 1.0 + 0.5 * math.sin(x) ** 2
+    walls = Dirichlet(TwoModeWall(0.0, const, 0.0), TwoModeWall(0.0, const, 0.0))
+    zeros = TwoModeForcing(0.0, np.zeros_like, np.zeros_like)
+    for boundary, forcing, initial, final in (
+        (walls, zeros, const, lambda t: const),
+        (Neumann(), zeros, const, lambda t: const),
+        (Neumann(), TwoModeForcing(0.0, lambda x: np.full_like(x, c), np.zeros_like), 0.0,
+         lambda t: c * t),
+    ):
+        problem = ProblemSpec(theta, forcing, lambda x: np.full_like(x, initial), boundary,
+                              ScalarKind.REAL)
+        grid = make_grid(16, 1.0, 3.0, 1.5)
+        assert steppers._engine(problem, grid) is _march_closed
+        rep = run(problem, grid, Compact())
+        assert np.abs(rep.final_state - final(grid.t_final)).max() < 1e-10
 
 
 @pytest.mark.parametrize("march", [_march_stepwise, _march_affine])
@@ -500,10 +631,61 @@ def test_forcing_reading_only_the_first_block_time_falls_back():
         return base.forcing(np.ravel(t)[0], x)
 
     grid = with_steps(grid_for(s, 10, 1.0, 1.0), 600)
-    assert takes_affine(grid)
-    honest = run(base, grid, Compact()).final_state
+    assert takes_affine(opaque(base), grid)
+    honest = run(opaque(base), grid, Compact()).final_state
     got = run(dataclasses.replace(base, forcing=first_time_only), grid, Compact()).final_state
     assert np.abs(got - honest).max() <= 1e-12 * np.abs(honest).max()
+
+
+def wall_spy(g, calls):
+    def wall(t):
+        calls.append(np.array(t, dtype=float))
+        return g(t)
+
+    return wall
+
+
+def test_wall_data_come_in_bounded_blocks(monkeypatch):
+    """Each wall call sees at most _WALL_BLOCK times i * tau, and the march
+    equals, bit for bit, the one with all wall data in a single block."""
+    s = sample_solution("s3", a=2.0)
+    grid = with_steps(grid_for(s, 20, 100.0, 1.0), 2 * steppers._WALL_BLOCK + 300)
+    block = steppers._WALL_BLOCK
+
+    def march():
+        calls = ([], [])
+        walls = Dirichlet(
+            wall_spy(lambda t: np.sin(3.0 * t), calls[0]), wall_spy(np.cos, calls[1])
+        )
+        problem = dataclasses.replace(opaque(s.problem), boundary=walls)
+        assert takes_affine(problem, grid)
+        return run(problem, grid, Compact()).final_state, calls
+
+    got, calls = march()
+    levels = np.arange(1, grid.n_steps + 1) * grid.tau
+    for wall in calls:
+        assert [c.size for c in wall] == [block, 1, block, 300]
+        assert np.array_equal(np.concatenate([c for c in wall if c.ndim]), levels)
+    monkeypatch.setattr(steppers, "_WALL_BLOCK", 1024 * block)
+    ref, calls = march()
+    assert [c.size for c in calls[0]] == [grid.n_steps, 1]
+    assert np.array_equal(got, ref)
+
+
+def test_wall_reading_only_the_first_block_time_falls_back():
+    """A wall callable that broadcasts g(times[0]) over a block is caught by the
+    scalar check on the first block, as a forcing is."""
+    s = sample_solution("s1")
+    honest = Dirichlet(lambda t: np.sin(3.0 * t), np.cos)
+    first_time_only = Dirichlet(
+        lambda t: np.sin(3.0 * np.ravel(t)[0]), lambda t: np.cos(np.ravel(t)[0])
+    )
+    grid = with_steps(grid_for(s, 10, 1.0, 1.0), 600)
+    a, b = (
+        run(dataclasses.replace(opaque(s.problem), boundary=bc), grid, Compact()).final_state
+        for bc in (honest, first_time_only)
+    )
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
 
 def test_scalar_fallbacks_match_vectorized_on_affine_grid():
@@ -522,8 +704,8 @@ def test_scalar_fallbacks_match_vectorized_on_affine_grid():
         right=lambda t: float(exact(float(t), TWO_PI)),
     )
     grid = with_steps(grid_for(s, 10, 1.0, 0.5), 600)
-    assert takes_affine(grid)
-    a = run(base, grid, Compact())
+    assert takes_affine(opaque(base), grid)
+    a = run(opaque(base), grid, Compact())
     b = run(dataclasses.replace(base, forcing=scalar_only_forcing), grid, Compact())
     assert np.array_equal(a.final_state, b.final_state)
     assert a.muls_per_step == b.muls_per_step
@@ -585,12 +767,13 @@ def test_reduced_two_point_walls_assemble_on_fine_grids_and_converge_at_third_or
 @pytest.mark.parametrize("name,courant", [("s2", 1.0), ("snll", 1j)])
 def test_factored_march_matches_the_swept_march(monkeypatch, name, courant):
     """A whole N=200 stepwise march of each kind, against one forced onto the sweep."""
-    s = sample_solution(name)
-    grid = grid_for(s, 200, courant, 0.15)
-    assert grid.n_steps > steppers._FORCING_CHUNK and not takes_affine(grid)
-    got = run(s.problem, grid, Compact()).final_state
+    problem = opaque(sample_solution(name).problem)
+    grid = grid_for(sample_solution(name), 200, courant, 0.15)
+    assert grid.n_steps > steppers._FORCING_CHUNK
+    assert steppers._engine(problem, grid) is _march_stepwise
+    got = run(problem, grid, Compact()).final_state
     monkeypatch.setattr(steppers, "_BLOCKED_MIN_NODES", 10**9)
-    ref = run(s.problem, grid, Compact()).final_state
+    ref = run(problem, grid, Compact()).final_state
     assert not np.array_equal(got, ref)  # the two solves round differently
     assert relative_gap(got, ref) <= 1e-11
 
@@ -615,8 +798,8 @@ def test_step_hands_single_states_the_factor_and_stacks_the_sweep(solve_calls):
 def test_stepwise_march_picks_the_solver_by_node_count(solve_calls, n, solver):
     s = sample_solution("s3", a=2.0)
     grid = with_steps(grid_for(s, n, 100.0, 1.0), 40)
-    assert not takes_affine(grid)
-    run(s.problem, grid, Compact())
+    assert steppers._engine(opaque(s.problem), grid) is _march_stepwise
+    run(opaque(s.problem), grid, Compact())
     assert solve_calls == [solver] * 40
 
 
