@@ -177,6 +177,12 @@ def lsq_order(ns: Sequence[int], errors: Sequence[float]) -> float:
     return float(slope)
 
 
+def _require_kind(courant, kind: ScalarKind, study: str) -> None:
+    """Reject a Courant number of the other kind; an imaginary one selects the complex kind."""
+    if (complex(courant).imag != 0.0) != (kind is ScalarKind.COMPLEX):
+        raise ValueError(f"{study} runs the {kind.value} kind, but courant {courant} selects the other")
+
+
 def _resolve_sample(solution_id, params: Optional[dict], courant) -> SampleSolution:
     if isinstance(solution_id, SampleSolution):
         return solution_id
@@ -203,6 +209,11 @@ def _matrix_grid(n: int, courant, theta: Callable[[float], float]) -> Grid1D:
 
 def _zero(t):
     return 0.0
+
+
+def _theta_demo(s):
+    """The coefficient cos^2 x + 1 of the asymmetry and conservation studies."""
+    return math.cos(s) ** 2 + 1.0
 
 
 def _matrix_problem(theta, boundary, kind=ScalarKind.REAL) -> ProblemSpec:
@@ -309,15 +320,14 @@ def cut_study(
 # spectra
 
 
-def transition_matrix(mats: SchemeMatrices, boundary=None) -> np.ndarray:
+def transition_matrix(mats: SchemeMatrices) -> np.ndarray:
     """Dense M = -A_new^{-1} A_old on the boundary-appropriate subspace.
 
     Dirichlet restricts to interior nodes (u_0 = u_N = 0); Neumann keeps
     all N+1 nodes with the wall rows folded in.
     """
     a_new, a_old = _dense_layers(mats)
-    dirichlet = mats.dirichlet is not None if boundary is None else _is_dirichlet(boundary)
-    if dirichlet:
+    if mats.dirichlet is not None:
         a_new = a_new[1:-1, 1:-1]
         a_old = a_old[1:-1, 1:-1]
     if a_new.shape[0] > 512:
@@ -399,27 +409,27 @@ def asymmetry(c: np.ndarray) -> float:
 def asymmetry_study(
     ns: Sequence[int],
     courant=1.0,
-    theta: Optional[Callable[[float], float]] = None,
     t_final: Optional[float] = None,
 ) -> AsymmetryReport:
     """Decay of S(A_new^{-1} A_old) and S(A_new^{-1} B_old) with N.
 
-    Dirichlet interior restriction, real kind.  B_old enters in literal
-    units (tau times the stored scaled operator); that is what gives the
-    forcing column its extra two orders of decay.  With t_final = None
-    each grid uses the raw tau = |courant| h^2 / max theta; passing a
-    horizon instead snaps tau to an integer number of steps first.
+    Dirichlet interior restriction, real kind (an imaginary courant
+    raises ValueError).  B_old enters in literal units (tau times the
+    stored scaled operator); that is what gives the forcing column its
+    extra two orders of decay.  With t_final = None each grid uses the
+    raw tau = |courant| h^2 / max theta; passing a horizon instead snaps
+    tau to an integer number of steps first.
     """
     ns = check_ns(ns)
-    if theta is None:
-        theta = lambda s: math.cos(s) ** 2 + 1.0
-    problem = _matrix_problem(theta, Dirichlet(_zero, _zero))
+    _require_kind(courant, ScalarKind.REAL, "the asymmetry study")
+    problem = _matrix_problem(_theta_demo, Dirichlet(_zero, _zero))
 
     def one(n: int) -> AsymmetryEntry:
         if t_final is None:
-            grid = _matrix_grid(n, courant, theta)
+            grid = _matrix_grid(n, courant, _theta_demo)
         else:
-            grid = make_grid(n, courant, t_final, theta_grid_max(theta, np.arange(n + 1) * (TWO_PI / n)))
+            x = np.arange(n + 1) * (TWO_PI / n)
+            grid = make_grid(n, courant, t_final, theta_grid_max(_theta_demo, x))
         mats = assemble_compact(problem, grid)
         a_new, a_old, _, b_old = dense_operators(mats)
         a_new = a_new[1:-1, 1:-1]
@@ -488,12 +498,10 @@ def first_integral(state: np.ndarray, h: float, quadrature: str = "trapezoid") -
     raise ValueError(f"unknown quadrature {quadrature!r}")
 
 
-def conservation_problem(theta: Optional[Callable[[float], float]] = None) -> ProblemSpec:
+def conservation_problem() -> ProblemSpec:
     """Free Schrodinger-type evolution of sin x with homogeneous walls."""
-    if theta is None:
-        theta = lambda s: math.cos(s) ** 2 + 1.0
     return ProblemSpec(
-        theta=theta,
+        theta=_theta_demo,
         forcing=lambda t, x: np.zeros_like(np.asarray(x, dtype=complex)),
         initial=lambda x: np.sin(np.asarray(x, dtype=float)).astype(complex),
         boundary=Dirichlet(_zero, _zero),
@@ -506,16 +514,13 @@ def first_integral_series(
     courant=1j,
     t_final: float = 1.0,
     quadrature: str = "trapezoid",
-    scheme: Optional[SchemeDescriptor] = None,
 ) -> list:
-    """Per-step (step, t, I) history of the conservation demo run."""
+    """Per-step (step, t, I) history of the complex-kind conservation demo run."""
+    _require_kind(courant, ScalarKind.COMPLEX, "the conservation demo")
     problem = conservation_problem()
     x = np.arange(n + 1) * (TWO_PI / n)
     grid = make_grid(n, courant, t_final, theta_grid_max(problem.theta, x))
-    scheme = scheme if scheme is not None else Compact()
-    if not isinstance(scheme, Compact):
-        raise ValueError("the conservation demo runs the compact scheme")
-    mats = assemble_compact(problem, grid, scheme.cut, scheme.neumann)
+    mats = assemble_compact(problem, grid)
     u = np.asarray(problem.initial(grid.x), dtype=complex)
     zeros = np.zeros(n + 1, dtype=complex)
     out = [(0, 0.0, first_integral(u, grid.h, quadrature))]

@@ -8,18 +8,22 @@ where kappa is 1 for the diffusion (real) kind and i for the
 Schrodinger-type (complex) kind.  theta is strictly positive and does
 not depend on time.  Manufactured solutions pair an exact field with the
 forcing that makes it solve the equation.  Every field in the catalogue
-has two time modes, cos(omega t) U_c(x) + sin(omega t) U_s(x), so each
-forcing is written out by hand as cos(omega t) f_c(x) + sin(omega t)
-f_s(x) and cross-checked in the tests against the chain-rule
-composition of the stored derivatives.  Forcings and Dirichlet walls
-declare those modes (``TwoModeForcing``, ``TwoModeWall``), which lets
-``steppers.run`` sum a long march in closed form.
+has two time modes, cos(omega t) U_c(x) + sin(omega t) U_s(x).  A sample
+states U_c and U_s with their first two x derivatives, and one builder
+makes from them the exact field and its t, x and xx derivatives, the
+initial state U_c, and the Dirichlet walls, whose modes are U_c and U_s
+at 0 and 2 pi.  The forcing modes f_c(x) and f_s(x) stay hand-written
+rather than composed from the field modes, so the tests cross-check them
+against the chain-rule composition of the stored derivatives.  Forcings
+and Dirichlet walls declare their modes (``TwoModeForcing``,
+``TwoModeWall``), which lets ``steppers.run`` sum a long march in closed
+form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
@@ -62,13 +66,13 @@ def make_grid(n: int, courant: complex, t_final: float, theta_max: float) -> Gri
     """
     if not isinstance(n, (int, np.integer)) or n < 4:
         raise ValueError(f"need at least 4 intervals, got {n!r}")
-    if t_final <= 0.0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    mag = abs(courant)
+    if not (math.isfinite(mag) and mag > 0.0):
+        raise ValueError(f"courant number must be nonzero and finite, got {courant}")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if theta_max <= 0.0:
         raise ValueError(f"theta_max must be positive, got {theta_max}")
-    mag = abs(courant)
-    if mag == 0.0:
-        raise ValueError("courant number must be nonzero")
     h = TWO_PI / n
     raw_tau = h * h * mag / theta_max
     n_steps = max(1, math.ceil(t_final / raw_tau - 1e-9))
@@ -112,8 +116,10 @@ class ProblemSpec:
 class SampleSolution:
     """A manufactured solution: problem plus the exact field and pieces.
 
-    The derivative callables (and theta_dx) exist so tests can verify
-    the hand-written forcing against the chain-rule composition
+    exact and its derivative callables are built from the sample's two
+    x-modes and their derivatives; so are the initial state and the
+    Dirichlet walls.  The derivatives (and theta_dx) exist so tests can
+    verify the hand-written forcing against the chain-rule composition
     exact_dt - kappa*(theta_dx*exact_dx + theta*exact_dxx).
     """
 
@@ -158,47 +164,60 @@ class TwoModeWall:
         return np.cos(self.omega * t) * self.c + np.sin(self.omega * t) * self.s
 
 
-def _dirichlet_from_exact(exact, omega: float) -> Dirichlet:
-    """The walls u(t, 0) and u(t, 2 pi) of a field cos(omega t) U_c + sin(omega t) U_s.
+def _theta_cos2(x):
+    return np.cos(x) ** 2 + 1.0
 
-    U_c is read at t = 0.  cos(omega t) is not exactly 0 at omega t = pi/2,
-    so U_s is solved for from the value there.
+
+def _theta_cos2_dx(x):
+    return -np.sin(2.0 * x)
+
+
+def _two_mode_sample(name, params, kind, omega, theta, theta_dx, modes, f_c, f_s, walls):
+    """The sample cos(omega t) U_c(x) + sin(omega t) U_s(x), built from its modes.
+
+    modes(x) returns the triples (U_c, U_c', U_c'') and (U_s, U_s', U_s'').
+    They give the exact field and its t, x and xx derivatives, the initial
+    state U_c and, when walls is Dirichlet, the walls TwoModeWall(omega,
+    U_c, U_s) read at 0 and 2 pi; otherwise the walls are Neumann.  f_c
+    and f_s stay hand-written, so the chain-rule tests compare two
+    independent derivations.
     """
-    walls = []
-    for x in (0.0, TWO_PI):
-        c, s = float(exact(0.0, x)), 0.0
-        if omega:
-            quarter = 0.5 * math.pi / omega
-            s = float(exact(quarter, x)) - math.cos(omega * quarter) * c
-            s /= math.sin(omega * quarter)
-        walls.append(TwoModeWall(omega, c, s))
-    return Dirichlet(*walls)
 
+    def field(order):
+        def at(t, x):
+            cos_mode, sin_mode = modes(x)
+            return np.cos(omega * t) * cos_mode[order] + np.sin(omega * t) * sin_mode[order]
 
-def _build_s1(kind: ScalarKind, params: dict) -> SampleSolution:
-    kp = kind.kappa
-
-    def theta(x):
-        return np.cos(x) ** 2 + 1.0
-
-    def theta_dx(x):
-        return -np.sin(2.0 * x)
-
-    def exact(t, x):
-        return np.sin(x) ** 3 * np.sin(t) + np.sin(2.0 * x) * np.cos(t)
+        return at
 
     def exact_dt(t, x):
-        return np.sin(x) ** 3 * np.cos(t) - np.sin(2.0 * x) * np.sin(t)
+        (u_c, _, _), (u_s, _, _) = modes(x)
+        return omega * (np.cos(omega * t) * u_s - np.sin(omega * t) * u_c)
 
-    def exact_dx(t, x):
-        return 3.0 * np.sin(x) ** 2 * np.cos(x) * np.sin(t) + 2.0 * np.cos(
-            2.0 * x
-        ) * np.cos(t)
+    boundary = Neumann()
+    if walls is Dirichlet:
+        ends = (modes(0.0), modes(TWO_PI))
+        boundary = Dirichlet(*(TwoModeWall(omega, float(c[0]), float(s[0])) for c, s in ends))
+    problem = ProblemSpec(
+        theta=theta,
+        forcing=TwoModeForcing(omega, f_c, f_s),
+        initial=lambda x: modes(x)[0][0],
+        boundary=boundary,
+        kind=kind,
+    )
+    return SampleSolution(name, params, problem, field(0), exact_dt, field(1), field(2), theta_dx)
 
-    def exact_dxx(t, x):
-        return (6.0 * np.sin(x) * np.cos(x) ** 2 - 3.0 * np.sin(x) ** 3) * np.sin(
-            t
-        ) - 4.0 * np.sin(2.0 * x) * np.cos(t)
+
+def _build_s1(name: str, kind: ScalarKind, params: dict) -> SampleSolution:
+    kp = kind.kappa
+
+    def modes(x):
+        s, c, s2x = np.sin(x), np.cos(x), np.sin(2.0 * x)
+        cube = s**3
+        return (
+            (s2x, 2.0 * np.cos(2.0 * x), -4.0 * s2x),
+            (cube, 3.0 * s**2 * c, 6.0 * s * c**2 - 3.0 * cube),
+        )
 
     # (theta U_c')' = -2 sin 2x (4 cos^2 x + 1), (theta U_s')' = 3 sin x (5 cos^4 x - 1)
     def f_c(x):
@@ -207,55 +226,26 @@ def _build_s1(kind: ScalarKind, params: dict) -> SampleSolution:
     def f_s(x):
         return -np.sin(2.0 * x) - kp * 3.0 * np.sin(x) * (5.0 * np.cos(x) ** 4 - 1.0)
 
-    forcing = TwoModeForcing(1.0, f_c, f_s)
-
-    problem = ProblemSpec(
-        theta=theta,
-        forcing=forcing,
-        initial=lambda x: exact(0.0, x),
-        boundary=_dirichlet_from_exact(exact, 1.0),
-        kind=kind,
+    return _two_mode_sample(
+        name, params, kind, 1.0, _theta_cos2, _theta_cos2_dx, modes, f_c, f_s, Dirichlet
     )
-    return SampleSolution("s1", params, problem, exact, exact_dt, exact_dx, exact_dxx, theta_dx)
 
 
-def _build_s2(kind: ScalarKind, params: dict) -> SampleSolution:
+def _build_s2(name: str, kind: ScalarKind, params: dict) -> SampleSolution:
     k = int(params.get("k", 2))
     if k < 2:
         raise ValueError(f"power k must be at least 2, got {k}")
     params = {"k": k}
     kp = kind.kappa
 
-    def theta(x):
-        return np.cos(x) ** 2 + 1.0
-
-    def theta_dx(x):
-        return -np.sin(2.0 * x)
-
-    def exact(t, x):
-        return np.sin(t) * np.sin(x) ** k * np.exp(x)
-
-    def exact_dt(t, x):
-        return np.cos(t) * np.sin(x) ** k * np.exp(x)
-
-    def exact_dx(t, x):
-        return (
-            np.sin(t)
-            * np.exp(x)
-            * (np.sin(x) ** k + k * np.sin(x) ** (k - 1) * np.cos(x))
-        )
-
-    def exact_dxx(t, x):
-        s, c = np.sin(x), np.cos(x)
-        return (
-            np.sin(t)
-            * np.exp(x)
-            * (
-                s**k
-                + 2.0 * k * s ** (k - 1) * c
-                + k * (k - 1) * s ** (k - 2) * c**2
-                - k * s**k
-            )
+    # a float power costs several sin calls, so each power is taken once
+    def modes(x):
+        s, c, e = np.sin(x), np.cos(x), np.exp(x)
+        sk, dk, zero = s**k, k * s ** (k - 1) * c, 0.0 * x
+        return (zero, zero, zero), (
+            sk * e,
+            e * (sk + dk),
+            e * (sk + 2.0 * dk + k * (k - 1) * s ** (k - 2) * c**2 - k * sk),
         )
 
     def f_c(x):
@@ -267,19 +257,12 @@ def _build_s2(kind: ScalarKind, params: dict) -> SampleSolution:
         uxx = (1 - k) * s**k + 2.0 * k * s ** (k - 1) * c + k * (k - 1) * s ** (k - 2) * c**2
         return -kp * np.exp(x) * (-np.sin(2.0 * x) * ux + (c**2 + 1.0) * uxx)
 
-    forcing = TwoModeForcing(1.0, f_c, f_s)
-
-    problem = ProblemSpec(
-        theta=theta,
-        forcing=forcing,
-        initial=lambda x: exact(0.0, x),
-        boundary=_dirichlet_from_exact(exact, 1.0),
-        kind=kind,
+    return _two_mode_sample(
+        name, params, kind, 1.0, _theta_cos2, _theta_cos2_dx, modes, f_c, f_s, Dirichlet
     )
-    return SampleSolution("s2", params, problem, exact, exact_dt, exact_dx, exact_dxx, theta_dx)
 
 
-def _build_s3(kind: ScalarKind, params: dict) -> SampleSolution:
+def _build_s3(name: str, kind: ScalarKind, params: dict) -> SampleSolution:
     a = float(params.get("a", 1.0))
     b = float(params.get("b", 1.0))
     omega = float(params.get("omega", 1.0))
@@ -292,38 +275,15 @@ def _build_s3(kind: ScalarKind, params: dict) -> SampleSolution:
     def theta_dx(x):
         return a * np.exp(a * x)
 
-    def _ab(t, x):
-        return np.exp(b * (TWO_PI - x)) * np.cos(omega * t), np.exp(b * x) * np.sin(
-            omega * t
-        )
-
-    def exact(t, x):
-        pa, pb = _ab(t, x)
-        return np.sin(0.5 * x) * (pa + pb)
-
-    def exact_dt(t, x):
+    # U_c = sin(x/2) e^{b(2pi-x)} and U_s = sin(x/2) e^{bx}
+    def modes(x):
+        sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
+        e_c, e_s = np.exp(b * (TWO_PI - x)), np.exp(b * x)
         return (
-            np.sin(0.5 * x)
-            * omega
-            * (
-                -np.exp(b * (TWO_PI - x)) * np.sin(omega * t)
-                + np.exp(b * x) * np.cos(omega * t)
-            )
+            (sh * e_c, e_c * (0.5 * ch - b * sh), e_c * ((b * b - 0.25) * sh - b * ch)),
+            (sh * e_s, e_s * (0.5 * ch + b * sh), e_s * ((b * b - 0.25) * sh + b * ch)),
         )
 
-    def exact_dx(t, x):
-        pa, pb = _ab(t, x)
-        return 0.5 * np.cos(0.5 * x) * (pa + pb) + np.sin(0.5 * x) * b * (pb - pa)
-
-    def exact_dxx(t, x):
-        pa, pb = _ab(t, x)
-        return (
-            -0.25 * np.sin(0.5 * x) * (pa + pb)
-            + np.cos(0.5 * x) * b * (pb - pa)
-            + np.sin(0.5 * x) * b * b * (pa + pb)
-        )
-
-    # U_c = sin(x/2) e^{b(2pi-x)}, U_s = sin(x/2) e^{bx} and
     # (theta U')' = e^{ax} (a U' + U'') for each mode
     def f_c(x):
         sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
@@ -337,38 +297,15 @@ def _build_s3(kind: ScalarKind, params: dict) -> SampleSolution:
         flux = np.exp((a + b) * x) * ((b * b + a * b - 0.25) * sh + (0.5 * a + b) * ch)
         return -omega * sh * np.exp(b * (TWO_PI - x)) - kp * flux
 
-    forcing = TwoModeForcing(omega, f_c, f_s)
-
-    problem = ProblemSpec(
-        theta=theta,
-        forcing=forcing,
-        initial=lambda x: exact(0.0, x),
-        boundary=_dirichlet_from_exact(exact, omega),
-        kind=kind,
-    )
-    return SampleSolution("s3", params, problem, exact, exact_dt, exact_dx, exact_dxx, theta_dx)
+    return _two_mode_sample(name, params, kind, omega, theta, theta_dx, modes, f_c, f_s, Dirichlet)
 
 
-def _build_sn(kind: ScalarKind, params: dict) -> SampleSolution:
+def _build_sn(name: str, kind: ScalarKind, params: dict) -> SampleSolution:
     kp = kind.kappa
 
-    def theta(x):
-        return np.cos(x) ** 2 + 1.0
-
-    def theta_dx(x):
-        return -np.sin(2.0 * x)
-
-    def exact(t, x):
-        return np.cos(x) ** 2 * np.sin(t)
-
-    def exact_dt(t, x):
-        return np.cos(x) ** 2 * np.cos(t)
-
-    def exact_dx(t, x):
-        return -np.sin(2.0 * x) * np.sin(t)
-
-    def exact_dxx(t, x):
-        return -2.0 * np.cos(2.0 * x) * np.sin(t)
+    def modes(x):
+        zero = 0.0 * x
+        return (zero, zero, zero), (np.cos(x) ** 2, -np.sin(2.0 * x), -2.0 * np.cos(2.0 * x))
 
     # (theta U_s')' = sin^2 2x - 2 (cos^2 x + 1) cos 2x = 2 + 2 cos^2 x - 8 cos^4 x
     def f_c(x):
@@ -378,16 +315,9 @@ def _build_sn(kind: ScalarKind, params: dict) -> SampleSolution:
         c2 = np.cos(x) ** 2
         return 2.0 * kp * (4.0 * c2 * c2 - c2 - 1.0)
 
-    forcing = TwoModeForcing(1.0, f_c, f_s)
-
-    problem = ProblemSpec(
-        theta=theta,
-        forcing=forcing,
-        initial=lambda x: exact(0.0, x),
-        boundary=Neumann(),
-        kind=kind,
+    return _two_mode_sample(
+        name, params, kind, 1.0, _theta_cos2, _theta_cos2_dx, modes, f_c, f_s, Neumann
     )
-    return SampleSolution("sn", params, problem, exact, exact_dt, exact_dx, exact_dxx, theta_dx)
 
 
 _BUILDERS = {
@@ -410,10 +340,7 @@ def sample_solution(name: str, kind: ScalarKind | None = None, **params) -> Samp
     if key not in _BUILDERS:
         raise ValueError(f"unknown sample {name!r}; choose from {sorted(_BUILDERS)}")
     builder, default_kind = _BUILDERS[key]
-    sample = builder(kind or default_kind, dict(params))
-    if key == "snll":
-        sample = replace(sample, name="snll")
-    return sample
+    return builder(key, kind or default_kind, dict(params))
 
 
 def grid_for(

@@ -129,13 +129,11 @@ def fit_boundary_left(theta: Callable[[float], float], h: float) -> ExpFit:
     return _fit_one_sided(sample_theta(theta, _WALL_OFFSETS * h).tolist(), h)
 
 
-def fit_boundary_right(
-    theta: Callable[[float], float], h: float, length: float = TWO_PI
-) -> ExpFit:
-    """One-sided fit at the right wall x=length, looking inward.
+def fit_boundary_right(theta: Callable[[float], float], h: float) -> ExpFit:
+    """One-sided fit at the right wall x=2 pi, looking inward.
 
-    The left fit of theta_tilde(s) = theta(length - s), mirrored: the
+    The left fit of theta_tilde(s) = theta(2 pi - s), mirrored: the
     inward ratio is then r_minus and the outward extrapolated one is
     r_plus, keeping the orientation of the physical axis.
     """
-    return _fit_one_sided(sample_theta(theta, length - _WALL_OFFSETS * h).tolist(), h).mirrored()
+    return _fit_one_sided(sample_theta(theta, TWO_PI - _WALL_OFFSETS * h).tolist(), h).mirrored()

@@ -309,6 +309,17 @@ def test_exit_2_on_missing_config_file(capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize("flag,value", [("courant", "inf"), ("courant", "nan"),
+                                        ("t-final", "inf"), ("t-final", "nan")])
+def test_exit_2_on_non_finite_grid_input(capsys, flag, value):
+    rc, out, err = run_main(
+        capsys, ["convergence", "--solution", "s1", "--ns", "8,16", "--" + flag, value]
+    )
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_exit_3_on_numerical_failure(capsys):
     # theta = exp(300 x) overflows on the grid before any stepping
     rc, _, err = run_main(
@@ -430,6 +441,21 @@ def test_asymmetry_command(capsys):
     assert rc == 0
     assert out.splitlines()[0] == "N,h,tau,s_transition,s_forcing"
     assert "orders:" in err
+
+
+def test_asymmetry_rejects_an_imaginary_courant(capsys):
+    rc, out, err = run_main(capsys, ["asymmetry", "--ns", "10,20", "--courant", "i"])
+    assert rc == 2
+    assert out == ""
+    assert "the asymmetry study runs the real kind" in err
+
+
+@pytest.mark.parametrize("mode", [["--n", "16"], ["--ns", "8,16"]])
+def test_first_integral_rejects_a_real_courant(capsys, mode):
+    rc, out, err = run_main(capsys, ["first-integral", *mode, "--courant", "1"])
+    assert rc == 2
+    assert out == ""
+    assert "the conservation demo runs the complex kind" in err
 
 
 def test_derive_row_check_passes(capsys):

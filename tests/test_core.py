@@ -73,6 +73,12 @@ def test_make_grid_validation():
         make_grid(10, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         make_grid(10, 0.0, 1.0, 1.0)
+    for courant in (math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(10, courant, 1.0, 1.0)
+    for t_final in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(10, 1.0, t_final, 1.0)
 
 
 def test_theta_grid_max():
@@ -186,6 +192,31 @@ def test_run_evaluates_sample_forcings_in_blocks(name, params):
         run(dataclasses.replace(sample.problem, forcing=spy), grid, Compact())
         assert len(time_dims) == math.ceil(grid.n_steps / _FORCING_CHUNK) + 1
         assert time_dims.count(0) == 1
+
+
+def central_difference(f, x, h, order):
+    """Fourth-order central difference of f at x: first or second derivative."""
+    f2, f1, f0, g1, g2 = (f(x + k * h) for k in (-2, -1, 0, 1, 2))
+    if order == 1:
+        return (f2 - 8.0 * f1 + 8.0 * g1 - g2) / (12.0 * h)
+    return (-f2 + 16.0 * f1 - 30.0 * f0 + 16.0 * g1 - g2) / (12.0 * h * h)
+
+
+@pytest.mark.parametrize("name,params", ALL_SAMPLES)
+def test_stored_derivatives_match_the_field(name, params):
+    """exact_dt, exact_dx and exact_dxx against finite differences of exact."""
+    h = 1e-3
+    x = rng.uniform(0.0, TWO_PI, size=24)
+    for sample in both_kinds(name, params):
+        for t in (0.0, 0.37, 1.0):
+            checks = (
+                (sample.exact_dt(t, x), central_difference(lambda s: sample.exact(s, x), t, h, 1)),
+                (sample.exact_dx(t, x), central_difference(lambda s: sample.exact(t, s), x, h, 1)),
+                (sample.exact_dxx(t, x), central_difference(lambda s: sample.exact(t, s), x, h, 2)),
+            )
+            for stored, approx in checks:
+                scale = max(1.0, np.abs(stored).max())
+                assert np.abs(stored - approx).max() <= 1e-8 * scale
 
 
 def test_initial_state_matches_exact():
