@@ -62,13 +62,16 @@ def make_grid(n: int, courant: complex, t_final: float, theta_max: float) -> Gri
 
     The requested ratio |courant| = theta_max * tau / h^2 fixes a raw
     time step; the actual tau is that raw value shrunk so that an
-    integer number of steps lands exactly on t_final.
+    integer number of steps lands exactly on t_final.  Neither part of
+    courant may be negative.
     """
     if not isinstance(n, (int, np.integer)) or n < 4:
         raise ValueError(f"need at least 4 intervals, got {n!r}")
     mag = abs(courant)
     if not (math.isfinite(mag) and mag > 0.0):
         raise ValueError(f"courant number must be nonzero and finite, got {courant}")
+    if min(complex(courant).real, complex(courant).imag) < 0.0:
+        raise ValueError(f"courant number must not have a negative part, got {courant}")
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if theta_max <= 0.0:

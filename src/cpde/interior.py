@@ -9,10 +9,14 @@ Each interior grid node j carries one six-point stencil equation
 
 whose twelve coefficients are polynomials in h built from the local fit
 (c1..c4), the grid ratio nu_j = theta_j*tau/h^2 (times i for the complex
-kind), and the neighbour ratios r_- and r_+.  assemble_row evaluates the
-tabulated coefficient stacks directly; derive_row_oracle re-derives the
-same row from scratch as the null space of a test-function system, so
-the two construction routes can be checked against each other.
+kind), and the neighbour ratios r_- and r_+.  Three of the twelve are
+tabulated; the scheme's own identities (the layers differ by four times
+the forcing side, the right side mirrors the left, constants solve the
+row) give the other nine (see coefficient_stacks).  assemble_row
+evaluates the stacks; derive_row_oracle re-derives the same row from
+scratch as the null space of a test-function system, which knows none
+of those identities, so the two construction routes can be checked
+against each other.
 
 The stacks are elementwise arithmetic, so assemble_row takes the fit of
 one node or the fit of a whole node array (fit_interior on an array of
@@ -79,89 +83,40 @@ class CompactRow:
 
 
 def coefficient_stacks(fit: ExpFit, nu: complex) -> dict[str, list]:
-    """The twelve tabulated coefficient stacks, one list of h-power terms each.
+    """The twelve coefficient stacks, one list of h-power terms each.
 
     Entry k of a stack multiplies h^k.  Stacks do not depend on h; the
     caller evaluates them at a concrete step (see assemble_row).  The
     forcing-side stacks are shared between the layers.
+
+    Three tables are written out: K, the left neighbour's solution weight
+    per unit nu averaged over the layers; Q, the left forcing weight over
+    r_-; and P, the centre forcing weight.  The other nine stacks follow,
+    power by power, from the scheme's identities:
+
+      * layers: b_l0/b_l1 = nu K -+ 2 r_- Q and q_l0 = q_l1 = r_- Q, so the
+        new layer exceeds the old by four times the forcing side;
+      * mirror: the right side is the left one at -h with r_+ for r_-,
+        i.e. power k times (-1)^k;
+      * constants: a_0/a_1 = -nu (K_l + K_r) -+ 2P and p_0 = p_1 = P, so
+        the solution side sums to zero.
     """
     c1, c2, c3, c4 = fit.c1, fit.c2, fit.c3, fit.c4
-    rm, rp = fit.r_minus, fit.r_plus
-    zero = 0.0 * nu  # keeps dtype uniform for complex nu
-
-    a0 = [
-        144 * nu - 120,
-        zero,
-        8 * c1**2 - 128 * c2 + 192 * c2 * nu,
-        zero,
-        48 * c1 * c3 - 256 * c4 + 384 * c4 * nu + 64 * c2**2 * nu - 32 * c2**2 - 48 * c1 * c3 * nu,
-        zero,
-        72 * c3**2 - 144 * c3**2 * nu - 128 * c2 * c4 + 256 * c2 * c4 * nu,
-        zero,
-        256 * c4**2 * nu - 128 * c4**2,
-        zero,
+    K = [
+        -72.0,
+        36 * c1,
+        -96 * c2,
+        18 * c3 - 3 * c1**3 + 42 * c1 * c2,
+        -32 * c2**2 - 192 * c4 + 24 * c1 * c3,
+        84 * c1 * c4 + 12 * c1 * c2**2 - 18 * c1**2 * c3,
+        72 * c3**2 - 128 * c2 * c4,
+        -27 * c1 * c3**2 + 48 * c1 * c2 * c4,
+        -128 * c4**2,
+        48 * c1 * c4**2,
     ]
-    bl0 = [
-        -72 * nu - 12 * rm,
-        36 * c1 * nu + 6 * c1 * rm,
-        2 * rm * c1**2 - 96 * c2 * nu - 8 * c2 * rm,
-        18 * c3 * nu - 12 * c3 * rm - 3 * c1**3 * nu + 42 * c1 * c2 * nu + 4 * c1 * c2 * rm,
-        -32 * nu * c2**2 - 192 * c4 * nu - 16 * c4 * rm + 24 * c1 * c3 * nu + 6 * c1 * c3 * rm,
-        84 * c1 * c4 * nu + 8 * c1 * c4 * rm + 12 * c1 * c2**2 * nu - 18 * c1**2 * c3 * nu,
-        72 * nu * c3**2 - 128 * c2 * c4 * nu,
-        -27 * c1 * nu * c3**2 + 48 * c1 * c2 * c4 * nu,
-        -128 * c4**2 * nu,
-        48 * c1 * c4**2 * nu,
-    ]
-    br0 = [
-        -72 * nu - 12 * rp,
-        -36 * c1 * nu - 6 * c1 * rp,
-        2 * rp * c1**2 - 96 * c2 * nu - 8 * c2 * rp,
-        12 * c3 * rp - 18 * c3 * nu + 3 * c1**3 * nu - 42 * c1 * c2 * nu - 4 * c1 * c2 * rp,
-        -32 * nu * c2**2 - 192 * c4 * nu - 16 * c4 * rp + 24 * c1 * c3 * nu + 6 * c1 * c3 * rp,
-        18 * c1**2 * c3 * nu - 8 * c1 * c4 * rp - 12 * c1 * c2**2 * nu - 84 * c1 * c4 * nu,
-        72 * c3**2 * nu - 128 * c2 * c4 * nu,
-        27 * c1 * c3**2 * nu - 48 * c1 * c2 * c4 * nu,
-        -128 * c4**2 * nu,
-        -48 * c1 * c4**2 * nu,
-    ]
-    a1 = [
-        144 * nu + 120,
-        zero,
-        -8 * c1**2 + 128 * c2 + 192 * c2 * nu,
-        zero,
-        256 * c4 - 48 * c1 * c3 + 384 * c4 * nu + 64 * c2**2 * nu + 32 * c2**2 - 48 * c1 * c3 * nu,
-        zero,
-        128 * c2 * c4 - 144 * c3**2 * nu - 72 * c3**2 + 256 * c2 * c4 * nu,
-        zero,
-        256 * c4**2 * nu + 128 * c4**2,
-        zero,
-    ]
-    bl1 = [
-        12 * rm - 72 * nu,
-        36 * c1 * nu - 6 * c1 * rm,
-        -2 * rm * c1**2 - 96 * c2 * nu + 8 * c2 * rm,
-        18 * c3 * nu + 12 * c3 * rm - 3 * c1**3 * nu + 42 * c1 * c2 * nu - 4 * c1 * c2 * rm,
-        -32 * nu * c2**2 - 192 * c4 * nu + 16 * c4 * rm + 24 * c1 * c3 * nu - 6 * c1 * c3 * rm,
-        84 * c1 * c4 * nu - 8 * c1 * c4 * rm + 12 * c1 * c2**2 * nu - 18 * c1**2 * c3 * nu,
-        72 * nu * c3**2 - 128 * c2 * c4 * nu,
-        -27 * c1 * nu * c3**2 + 48 * c1 * c2 * c4 * nu,
-        -128 * c4**2 * nu,
-        48 * c1 * c4**2 * nu,
-    ]
-    br1 = [
-        -72 * nu + 12 * rp,
-        6 * c1 * rp - 36 * c1 * nu,
-        -2 * rp * c1**2 - 96 * c2 * nu + 8 * c2 * rp,
-        3 * c1**3 * nu - 12 * c3 * rp - 18 * c3 * nu - 42 * c1 * c2 * nu + 4 * c1 * c2 * rp,
-        -32 * nu * c2**2 - 192 * c4 * nu + 16 * c4 * rp + 24 * c1 * c3 * nu - 6 * c1 * c3 * rp,
-        8 * c1 * c4 * rp - 84 * c1 * c4 * nu - 12 * c1 * c2**2 * nu + 18 * c1**2 * c3 * nu,
-        72 * c3**2 * nu - 128 * c2 * c4 * nu,
-        27 * c1 * c3**2 * nu - 48 * c1 * c2 * c4 * nu,
-        -128 * c4**2 * nu,
-        -48 * c1 * c4**2 * nu,
-    ]
-    p = [
+    Q = [6.0, -3 * c1, 4 * c2 - c1**2, 6 * c3 - 2 * c1 * c2, 8 * c4 - 3 * c1 * c3, -4 * c1 * c4,
+         0.0, 0.0, 0.0, 0.0]
+    P = [
         60.0,
         0.0,
         4 * (-(c1**2) + 16 * c2),
@@ -173,44 +128,19 @@ def coefficient_stacks(fit: ExpFit, nu: complex) -> dict[str, list]:
         64 * c4**2,
         0.0,
     ]
-    ql = [
-        6 * rm,
-        -3 * c1 * rm,
-        rm * (4 * c2 - c1**2),
-        rm * (6 * c3 - 2 * c1 * c2),
-        rm * (8 * c4 - 3 * c1 * c3),
-        -4 * c1 * c4 * rm,
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-    ]
-    qr = [
-        6 * rp,
-        3 * c1 * rp,
-        rp * (4 * c2 - c1**2),
-        -rp * (6 * c3 - 2 * c1 * c2),
-        rp * (8 * c4 - 3 * c1 * c3),
-        4 * c1 * c4 * rp,
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-    ]
-    return {
-        "b_l0": bl0,
-        "a_0": a0,
-        "b_r0": br0,
-        "b_l1": bl1,
-        "a_1": a1,
-        "b_r1": br1,
-        "q_l0": ql,
-        "p_0": p,
-        "q_r0": qr,
-        "q_l1": ql,
-        "p_1": p,
-        "q_r1": qr,
-    }
+    sol_l = [nu * k for k in K]
+    sol_r = [(-1) ** i * w for i, w in enumerate(sol_l)]
+    ql = [fit.r_minus * q for q in Q]
+    qr = [(-1) ** i * fit.r_plus * q for i, q in enumerate(Q)]
+    centre = [-(wl + wr) for wl, wr in zip(sol_l, sol_r)]
+
+    def layers(sol, frc):
+        return [w - 2 * f for w, f in zip(sol, frc)], [w + 2 * f for w, f in zip(sol, frc)]
+
+    bl0, bl1 = layers(sol_l, ql)
+    br0, br1 = layers(sol_r, qr)
+    a0, a1 = layers(centre, P)
+    return dict(zip(FIELD_NAMES, (bl0, a0, br0, bl1, a1, br1, ql, P, qr, ql, P, qr)))
 
 
 def _check_cut(cut: int) -> int:
@@ -261,9 +191,6 @@ def derive_row_oracle(fit: ExpFit, nu: complex, h: float, tau: float) -> Compact
     eg = (1.0, 1.0 / fit.r_minus, 1.0 / fit.r_plus)
     ss = (0.0, tau)
 
-    def gprime(y: float) -> float:
-        return fit.c1 + 2.0 * fit.c2 * y + 3.0 * fit.c3 * y**2 + 4.0 * fit.c4 * y**3
-
     def u_star(k1: int, k2: int, s: float, y: float):
         return (y**k1 if k1 else 1.0) * (s**k2 if k2 else 1.0)
 
@@ -272,7 +199,7 @@ def derive_row_oracle(fit: ExpFit, nu: complex, h: float, tau: float) -> Compact
         ut = k2 * (y**k1 if k1 else 1.0) * (s ** (k2 - 1) if k2 > 1 else 1.0) if k2 else 0.0
         space = 0.0
         if k1 > 0:
-            space += k1 * gprime(y) * (y ** (k1 - 1) if k1 > 1 else 1.0)
+            space += k1 * fit.dg(y) * (y ** (k1 - 1) if k1 > 1 else 1.0)
         if k1 > 1:
             space += k1 * (k1 - 1) * (y ** (k1 - 2) if k1 > 2 else 1.0)
         return ut - theta_eff * egy * space * (s**k2 if k2 else 1.0)

@@ -10,10 +10,13 @@ scaled units the closed forms are usually quoted in; the literal forcing
 weight is beta/nu0 (the betas carry an extra factor of nu0 relative to
 the alphas).  Four variants exist:
 
-  * CompactThreePoint: the fourth-order compact closure (closed forms).
+  * CompactThreePoint: the fourth-order compact closure (closed forms in
+    h*g'(h) and exp(-g(h)) of the wall fit, whose layers differ by four
+    times the forcing side).
   * ReducedTwoPoint: a two-node closure from a reduced test basis
     (drops overall order to about 3).
-  * MainTerms: the h -> 0 limits of the compact closed forms (about 3).
+  * MainTerms: the same closed forms at h*g'(h) = 0, exp(-g(h)) = 1,
+    i.e. their h -> 0 limit (about 3).
   * ClassicNeumann(epsilon): the first-difference closure
     eps*(u1-u0)|new + (1-eps)*(u1-u0)|old = 0 (drops order to about 1).
 
@@ -103,40 +106,17 @@ BOUNDARY_BASIS = (
 REDUCED_BASIS = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2), (3, 0))
 
 
-def _compact_left_closed(fit: ExpFit, nu0: complex, h: float, tau: float) -> BoundaryRow:
-    # h*g'(h) and exp(-g(h)) of the boundary fit
-    hgp = fit.c1 * h + 2.0 * fit.c2 * h**2 + 3.0 * fit.c3 * h**3 + 4.0 * fit.c4 * h**4
-    e = fit.r_plus
-    alpha1 = np.array(
-        [
-            6.0 * nu0 + 4.0 * hgp + 17.0 * nu0 * hgp + 8.0,
-            16.0 * e - 16.0 * nu0 * hgp,
-            -nu0 * (hgp + 6.0),
-        ]
-    )
-    alpha0 = np.array(
-        [
-            6.0 * nu0 - 4.0 * hgp + 17.0 * nu0 * hgp - 8.0,
-            -16.0 * nu0 * hgp - 16.0 * e,
-            -nu0 * (hgp + 6.0),
-        ]
-    )
-    beta = np.array(
-        [
-            2.0 * tau * nu0 * (hgp + 2.0),
-            8.0 * tau * nu0 * e,
-            0.0 * nu0,
-        ]
-    )
-    return BoundaryRow(alpha1, alpha0, beta, beta.copy(), nu0, tau)
+def _compact_left(nu0: complex, tau: float, hgp=0.0, e=1.0) -> BoundaryRow:
+    """Compact left wall from hgp = h*g'(h) and e = exp(-g(h)) of the wall fit.
 
-
-def _main_terms_row(nu0: complex, tau: float) -> BoundaryRow:
-    # constant-coefficient limits of the closed forms (h -> 0)
-    alpha1 = np.array([6.0 * nu0 + 8.0, 16.0 + 0.0 * nu0, -6.0 * nu0])
-    alpha0 = np.array([6.0 * nu0 - 8.0, -16.0 + 0.0 * nu0, -6.0 * nu0])
-    beta = np.array([4.0 * tau * nu0, 8.0 * tau * nu0, 0.0 * nu0])
-    return BoundaryRow(alpha1, alpha0, beta, beta.copy(), nu0, tau)
+    alpha_new/alpha_old = nu0*k +- 2b and beta = nu0*tau*b, so the layers
+    differ by four times the forcing side, as in the interior.  The
+    defaults hgp = 0, e = 1 (the h -> 0 limit) give the MainTerms row.
+    """
+    k = np.array([6.0 + 17.0 * hgp, -16.0 * hgp, -(hgp + 6.0)])
+    b = np.array([2.0 * (hgp + 2.0), 8.0 * e, 0.0])
+    beta = nu0 * tau * b
+    return BoundaryRow(nu0 * k + 2.0 * b, nu0 * k - 2.0 * b, beta, beta.copy(), nu0, tau)
 
 
 def _classic_row(nu0: complex, tau: float, epsilon: float) -> BoundaryRow:
@@ -171,12 +151,6 @@ def boundary_oracle(
     xs = [k * h for k in range(points)]
     f_nodes = 2  # beta_2 = 0 structurally in the 3-point variant
 
-    def g(x: float) -> float:
-        return fit.g(x)
-
-    def gprime(x: float) -> float:
-        return fit.c1 + 2.0 * fit.c2 * x + 3.0 * fit.c3 * x**2 + 4.0 * fit.c4 * x**3
-
     def u_star(k1: int, k2: int, t: float, x: float):
         return (x**k1 if k1 else 1.0) * (t**k2 if k2 else 1.0)
 
@@ -186,10 +160,10 @@ def boundary_oracle(
             ut = k2 * (x**k1 if k1 else 1.0) * (t ** (k2 - 1) if k2 > 1 else 1.0)
         space = 0.0
         if k1 > 0:
-            space += k1 * gprime(x) * (x ** (k1 - 1) if k1 > 1 else 1.0)
+            space += k1 * fit.dg(x) * (x ** (k1 - 1) if k1 > 1 else 1.0)
         if k1 > 1:
             space += k1 * (k1 - 1) * (x ** (k1 - 2) if k1 > 2 else 1.0)
-        return ut - theta_eff * math.exp(g(x)) * space * (t**k2 if k2 else 1.0)
+        return ut - theta_eff * math.exp(fit.g(x)) * space * (t**k2 if k2 else 1.0)
 
     ts = (tau, 0.0)  # new layer first, matching the unknown layout
     rows = []
@@ -234,11 +208,11 @@ def build_left_row(
 ) -> BoundaryRow:
     """Left-wall row for the requested variant (fit from fit_boundary_left)."""
     if isinstance(variant, CompactThreePoint):
-        return _compact_left_closed(fit, nu0, h, tau)
+        return _compact_left(nu0, tau, h * fit.dg(h), fit.r_plus)
     if isinstance(variant, ReducedTwoPoint):
         return boundary_oracle(fit, nu0, h, tau, basis=REDUCED_BASIS, points=2)
     if isinstance(variant, MainTerms):
-        return _main_terms_row(nu0, tau)
+        return _compact_left(nu0, tau)
     if isinstance(variant, ClassicNeumann):
         return _classic_row(nu0, tau, variant.epsilon)
     raise TypeError(f"unknown Neumann variant {variant!r}")

@@ -52,6 +52,10 @@ class ExpFit:
         """The fitted exponent c1*y + c2*y^2 + c3*y^3 + c4*y^4."""
         return y * (self.c1 + y * (self.c2 + y * (self.c3 + y * self.c4)))
 
+    def dg(self, y: float) -> float:
+        """Its derivative g'(y)."""
+        return self.c1 + 2.0 * self.c2 * y + 3.0 * self.c3 * y**2 + 4.0 * self.c4 * y**3
+
     def mirrored(self) -> "ExpFit":
         """The same local model seen through y -> -y."""
         return ExpFit(-self.c1, self.c2, -self.c3, self.c4, self.theta_center,

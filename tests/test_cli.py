@@ -320,6 +320,18 @@ def test_exit_2_on_non_finite_grid_input(capsys, flag, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--solution", "s1", "--ns", "10,20", "--courant=-1"],
+    ["convergence", "--solution", "s1", "--ns", "10,20", "--courant=-1i"],
+    ["spectrum", "--solution", "s1", "--n", "12", "--courant=-5"],
+])
+def test_exit_2_on_negative_courant(capsys, argv):
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "negative" in err
+
+
 def test_exit_3_on_numerical_failure(capsys):
     # theta = exp(300 x) overflows on the grid before any stepping
     rc, _, err = run_main(

@@ -79,6 +79,9 @@ def test_make_grid_validation():
     for t_final in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             make_grid(10, 1.0, t_final, 1.0)
+    for courant in (-1.0, -1j, complex(-1.0, 1.0), complex(1.0, -1.0)):
+        with pytest.raises(ValueError, match="negative"):
+            make_grid(10, courant, 1.0, 1.0)
 
 
 def test_theta_grid_max():

@@ -173,6 +173,30 @@ def test_oracle_proportional_to_closed_form():
         assert lam == pytest.approx(60.0 / closed.p_0, rel=1e-7)
 
 
+def test_oracle_rows_obey_the_scheme_identities():
+    """The identities coefficient_stacks builds its stacks from, checked
+    on rows derived without them: the layers differ by four times the
+    forcing side, mirroring the fit swaps left and right, and constants
+    solve the homogeneous row."""
+    mirror = {"b_l0": "b_r0", "b_l1": "b_r1", "q_l0": "q_r0", "q_l1": "q_r1"}
+    mirror.update({v: k for k, v in mirror.items()})
+    for _ in range(10):
+        fit, h = random_fit()
+        tau = rng.uniform(0.01, 0.5)
+        for nu in (rng.uniform(0.1, 5.0), 1j * rng.uniform(0.1, 5.0)):
+            row = derive_row_oracle(fit, nu, h, tau)
+            tol = 1e-8 * np.abs(row.as_array()).max()
+            for new, old, frc in (("b_l1", "b_l0", "q_l0"), ("a_1", "a_0", "p_0"),
+                                  ("b_r1", "b_r0", "q_r0")):
+                assert abs(getattr(row, new) - getattr(row, old) - 4 * getattr(row, frc)) < tol
+            for f0, f1 in (("q_l0", "q_l1"), ("p_0", "p_1"), ("q_r0", "q_r1")):
+                assert abs(getattr(row, f0) - getattr(row, f1)) < tol
+            assert abs(row.solution_side_sum) < tol
+            flipped = derive_row_oracle(fit.mirrored(), nu, h, tau)
+            for name in FIELD_NAMES:
+                assert abs(getattr(flipped, name) - getattr(row, mirror.get(name, name))) < tol
+
+
 def test_oracle_tau_invariance():
     # tau enters the oracle system but cancels in the normalized row
     fit, h = random_fit()

@@ -135,6 +135,19 @@ def test_left_closed_form_matches_oracle_imaginary_nu():
             assert np.abs(a - b).max() < 1e-8 * max(np.abs(a).max(), 1.0)
 
 
+def test_oracle_wall_layers_differ_by_four_times_the_forcing_side():
+    # the identity the compact wall row is built from, on a derived row
+    for _ in range(10):
+        theta, fit, h = random_wall_fit()
+        tau = rng.uniform(0.01, 0.5)
+        for nu0 in (rng.uniform(0.2, 4.0), 1j * rng.uniform(0.2, 4.0)):
+            row = boundary_oracle(fit, nu0, h, tau)
+            tol = 1e-8 * np.abs(row.alpha_new).max()
+            assert np.abs(row.beta_new - row.beta_old).max() < tol * abs(nu0 * tau)
+            gap = row.alpha_new - row.alpha_old - 4 * row.beta_new / (nu0 * tau)
+            assert np.abs(gap).max() < tol
+
+
 def test_right_row_solves_mirrored_system():
     """The right wall is the left wall of the reflected problem."""
     for _ in range(20):
