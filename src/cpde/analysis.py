@@ -526,7 +526,7 @@ def first_integral_series(
     out = [(0, 0.0, first_integral(u, grid.h, quadrature))]
     for k in range(grid.n_steps):
         t1 = (k + 1) * grid.tau
-        u = _step(mats, u, zeros, zeros, t1)
+        u = _step(mats, u, zeros, zeros, bc_vals=(0.0, 0.0))
         out.append((k + 1, t1, first_integral(u, grid.h, quadrature)))
     return out
 

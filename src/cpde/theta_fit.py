@@ -9,8 +9,10 @@ at a handful of nearby nodes.  The boundary rows use a one-sided variant
 sampled at half-step offsets into the domain.  All theta values come
 from ``sample_theta``, once per abscissa and once per assembly: the
 interior fit takes a node or an array of nodes and returns an ExpFit of
-matching shape.  The coefficient must stay finite and strictly positive
-at every sampled point or the logs are meaningless; violations raise
+matching shape.  Each fit also takes theta's samples at its points
+(``interior_points``, ``wall_points``) when the caller has them.  The
+coefficient must stay finite and strictly positive at every sampled
+point or the logs are meaningless; violations raise
 CoefficientDomainError with the offending abscissa.
 """
 
@@ -88,17 +90,30 @@ _INTERIOR_OFFSETS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 _WALL_OFFSETS = np.arange(5) * 0.5
 
 
-def fit_interior(theta: Callable[[float], float], x_j, h: float) -> ExpFit:
+def interior_points(x_j, h: float) -> np.ndarray:
+    """The abscissae x_j + (-h, -h/2, 0, h/2, h) of an interior fit, on a
+    new last axis."""
+    return np.asarray(x_j, dtype=float)[..., None] + _INTERIOR_OFFSETS * h
+
+
+def wall_points(h: float) -> np.ndarray:
+    """The abscissae of the left (row 0) and right (row 1) wall fits."""
+    return np.stack((_WALL_OFFSETS * h, TWO_PI - _WALL_OFFSETS * h))
+
+
+def fit_interior(theta: Callable[[float], float], x_j, h: float, samples=None) -> ExpFit:
     """Fit the log-quartic model at an interior node x_j, or at each node
     of an array x_j.
 
     Matches the model to log(theta(x_j + y)/theta(x_j)) at the four
     offsets y = -h, -h/2, h/2, h.  The 4x4 Vandermonde-type system has a
     closed-form solution, used here directly.  The samples at x_j -+ h
-    also give the neighbour ratios.
+    also give the neighbour ratios.  ``samples``, theta at
+    ``interior_points(x_j, h)``, stands in for sampling theta.
     """
-    x = np.asarray(x_j, dtype=float)
-    t = np.moveaxis(sample_theta(theta, x[..., None] + _INTERIOR_OFFSETS * h), -1, 0)
+    if samples is None:
+        samples = sample_theta(theta, interior_points(x_j, h))
+    t = np.moveaxis(samples, -1, 0)
     t0 = t[2]
     mm, lm, _, lp, mp = np.log(t / t0)
     c1 = -(8.0 * lm - 8.0 * lp - mm + mp) / (6.0 * h)
@@ -123,21 +138,27 @@ def _fit_one_sided(t: list, h: float) -> ExpFit:
     return ExpFit(c1, c2, c3, c4, t[0], math.exp(-fit.g(-h)), math.exp(-fit.g(h)))
 
 
-def fit_boundary_left(theta: Callable[[float], float], h: float) -> ExpFit:
-    """One-sided fit at the left wall x=0, sampling x = h/2, h, 3h/2, 2h.
+def fit_boundary_left(theta: Callable[[float], float], h: float, samples=None) -> ExpFit:
+    """One-sided fit at the left wall x=0, sampling x = 0, h/2, h, 3h/2, 2h
+    (row 0 of ``wall_points``; ``samples`` stands in for sampling theta).
 
     Both neighbour ratios come from the fitted model: r_plus =
     exp(-g(h)) reproduces theta(0)/theta(h) to fit accuracy, and
     r_minus = exp(-g(-h)) extrapolates across the wall.
     """
-    return _fit_one_sided(sample_theta(theta, _WALL_OFFSETS * h).tolist(), h)
+    if samples is None:
+        samples = sample_theta(theta, wall_points(h)[0])
+    return _fit_one_sided(samples.tolist(), h)
 
 
-def fit_boundary_right(theta: Callable[[float], float], h: float) -> ExpFit:
-    """One-sided fit at the right wall x=2 pi, looking inward.
+def fit_boundary_right(theta: Callable[[float], float], h: float, samples=None) -> ExpFit:
+    """One-sided fit at the right wall x=2 pi, looking inward (row 1 of
+    ``wall_points``; ``samples`` stands in for sampling theta).
 
     The left fit of theta_tilde(s) = theta(2 pi - s), mirrored: the
     inward ratio is then r_minus and the outward extrapolated one is
     r_plus, keeping the orientation of the physical axis.
     """
-    return _fit_one_sided(sample_theta(theta, TWO_PI - _WALL_OFFSETS * h).tolist(), h).mirrored()
+    if samples is None:
+        samples = sample_theta(theta, wall_points(h)[1])
+    return _fit_one_sided(samples.tolist(), h).mirrored()

@@ -11,6 +11,8 @@ for every boundary treatment that has a nodal matrix representation.
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -485,7 +487,7 @@ def test_closed_form_stays_accurate_at_resonance():
     s = sample_solution("snll")
     grid = with_steps(grid_for(s, 16, 1j, 1.0), 2000)
     none = np.zeros((0, grid.n + 1), complex)
-    lam = steppers._eigen_maps(assemble_compact(s.problem, grid), complex, none, none, None)[0]
+    lam = steppers._eigen_maps(assemble_compact(s.problem, grid), none, none, None)[0]
     j = np.argmin(np.abs(np.angle(lam) - 1.0))
     omega = (np.angle(lam[j]) + 1e-12) / grid.tau
     assert abs(np.exp(1j * omega * grid.tau) - lam[j]) < 2e-12
@@ -783,15 +785,15 @@ def test_step_hands_single_states_the_factor_and_stacks_the_sweep(solve_calls):
     grid = grid_for(s, 200, 100.0, 1.0)
     mats = assemble_compact(s.problem, grid)
     dense_operators(mats)
-    assert mats._factored is None  # matrix-only use builds no factor
+    assert mats._built.factored is None  # matrix-only use builds no factor
     u = np.asarray(s.problem.initial(grid.x))
     f = np.zeros_like(u)
     step(mats, u, f, f, t_new=grid.tau)
-    factor = mats._factored
+    factor = mats._built.factored
     step(mats, u, f, f, t_new=grid.tau)
     _step(mats, np.stack((u, 2.0 * u)), f, f, t_new=grid.tau)
     assert solve_calls == [TridiagLU, TridiagLU, Tridiag]
-    assert mats._factored is factor  # built once
+    assert mats._built.factored is factor  # built once
 
 
 @pytest.mark.parametrize("n,solver", [(20, Tridiag), (200, TridiagLU)])
@@ -861,3 +863,248 @@ def test_classic_assembly_rejects_a_bad_half_node_value(bad):
     problem = dataclasses.replace(sample_solution("s1").problem, theta=theta)
     with pytest.raises(CoefficientDomainError, match=f"x={x_bad}"):
         assemble_classic(problem, grid)
+
+
+# ---------------------------------------------------------------------------
+# operator reuse
+
+
+@pytest.mark.parametrize("label,problem,assemble", CASES, ids=[c[0] for c in CASES])
+def test_assembled_bands_are_read_only(label, problem, assemble):
+    mats = assemble(problem, make_grid(12, 1.0, 1.0, 2.0))
+    tridiags = [t for t in (mats.a_new, mats.a_old, mats.b_new, mats.b_old, mats._b4,
+                            mats._solver) if t is not None]
+    assert len(tridiags) == (6 if mats.classic_rhs is None else 5)
+    for t in tridiags:
+        for band in (t.lower, t.diag, t.upper):
+            with pytest.raises(ValueError, match="read-only"):
+                band[0] = 1.0
+
+
+NEUMANN_CLOSURES = {
+    "3pt": CompactThreePoint(),
+    "reduced": ReducedTwoPoint(),
+    "main": MainTerms(),
+    "classic": ClassicNeumann(0.5),
+}
+CLASSIC_RHS = {f"classic-{v.value}": Classic(rhs=v) for v in ClassicRhsVariant}
+REUSE_CASES = [
+    pytest.param(name, params, kind, scheme, id=f"{name}-{kind.value}-{label}")
+    for name, params in (("s1", {}), ("s2", {"k": 3}), ("s3", {"a": 2.0}))
+    for kind in ScalarKind
+    for label, scheme in {"compact": Compact(), "compact-cut5": Compact(cut=5),
+                          **CLASSIC_RHS}.items()
+] + [
+    pytest.param(name, {}, None, scheme, id=f"{name}-{label}")
+    for name in ("sn", "snll")
+    for label, scheme in {
+        **{f"compact-{c}": Compact(neumann=v) for c, v in NEUMANN_CLOSURES.items()},
+        **{f"compact-cut5-{c}": Compact(cut=5, neumann=v) for c, v in NEUMANN_CLOSURES.items()},
+        **CLASSIC_RHS,
+    }.items()
+]
+
+
+@pytest.mark.parametrize("name,params,kind,scheme", REUSE_CASES)
+def test_a_reused_operator_gives_bitwise_the_cold_result(name, params, kind, scheme):
+    """Each engine on an operator that other runs built pieces of, against
+    the same engine on a freshly assembled one."""
+    s = sample_solution(name, kind=kind, **params)
+    grid = with_steps(grid_for(s, 16, 1.0, 1.0), 300)
+    problems = {_march_closed: s.problem, _march_affine: opaque(s.problem),
+                _march_stepwise: s.problem}
+    cold = {}
+    for march, problem in problems.items():
+        steppers._last_operator.clear()
+        cold[march] = march_with(march, problem, grid, scheme)
+    steppers._last_operator.clear()
+    built = assemble(s.problem, grid, scheme)._built
+    # the closed form builds P's eigenbasis, the modal march then adds its
+    # unit responses, and the second round reuses both
+    for march in (_march_closed, _march_affine, _march_stepwise, _march_closed, _march_affine):
+        got = march_with(march, problems[march], grid, scheme)
+        assert np.array_equal(got, cold[march]), march.__name__
+    assert assemble(s.problem, grid, scheme)._built is built
+
+
+def test_a_changed_theta_parameter_reassembles():
+    """The key holds theta's samples, not the callable, which is the same
+    object before and after its parameter changes."""
+    s = sample_solution("s1")
+    param = {"a": 2.0}
+    problem = dataclasses.replace(s.problem, theta=lambda x: param["a"] + math.cos(x))
+    grid = grid_for(s, 16, 1.0, 1.0)
+    before = run(problem, grid, Compact()).final_state
+    param["a"] = 3.0
+    warm = run(problem, grid, Compact()).final_state
+    steppers._last_operator.clear()
+    cold = run(problem, grid, Compact()).final_state
+    assert np.array_equal(warm, cold)
+    assert not np.allclose(warm, before)
+
+
+def other_data(problem):
+    """``problem`` with the same theta but other walls, forcing and initial state."""
+    f, bc, u0 = problem.forcing, problem.boundary, problem.initial
+    return dataclasses.replace(
+        problem,
+        forcing=lambda t, x: 2.0 * f(t, x) + 1.0,
+        initial=lambda x: 3.0 * u0(x),
+        boundary=Dirichlet(lambda t: bc.left(t) - t, lambda t: bc.right(t) + 0.5 * t),
+    )
+
+
+@pytest.mark.parametrize("march", [_march_closed, _march_affine, _march_stepwise])
+def test_problems_sharing_an_operator_each_get_their_own_answer(march):
+    s = sample_solution("s2", k=3)
+    grid = with_steps(grid_for(s, 16, 1.0, 1.0), 300)
+    first = s.problem if march is _march_closed else opaque(s.problem)
+    second = other_data(s.problem)
+    if march is _march_closed:  # keep the second problem's modes declared
+        f, bc = s.problem.forcing, s.problem.boundary
+        second = dataclasses.replace(
+            s.problem,
+            forcing=TwoModeForcing(f.omega, lambda x: 2.0 * f.f_c(x), f.f_s),
+            initial=lambda x: 3.0 * s.problem.initial(x),
+            boundary=Dirichlet(*(TwoModeWall(g.omega, g.c + 0.5, -g.s) for g in (bc.left, bc.right))),
+        )
+    colds = []
+    for problem in (first, second):
+        steppers._last_operator.clear()
+        colds.append(march_with(march, problem, grid, Compact()))
+    steppers._last_operator.clear()
+    warms = [march_with(march, problem, grid, Compact()) for problem in (first, second)]
+    assert not np.allclose(colds[0], colds[1])
+    for warm, cold in zip(warms, colds):
+        assert np.array_equal(warm, cold)
+
+
+def test_step_on_a_shared_operator_reads_its_own_walls():
+    s = sample_solution("s1")
+    grid = make_grid(12, 1.0, 1.0, 2.0)
+    first, second = s.problem, other_data(s.problem)
+    mats_first = assemble_compact(first, grid)
+    mats = assemble_compact(second, grid)
+    assert mats._built is mats_first._built and mats.dirichlet is second.boundary
+    u0 = np.asarray(second.initial(grid.x))
+    f0, f1 = (np.asarray(second.forcing(t, grid.x)) for t in (0.0, grid.tau))
+    got = step(mats, u0, f0, f1, t_new=grid.tau)
+    want = dense_step(mats, second, u0, f0, f1, grid.tau)
+    assert np.abs(got - want).max() < 1e-11 * max(1.0, np.abs(want).max())
+    steppers._last_operator.clear()
+    assert np.array_equal(got, step(assemble_compact(second, grid), u0, f0, f1, t_new=grid.tau))
+
+
+def test_every_part_of_the_key_can_miss():
+    """A repeated assembly reuses the operator, a change of any key part
+    misses, and only the newest operator is kept."""
+    s = sample_solution("sn")
+    problem, grid = s.problem, grid_for(s, 16, 1.0, 1.0)
+    compact, classic = (problem, grid, Compact()), (problem, grid, Classic())
+    pairs = {
+        "tau": (compact, (problem, grid_for(s, 16, 2.0, 1.0), Compact())),
+        "n": (compact, (problem, grid_for(s, 20, 1.0, 1.0), Compact())),
+        "kind": (compact, (dataclasses.replace(problem, kind=ScalarKind.COMPLEX), grid, Compact())),
+        "walls": (compact, (dataclasses.replace(problem, boundary=Dirichlet(math.sin, math.sin)),
+                            grid, Compact())),
+        "cut": (compact, (problem, grid, Compact(cut=5))),
+        "closure": (compact, (problem, grid, Compact(neumann=MainTerms()))),
+        "scheme": (compact, classic),
+        "classic rhs": (classic, (problem, grid, Classic(rhs=ClassicRhsVariant.THREE_POINT))),
+        "classic closure": (classic, (problem, grid, Classic(neumann=ClassicNeumann(0.8)))),
+    }
+    for label, (base, other) in pairs.items():
+        steppers._last_operator.clear()
+        first = assemble(*base)
+        assert assemble(*base)._built is first._built, label
+        assert assemble(*other)._built is not first._built, label
+        assert assemble(*base)._built is not first._built, label
+
+
+def test_only_operators_of_at_most_128_nodes_are_kept():
+    """A larger operator is not kept, so its eigendecomposition is freed
+    when the caller drops it, and it replaces the last small one."""
+    s = sample_solution("s1")
+    small, large = grid_for(s, 127, 1.0, 1.0), grid_for(s, 128, 1.0, 1.0)
+    first = assemble_compact(s.problem, small)
+    assert assemble_compact(s.problem, small)._built is first._built
+    assert assemble_compact(s.problem, large)._built is not first._built
+    assert steppers._last_operator == []
+    assert assemble_compact(s.problem, large)._built is not assemble_compact(s.problem, large)._built
+
+
+def test_threads_sharing_the_kept_operator_each_get_the_cold_result():
+    """Threads that alternate two operators replace the kept one under each
+    other and race to build the same operator's eigenbasis and modal maps;
+    every run must still give the state of a run on a fresh operator."""
+    s1, s2 = sample_solution("s1"), sample_solution("s2", k=3)
+    runs = [(s1.problem, with_steps(grid_for(s1, 16, 1.0, 1.0), 300)),
+            (opaque(s2.problem), with_steps(grid_for(s2, 20, 1.0, 1.0), 300))]
+    cold = []
+    for problem, grid in runs:
+        steppers._last_operator.clear()
+        cold.append(run(problem, grid, Compact()).final_state)
+    steppers._last_operator.clear()
+    wrong = []
+
+    def worker(offset):
+        for j in range(12):
+            k = (j + offset) % 2
+            if not np.array_equal(run(*runs[k], Compact()).final_state, cold[k]):
+                wrong.append(k)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(steppers._last_operator) == 1
+
+
+def test_a_restarted_march_sets_up_once(monkeypatch):
+    """Eight consecutive runs, each restarting the problem where the last one
+    stopped: one assembly and one eigensolve, and the one-call march's state."""
+    s = sample_solution("s3", a=2.0)
+    problem = opaque(s.problem)
+    grid = grid_for(s, 20, 100.0, 1.0)
+    counts = {"rows": 0, "eig": 0}
+    row, eig = steppers.assemble_row, np.linalg.eig
+
+    def counting_row(*args):
+        counts["rows"] += 1
+        return row(*args)
+
+    def counting_eig(a):
+        counts["eig"] += 1
+        return eig(a)
+
+    monkeypatch.setattr(steppers, "assemble_row", counting_row)
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+
+    def restarted(t0, state):
+        f, bc = problem.forcing, problem.boundary
+        return dataclasses.replace(
+            problem,
+            forcing=lambda t, x: f(t + t0, x),
+            initial=lambda x: state,
+            boundary=Dirichlet(lambda t: bc.left(t + t0), lambda t: bc.right(t + t0)),
+        )
+
+    state, first = problem.initial(grid.x), 0
+    for j in range(8):
+        steps = grid.n_steps // 8 + (j < grid.n_steps % 8)
+        part = with_steps(grid, steps)
+        assert takes_affine(problem, part)
+        state = run(restarted(first * grid.tau, state), part, Compact()).final_state
+        first += steps
+    assert first == grid.n_steps
+    assert counts == {"rows": 1, "eig": 1}
+    steppers._last_operator.clear()
+    assert relative_gap(state, run(problem, grid, Compact()).final_state) <= 1e-10
