@@ -39,17 +39,17 @@ from .core import (
     sample_solution,
     theta_grid_max,
 )
-from .linalg import eigenvalues, frobenius, solve_dense
+from .linalg import eigenvalues, frobenius
+from .linalg import solve_dense  # noqa: F401  unused; the benchmark's tracer test patches this binding
 from .steppers import (
     Classic,
     Compact,
     SchemeDescriptor,
     SchemeMatrices,
-    _dense_layers,
+    _probe,
     _step,
     assemble_compact,
     c_norm_error,
-    dense_operators,
     run,
 )
 
@@ -324,15 +324,18 @@ def transition_matrix(mats: SchemeMatrices) -> np.ndarray:
     """Dense M = -A_new^{-1} A_old on the boundary-appropriate subspace.
 
     Dirichlet restricts to interior nodes (u_0 = u_N = 0); Neumann keeps
-    all N+1 nodes with the wall rows folded in.
+    all N+1 nodes with the wall rows folded in.  M is the step map P of
+    ``steppers``, read off one batched banded step on the unit states
+    (``steppers._probe``): O(m^2) work and no dense solve.  A numerically
+    singular A_new raises SingularMatrixError from the sweep's pivot
+    check.
     """
-    a_new, a_old = _dense_layers(mats)
-    if mats.dirichlet is not None:
-        a_new = a_new[1:-1, 1:-1]
-        a_old = a_old[1:-1, 1:-1]
-    if a_new.shape[0] > 512:
-        raise ValueError(f"transition matrix of size {a_new.shape[0]} exceeds the 512 cap")
-    return -solve_dense(a_new, a_old)
+    m = mats.grid.n + 1
+    nodes = range(1, m - 1) if mats.dirichlet is not None else range(m)
+    if len(nodes) > 512:
+        raise ValueError(f"transition matrix of size {len(nodes)} exceeds the 512 cap")
+    # row j of the probe is the response to unit state j: column j of M
+    return _probe(mats, nodes)[:, nodes.start : nodes.stop].T
 
 
 def _is_dirichlet(boundary) -> bool:
@@ -419,6 +422,15 @@ def asymmetry_study(
     extra two orders of decay.  With t_final = None each grid uses the
     raw tau = |courant| h^2 / max theta; passing a horizon instead snaps
     tau to an integer number of steps first.
+
+    Both matrices are probed from the banded step (``steppers._probe``),
+    one batched step each: the responses to the interior unit states are
+    P = -A_new^{-1} A_old, whose S equals that of A_new^{-1} A_old, and
+    those to the interior unit forcings f^n are Q0 = tau A_new^{-1} B_old.
+    Two half-width probes rather than one stacked probe keep the peak
+    memory at that of the dense solves they replace.  The layer identity
+    A_new - A_old = 4 B makes Q0 = tau (I + P) / 4, so s_forcing is
+    tau s_transition / 4; the study measures the two apart all the same.
     """
     ns = check_ns(ns)
     _require_kind(courant, ScalarKind.REAL, "the asymmetry study")
@@ -431,13 +443,10 @@ def asymmetry_study(
             x = np.arange(n + 1) * (TWO_PI / n)
             grid = make_grid(n, courant, t_final, theta_grid_max(_theta_demo, x))
         mats = assemble_compact(problem, grid)
-        a_new, a_old, _, b_old = dense_operators(mats)
-        a_new = a_new[1:-1, 1:-1]
-        a_old = a_old[1:-1, 1:-1]
-        b_old = b_old[1:-1, 1:-1] * grid.tau
-        s_a = asymmetry(solve_dense(a_new, a_old))
-        s_b = asymmetry(solve_dense(a_new, b_old))
-        return AsymmetryEntry(n, grid.h, grid.tau, s_a, s_b)
+        # the transposes P^T and Q0^T on the interior nodes, to which S is blind
+        p_t = _probe(mats, range(1, n))[:, 1:n]
+        q0_t = _probe(mats, (), np.eye(n - 1, n + 1, 1))[:, 1:n]
+        return AsymmetryEntry(n, grid.h, grid.tau, asymmetry(p_t), asymmetry(q0_t))
 
     entries = [one(n) for n in ns]
     return AsymmetryReport(
@@ -463,18 +472,31 @@ def negativity_threshold(
     every eigenvalue real part is negative and the first nu at which
     some real part reaches zero or above.  Either side may be None when
     the transition is not seen in range.
+
+    One assembly and one eigensolve, at the scan's first nu, serve the
+    whole scan.  The layers are S + 2B and S - 2B, where S is
+    proportional to tau (every grid ratio theta_j tau / h^2, the walls'
+    too) and B does not depend on it.  So with mu the eigenvalues of
+    B^{-1} S on the first grid, those of A_new^{-1} A_old on a grid whose
+    tau is s times the first one's are (s mu - 2)/(s mu + 2), and their
+    real parts, of the sign of s^2 |mu|^2 - 4, are all negative iff
+    s max|mu| < 2.  mu = 2 (1 + lam)/(1 - lam) from the first grid's
+    eigenvalues lam.
     """
     nus = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(nus, nus[1:])):
         raise ValueError("nu_grid must be strictly increasing")
     bound = Dirichlet(_zero, _zero) if _is_dirichlet(boundary) else Neumann()
     problem = _matrix_problem(theta, bound)
-    last_negative = None
+    last_negative = mu_max = tau0 = None
     for nu in nus:
         grid = _matrix_grid(n, nu, theta)
-        # A_new^{-1} A_old = -M; negation is exact
-        vals = eigenvalues(-transition_matrix(assemble_compact(problem, grid)))
-        if bool(np.all(vals.real < 0.0)):
+        if mu_max is None:
+            # A_new^{-1} A_old = -M; negation is exact
+            lam = eigenvalues(-transition_matrix(assemble_compact(problem, grid)))
+            mu_max = float(np.abs(2.0 * (1.0 + lam) / (1.0 - lam)).max())
+            tau0 = grid.tau
+        if grid.tau / tau0 * mu_max < 2.0:
             last_negative = nu
         else:
             return NegativityBracket(last_negative, nu)

@@ -17,7 +17,9 @@ import numpy as np
 
 class SingularMatrixError(ValueError):
     """A matrix is singular: a pivot of the tridiagonal sweep is exactly
-    zero, or a dense matrix fails the rank check of ``solve_dense``."""
+    zero, a pivot of a stacked sweep or of ``factor_tridiag`` is below
+    ``PIVOT_RTOL`` of the largest band entry, or a dense matrix fails the
+    rank check of ``solve_dense``."""
 
 
 class RankError(ValueError):
@@ -76,6 +78,21 @@ class Tridiag:
 
 
 _BLOCK = 16  # rows per block of the factored solve
+# A pivot below this share of the largest band entry marks the matrix as
+# numerically singular, the bound ``solve_dense``'s rank check applies.
+PIVOT_RTOL = 1e-14
+
+
+def _check_pivots(t: Tridiag, pivots: list):
+    """Raise SingularMatrixError at the first pivot below PIVOT_RTOL of t's scale."""
+    scale = max(np.abs(band).max(initial=0.0) for band in (t.lower, t.diag, t.upper))
+    tol = PIVOT_RTOL * scale
+    if min(map(abs, pivots)) < tol:
+        i = next(i for i, piv in enumerate(pivots) if abs(piv) < tol)
+        raise SingularMatrixError(
+            f"pivot {abs(pivots[i]):.3e} at row {i} is below {PIVOT_RTOL:g} "
+            f"of the largest band entry {scale:.3e}"
+        )
 
 
 @dataclass
@@ -114,7 +131,9 @@ def factor_tridiag(t: Tridiag) -> TridiagLU:
     """Run the pivot recurrence of ``solve_tridiag`` once and build its block maps.
 
     Raises SingularMatrixError naming the row of a zero pivot, as the
-    sweep does.  The maps are built one row at a time across all blocks.
+    sweep does, and of a pivot below ``PIVOT_RTOL`` of the largest band
+    entry, as a stacked sweep does.  The maps are built one row at a time
+    across all blocks.
     """
     lower, upper, d = t.lower.tolist(), t.upper.tolist(), t.diag.tolist()
     m = len(d)
@@ -127,6 +146,7 @@ def factor_tridiag(t: Tridiag) -> TridiagLU:
         d[i] = d[i] - w[i] * upper[i - 1]
     if d[m - 1] == 0.0:
         raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
+    _check_pivots(t, d)
     dtype = np.result_type(t.lower, t.diag, t.upper)
     nb = -(-m // _BLOCK)
     piv = np.ones(nb * _BLOCK, dtype)
@@ -191,7 +211,10 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
     For a ``Tridiag`` the sweeps run on Python scalars from ``tolist()``
     (on numpy node columns for a stack): indexing the numpy arrays entry
     by entry takes over three times as long.  Raises SingularMatrixError
-    naming the row if a pivot is exactly zero.
+    naming the row if a pivot is exactly zero.  A stack's sweep also
+    checks its pivots, once, against ``PIVOT_RTOL`` of the largest band
+    entry, as ``solve_dense``'s rank check does; the sweep of a single
+    right-hand side, the stepwise march's, leaves that out.
 
     A ``TridiagLU`` (``factor_tridiag``, which makes the pivot check)
     takes one right-hand side and solves it block by block: one batched
@@ -216,6 +239,8 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
         r[i] = r[i] - w * r[i - 1]
     if d[m - 1] == 0.0:
         raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
+    if rhs.ndim == 2:
+        _check_pivots(t, d)
     r[m - 1] = r[m - 1] / d[m - 1]
     for i in range(m - 2, -1, -1):
         r[i] = (r[i] - upper[i] * r[i + 1]) / d[i]

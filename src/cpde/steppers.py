@@ -484,8 +484,8 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
     m = mats.grid.n + 1
     tau = mats.grid.tau
     if mats.classic_rhs is None:
-        z = u + 0.25 * tau * (f_n + f_np1)
-        rhs, _ = mats._b4.apply(z)
+        # left unnamed, so a probe frees its m x m stack of z before the sweep
+        rhs, _ = mats._b4.apply(u + 0.25 * tau * (f_n + f_np1))
     else:
         fa = _classic_average(mats.classic_rhs, f_n, m)
         fb = _classic_average(mats.classic_rhs, f_np1, m)
@@ -713,31 +713,52 @@ def _march_stepwise(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int)
     return u
 
 
+def _probe(mats: SchemeMatrices, states, f0=None, f1=None, g=None) -> np.ndarray:
+    """The step's responses to unit states and extra inputs, one per row.
+
+    The step is linear in (u, f^n, f^{n+1}, g^{n+1}), so one batched
+    ``_step`` gives them all.  Row i is the response to the unit state at
+    node ``states[i]`` with zero inputs: column states[i] of the step map
+    P = -A_new^-1 A_old.  The rows after them are the responses to the
+    inputs j: state 0, f^n = f0[j], f^{n+1} = f1[j] and Dirichlet data
+    g[j], a missing f1 or g being zero.  A zero forcing is one broadcast
+    row, so a probe of states alone makes no forcing stack.  Each row
+    gets the bits it would get stepped alone.
+    """
+    m, dtype = mats.grid.n + 1, mats.kind.dtype
+    p, k = len(states), 0 if f0 is None else f0.shape[0]
+    u = np.zeros((p + k, m), dtype)
+    u[range(p), states] = 1.0
+    zero = np.zeros((1, _forcing_grid(mats).size), dtype)
+    if k:
+        pad = np.zeros((p, f0.shape[1]), dtype)
+        f0, f1 = np.vstack((pad, f0)), zero if f1 is None else np.vstack((pad, f1))
+    else:
+        f0 = f1 = zero
+    bc = (0.0, 0.0)
+    if g is not None:
+        bc = np.zeros((p + k, 2), dtype)
+        bc[p:] = g
+        bc = bc.T
+    return _step(mats, u, f0, f1, bc_vals=bc)
+
+
 def _eigen_maps(mats: SchemeMatrices, f0, f1, g):
     """P's eigenbasis and the responses to extra inputs in it.
 
-    The step is linear in (u, f^n, f^{n+1}, g^{n+1}), so one batched
-    ``_step`` on the inputs j (state 0, f^n = f0[j], f^{n+1} = f1[j],
-    Dirichlet data g[j]) gives their responses, and on the m unit states
-    gives P.  The operator's first call stacks both in one ``_step`` and
-    keeps P = V diag(lam) V^-1 on the operator; later calls step only the
-    inputs.  Returns (lam, V, V^-1, E) with row j of E the response to
-    input j in P's eigenbasis, or None when V is worse conditioned than
+    The inputs j are as in ``_probe``.  The operator's first call probes
+    them together with the m unit states and keeps P = V diag(lam) V^-1
+    on the operator; later calls probe only the inputs.  Returns
+    (lam, V, V^-1, E) with row j of E the response to input j in P's
+    eigenbasis, or None when V is worse conditioned than
     ``_MODAL_MAX_COND`` or does not exist.
     """
     built = mats._built
     if built.eigen is not None and not built.eigen[3] <= _MODAL_MAX_COND:
         return None
-    m, k = mats.grid.n + 1, f0.shape[0]
+    m = mats.grid.n + 1
     p = m if built.eigen is None else 0  # unit states to probe
-    dtype = mats.kind.dtype
-    u = np.zeros((p + k, m), dtype)
-    u[range(p), range(p)] = 1.0
-    pad = np.zeros((p, f0.shape[1]), dtype)
-    bc = np.zeros((p + k, 2), dtype)
-    if g is not None:
-        bc[p:] = g
-    cols = _step(mats, u, np.vstack((pad, f0)), np.vstack((pad, f1)), bc_vals=bc.T)
+    cols = _probe(mats, range(p), f0, f1, g)
     if p:  # row j of cols: the response to unit state j
         try:
             lam, v = np.linalg.eig(cols[:m].T)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cpde import analysis
 from cpde.analysis import (
     asymmetry,
     asymmetry_study,
@@ -18,15 +20,25 @@ from cpde.analysis import (
     first_integral_drift,
     first_integral_series,
     lsq_order,
+    NegativityBracket,
     negativity_threshold,
     richardson,
     richardson_study,
     spectrum_report,
     transition_matrix,
 )
-from cpde.core import Dirichlet, ProblemSpec, ScalarKind, make_grid, sample_solution
-from cpde.linalg import eigenvalues
-from cpde.steppers import Classic, Compact, assemble_classic, assemble_compact
+from cpde.core import Dirichlet, Neumann, ProblemSpec, ScalarKind, make_grid, sample_solution
+from cpde.linalg import SingularMatrixError, eigenvalues, solve_dense
+from cpde.neumann import ClassicNeumann, CompactThreePoint, MainTerms, ReducedTwoPoint
+from cpde.steppers import (
+    Classic,
+    ClassicRhsVariant,
+    Compact,
+    _dense_layers,
+    assemble_classic,
+    assemble_compact,
+    dense_operators,
+)
 from cpde.theta_fit import TWO_PI
 
 rng = np.random.default_rng(60601)
@@ -211,6 +223,84 @@ def test_ll_transition_is_unimodular_small():
     assert np.abs(np.abs(vals) - 1.0).max() < 1e-10
 
 
+RHS_VARIANTS = tuple(ClassicRhsVariant)
+DIRICHLET_SCHEMES = (Compact(),) + tuple(Classic(rhs) for rhs in RHS_VARIANTS)
+NEUMANN_SCHEMES = tuple(
+    Compact(neumann=closure) for closure in (CompactThreePoint(), ReducedTwoPoint(), MainTerms())
+) + tuple(
+    Classic(rhs, closure) for rhs in RHS_VARIANTS for closure in (ClassicNeumann(0.5), ClassicNeumann(0.7))
+)
+
+
+def assemble(problem, grid, scheme):
+    if isinstance(scheme, Compact):
+        return assemble_compact(problem, grid, scheme.cut, scheme.neumann)
+    return assemble_classic(problem, grid, scheme.rhs, scheme.neumann)
+
+
+def dense_transition(mats):
+    """-A_new^{-1} A_old by the dense LU, on the interior block for Dirichlet walls."""
+    a_new, a_old = _dense_layers(mats)
+    if mats.dirichlet is not None:
+        a_new, a_old = a_new[1:-1, 1:-1], a_old[1:-1, 1:-1]
+    return -solve_dense(a_new, a_old)
+
+
+def scheme_id(scheme):
+    if isinstance(scheme, Compact):
+        return f"compact-{type(scheme.neumann).__name__}"
+    return f"classic-{scheme.rhs.value}-eps{scheme.neumann.epsilon}"
+
+
+@pytest.mark.parametrize(
+    "name, scheme",
+    [pytest.param(name, sc, id=f"{name}-{scheme_id(sc)}")
+     for name, schemes in (("s1", DIRICHLET_SCHEMES), ("s2", DIRICHLET_SCHEMES),
+                           ("s3", DIRICHLET_SCHEMES), ("sn", NEUMANN_SCHEMES),
+                           ("snll", NEUMANN_SCHEMES))
+     for sc in schemes],
+)
+@pytest.mark.parametrize("kind", [ScalarKind.REAL, ScalarKind.COMPLEX])
+def test_probed_transition_matches_the_dense_solve(name, scheme, kind):
+    problem = sample_solution(name, kind=kind).problem
+    courant = 1j if kind is ScalarKind.COMPLEX else 1.0
+    for n in (10, 50, 100):
+        mats = assemble(problem, analysis._matrix_grid(n, courant, problem.theta), scheme)
+        got, want = transition_matrix(mats), dense_transition(mats)
+        size = n - 1 if mats.dirichlet is not None else n + 1
+        assert got.shape == want.shape == (size, size)
+        bound = 1e-13 * np.abs(want).max()
+        if isinstance(scheme.neumann, ReducedTwoPoint) and mats.dirichlet is None:
+            # The step marches A_new - 4B for -A_old.  This closure's wall
+            # rows meet A_new - A_old = 4B only to 1e-14 to 1e-12 of their
+            # size, growing with N, and the two maps differ by A_new^{-1}
+            # times that gap.
+            a_new, a_old, b_new, _ = dense_operators(mats)
+            bound += np.abs(solve_dense(a_new, a_new - a_old - 4.0 * b_new)).max()
+        assert np.abs(got - want).max() <= bound, n
+
+
+def test_transition_of_a_numerically_singular_solver_raises():
+    s = sample_solution("s1")
+    mats = assemble_compact(s.problem, analysis._matrix_grid(20, 1.0, s.problem.theta))
+    solver = mats._solver.copy()
+    solver.diag[0] = 1e-16 * np.abs(solver.diag).max()  # the wall row's pivot
+    with pytest.raises(SingularMatrixError, match="at row 0 is below 1e-14"):
+        transition_matrix(dataclasses.replace(mats, _solver=solver))
+
+
+def test_spectral_studies_make_no_dense_solve(monkeypatch):
+    def no_dense_solve(*args):
+        raise AssertionError("solve_dense called")
+
+    monkeypatch.setattr(analysis, "solve_dense", no_dense_solve)
+    monkeypatch.setattr("cpde.linalg.solve_dense", no_dense_solve)
+    s = sample_solution("sn")
+    transition_matrix(assemble_compact(s.problem, analysis._matrix_grid(16, 1.0, s.problem.theta)))
+    asymmetry_study((8, 16), 1.0)
+    negativity_threshold(analysis._theta_demo, Neumann, 16, [0.1, 0.2, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # asymmetry
 
@@ -239,8 +329,75 @@ def test_asymmetry_study_decays():
     assert rep.order_forcing > rep.order_transition
 
 
+def two_solve_asymmetry(n):
+    """The study's two columns by dense LU, as the dense route computed them."""
+    grid = analysis._matrix_grid(n, 1.0, analysis._theta_demo)
+    problem = analysis._matrix_problem(analysis._theta_demo, Dirichlet(analysis._zero, analysis._zero))
+    a_new, a_old, _, b_old = (a[1:-1, 1:-1] for a in dense_operators(assemble_compact(problem, grid)))
+    return asymmetry(solve_dense(a_new, a_old)), asymmetry(solve_dense(a_new, grid.tau * b_old))
+
+
+def test_probed_asymmetry_matches_the_two_dense_solves():
+    ns = (8, 16, 50, 100, 200, 400)
+    rep = asymmetry_study(ns, 1.0)
+    for e in rep.entries:
+        s_t, s_f = two_solve_asymmetry(e.n)
+        assert e.s_transition == pytest.approx(s_t, rel=1e-9, abs=0.0), e.n
+        assert e.s_forcing == pytest.approx(s_f, rel=1e-9, abs=0.0), e.n
+        # A_new - A_old = 4B makes tau A_new^{-1} B_old = tau (I + P) / 4
+        assert e.s_forcing == pytest.approx(e.tau * e.s_transition / 4.0, rel=1e-8, abs=0.0), e.n
+
+
 # ---------------------------------------------------------------------------
 # negativity threshold
+
+
+@pytest.mark.parametrize("n", [16, 24, 100])
+@pytest.mark.parametrize("boundary", [Dirichlet, Neumann])
+def test_one_eigensolve_verdicts_match_the_per_nu_spectra(n, boundary):
+    """Each nu's verdict, from the eigensolve at the scan's first nu, against
+    the eigenvalues of the transition matrix assembled at that nu."""
+    scan = np.linspace(0.05, 1.0, 40)
+    walls = Dirichlet(analysis._zero, analysis._zero) if boundary is Dirichlet else Neumann()
+    problem = analysis._matrix_problem(analysis._theta_demo, walls)
+    verdicts = set()
+    for nu in scan:
+        mats = assemble_compact(problem, analysis._matrix_grid(n, nu, analysis._theta_demo))
+        top = eigenvalues(-transition_matrix(mats)).real.max()
+        if abs(top) < 1e-9:  # at the threshold to within rounding
+            continue
+        points = [scan[0], nu] if nu > scan[0] else [nu]
+        bracket = negativity_threshold(analysis._theta_demo, boundary, n, points)
+        assert (bracket.upper is None) == (top < 0.0), nu
+        verdicts.add(bool(top < 0.0))
+    assert verdicts == {True, False}  # the scan crosses the threshold
+
+
+def test_negativity_scan_assembles_and_eigensolves_once(monkeypatch):
+    calls = {"assemble_compact": 0, "eigenvalues": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(analysis, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    bracket = negativity_threshold(analysis._theta_demo, Dirichlet, 24, np.linspace(0.05, 1.0, 40))
+    assert bracket.lower is not None and bracket.upper is not None
+    assert calls == {"assemble_compact": 1, "eigenvalues": 1}
+
+
+def test_negativity_empty_scan():
+    assert negativity_threshold(analysis._theta_demo, Dirichlet, 16, []) == NegativityBracket(None, None)
+
+
+@pytest.mark.parametrize("scan, message", [
+    ([-0.1, 0.2], "negative part"),
+    ([0.0, 0.2], "nonzero and finite"),
+    ([0.1, math.inf], "nonzero and finite"),
+    ([0.1, math.nan], "nonzero and finite"),
+])
+def test_negativity_rejects_a_bad_nu(scan, message):
+    with pytest.raises(ValueError, match=message):
+        negativity_threshold(analysis._theta_demo, Dirichlet, 16, scan)
 
 
 def test_negativity_bracket_straddles_crossing():

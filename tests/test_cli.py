@@ -332,6 +332,26 @@ def test_exit_2_on_negative_courant(capsys, argv):
     assert "negative" in err
 
 
+def test_exit_3_on_a_numerically_singular_step(capsys, monkeypatch):
+    """A_new with a pivot of 1e-16 of its scale: the probe's sweep rejects it."""
+    import dataclasses
+
+    from cpde import cli, steppers
+    from cpde.linalg import Tridiag
+
+    def near_singular(*args, **kwargs):
+        mats = steppers.assemble_compact(*args, **kwargs)
+        solver = mats._solver
+        diag = solver.diag.copy()
+        diag[0] = 1e-16 * np.abs(diag).max()
+        return dataclasses.replace(mats, _solver=Tridiag(solver.lower, diag, solver.upper))
+
+    monkeypatch.setattr(cli, "assemble_compact", near_singular)
+    rc, _, err = run_main(capsys, ["spectrum", "--solution", "s1", "--n", "12", "--courant", "1"])
+    assert rc == 3
+    assert "at row 0 is below 1e-14" in err
+
+
 def test_exit_3_on_numerical_failure(capsys):
     # theta = exp(300 x) overflows on the grid before any stepping
     rc, _, err = run_main(

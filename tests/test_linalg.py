@@ -173,6 +173,40 @@ def test_factor_names_the_same_zero_pivot_row_as_the_sweep(row):
     assert str(factored.value) == str(swept.value) == f"zero pivot in forward sweep at row {row}"
 
 
+def tiny_pivot_at(row, pivot, m=40):
+    """A matrix whose sweep meets the nonzero pivot about ``pivot`` at ``row``."""
+    t = zero_pivot_at(row, m)
+    t.diag[row] += pivot
+    return t
+
+
+@pytest.mark.parametrize("row", [0, 17, 39])
+def test_stacked_sweep_and_factor_reject_a_relatively_tiny_pivot(row):
+    """Band entries up to 2.5: a pivot near 1e-15 is below 1e-14 of that."""
+    t = tiny_pivot_at(row, 1e-15)
+    with pytest.raises(SingularMatrixError, match=f"at row {row} is below 1e-14") as swept:
+        solve_tridiag(t, np.ones((3, t.size)))
+    with pytest.raises(SingularMatrixError) as factored:
+        factor_tridiag(t)
+    assert str(factored.value) == str(swept.value)
+
+
+def test_single_state_sweep_skips_the_relative_pivot_check():
+    t = tiny_pivot_at(17, 1e-15)
+    x, _ = solve_tridiag(t, np.ones(t.size))
+    assert np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_relative_pivot_check_passes_a_small_but_sound_pivot(dtype):
+    t = tiny_pivot_at(17, 1e-12)
+    if dtype is complex:
+        t = Tridiag(t.lower * 1j, t.diag * 1j, t.upper * 1j)
+    x, _ = solve_tridiag(t, np.ones((2, t.size)))
+    assert np.isfinite(x).all()
+    assert factor_tridiag(t).size == t.size
+
+
 def test_factor_keeps_the_sweep_pivots_and_the_operator():
     t = random_tridiag(50)
     keep = t.copy()
