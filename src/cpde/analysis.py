@@ -47,7 +47,7 @@ from .steppers import (
     SchemeDescriptor,
     SchemeMatrices,
     _probe,
-    _step,
+    _stepwise_states,
     assemble_compact,
     c_norm_error,
     run,
@@ -544,12 +544,10 @@ def first_integral_series(
     grid = make_grid(n, courant, t_final, theta_grid_max(problem.theta, x))
     mats = assemble_compact(problem, grid)
     u = np.asarray(problem.initial(grid.x), dtype=complex)
-    zeros = np.zeros(n + 1, dtype=complex)
+    states = _stepwise_states(mats, u, problem, grid.n_steps)
     out = [(0, 0.0, first_integral(u, grid.h, quadrature))]
-    for k in range(grid.n_steps):
-        t1 = (k + 1) * grid.tau
-        u = _step(mats, u, zeros, zeros, bc_vals=(0.0, 0.0))
-        out.append((k + 1, t1, first_integral(u, grid.h, quadrature)))
+    out.extend((k, k * grid.tau, first_integral(v, grid.h, quadrature))
+               for k, v in enumerate(states, 1))
     return out
 
 def first_integral_drift(

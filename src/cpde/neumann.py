@@ -10,19 +10,20 @@ scaled units the closed forms are usually quoted in; the literal forcing
 weight is beta/nu0 (the betas carry an extra factor of nu0 relative to
 the alphas).  Four variants exist:
 
-  * CompactThreePoint: the fourth-order compact closure (closed forms in
-    h*g'(h) and exp(-g(h)) of the wall fit, whose layers differ by four
-    times the forcing side).
+  * CompactThreePoint: the fourth-order compact closure.
   * ReducedTwoPoint: a two-node closure from a reduced test basis
     (drops overall order to about 3).
-  * MainTerms: the same closed forms at h*g'(h) = 0, exp(-g(h)) = 1,
-    i.e. their h -> 0 limit (about 3).
+  * MainTerms: the three-point closure at h*g'(h) = 0, exp(-g(h)) = 1,
+    i.e. its h -> 0 limit (about 3).
   * ClassicNeumann(epsilon): the first-difference closure
     eps*(u1-u0)|new + (1-eps)*(u1-u0)|old = 0 (drops order to about 1).
 
-The left-wall compact row has closed forms; the right-wall row is
-derived by mirroring the test-function system, which is the primary
-construction there.
+The three compact closures are one closed form (``_compact_left``) in
+h*g'(h) and exp(-g(h)) of the wall fit, whose layers differ by four
+times the forcing side.  ``boundary_oracle`` derives a row from its
+test-function system by an SVD null space instead; it is the
+independent cross-check of the closed forms, never used for assembly.
+The right-wall row is the left row of the mirrored fit.
 """
 
 from __future__ import annotations
@@ -106,17 +107,23 @@ BOUNDARY_BASIS = (
 REDUCED_BASIS = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2), (3, 0))
 
 
-def _compact_left(nu0: complex, tau: float, hgp=0.0, e=1.0) -> BoundaryRow:
-    """Compact left wall from hgp = h*g'(h) and e = exp(-g(h)) of the wall fit.
+def _compact_left(nu0: complex, tau: float, k, b) -> BoundaryRow:
+    """Compact left wall from its solution weights k and forcing weights b.
 
     alpha_new/alpha_old = nu0*k +- 2b and beta = nu0*tau*b, so the layers
-    differ by four times the forcing side, as in the interior.  The
-    defaults hgp = 0, e = 1 (the h -> 0 limit) give the MainTerms row.
+    differ by four times the forcing side, as in the interior.
     """
-    k = np.array([6.0 + 17.0 * hgp, -16.0 * hgp, -(hgp + 6.0)])
-    b = np.array([2.0 * (hgp + 2.0), 8.0 * e, 0.0])
+    k, b = np.array(k), np.array(b)
     beta = nu0 * tau * b
     return BoundaryRow(nu0 * k + 2.0 * b, nu0 * k - 2.0 * b, beta, beta.copy(), nu0, tau)
+
+
+def _three_point(hgp=0.0, e=1.0):
+    """(k, b) of the three-point closure from hgp = h*g'(h) and e = exp(-g(h)).
+
+    The defaults, the h -> 0 limit, give the MainTerms row.
+    """
+    return [6.0 + 17.0 * hgp, -16.0 * hgp, -(hgp + 6.0)], [2.0 * (hgp + 2.0), 8.0 * e, 0.0]
 
 
 def _classic_row(nu0: complex, tau: float, epsilon: float) -> BoundaryRow:
@@ -207,14 +214,16 @@ def build_left_row(
     fit: ExpFit, nu0: complex, h: float, tau: float, variant: NeumannVariant
 ) -> BoundaryRow:
     """Left-wall row for the requested variant (fit from fit_boundary_left)."""
-    if isinstance(variant, CompactThreePoint):
-        return _compact_left(nu0, tau, h * fit.dg(h), fit.r_plus)
-    if isinstance(variant, ReducedTwoPoint):
-        return boundary_oracle(fit, nu0, h, tau, basis=REDUCED_BASIS, points=2)
-    if isinstance(variant, MainTerms):
-        return _compact_left(nu0, tau)
     if isinstance(variant, ClassicNeumann):
         return _classic_row(nu0, tau, variant.epsilon)
+    if isinstance(variant, MainTerms):
+        return _compact_left(nu0, tau, *_three_point())
+    if isinstance(variant, CompactThreePoint):
+        return _compact_left(nu0, tau, *_three_point(h * fit.dg(h), fit.r_plus))
+    if isinstance(variant, ReducedTwoPoint):
+        hgp = h * fit.dg(h)
+        k = 24.0 * (hgp + 2.0) * np.array([1.0, -1.0, 0.0])
+        return _compact_left(nu0, tau, k, [4.0 * (hgp + 4.0), 8.0 * fit.r_plus, 0.0])
     raise TypeError(f"unknown Neumann variant {variant!r}")
 
 
@@ -223,10 +232,8 @@ def build_right_row(
 ) -> BoundaryRow:
     """Right-wall row (fit from fit_boundary_right); entries wall-inward.
 
-    The compact variant reflects the left closed forms through x ->
-    2*pi - x.  The test-function oracle on the mirrored system agrees
-    entrywise (cross-checked in the tests) but its null space briefly
-    widens on a thin locus of complex nu, so the closed form is the one
-    used for assembly.
+    Every variant reflects the left row through x -> 2*pi - x.  The
+    test-function oracle on the mirrored system agrees entrywise
+    (cross-checked in the tests).
     """
     return build_left_row(fit.mirrored(), nu_n, h, tau, variant)

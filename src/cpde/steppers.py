@@ -12,10 +12,12 @@ apply plus one double-sweep:
     solve  A_new v = B4 (u^n + tau (f^n + f^{n+1})/4),   u^{n+1} = v - u^n,
 
 where B4 = 4B.  This is what keeps the compact step at 8N + O(1)
-multiplications against 5N + O(1) for the classic scheme.  Boundary
-rows that do not satisfy the layer-difference identity (e.g. the
-classic epsilon != 1/2 Neumann closure) are patched into the right-hand
-side explicitly, which costs O(1).
+multiplications against 5N + O(1) for the classic scheme.  Every
+compact Neumann closure meets that identity by construction, so its wall
+rows ride inside the B4 apply.  The classic step has no such apply, and
+the ``ClassicNeumann`` closure's layers need not differ by 4B, so a wall
+of either is patched into the right-hand side explicitly, at O(1) cost.
+The scheme and closure types decide this, never the rows' values.
 
 Assembly samples theta once (``theta_fit.sample_theta``) and builds the
 interior rows of every band as array arithmetic over the nodes: the
@@ -140,7 +142,7 @@ class StepReport:
 
 @dataclass
 class _WallFixup:
-    """Right-hand-side patch for a wall row outside the fused identity."""
+    """Right-hand-side patch that applies a wall row outside the B4 apply."""
 
     d: np.ndarray  # alpha_new - alpha_old
     b_new_lit: np.ndarray
@@ -193,34 +195,21 @@ def _nnz(v: np.ndarray) -> int:
     return int(np.count_nonzero(v))
 
 
-def _wall_fixup(row: BoundaryRow, force: bool = False) -> Optional[_WallFixup]:
-    """None if the row satisfies the fused identity, else an rhs patch.
+def _wall_fixup(row: BoundaryRow) -> _WallFixup:
+    """The right-hand-side patch that applies ``row`` outside the B4 apply.
 
-    Fused means: shared beta across layers, real scaled forcing row, and
-    alpha_new - alpha_old = 4*beta/(nu0*tau) entrywise.  All compact
-    variants and the epsilon = 1/2 classic closure qualify.  Fused rows
-    ride inside the single banded apply of the compact step; the classic
-    step has no such apply, so it forces the patch unconditionally (the
-    patch algebra is exact for fused rows too).
+    ``_assemble`` patches by type alone: every wall of the classic scheme,
+    whose step has no B apply, and every ``ClassicNeumann`` wall, whose
+    layers need not differ by 4B.  The patch algebra is exact for any row.
     """
     d = row.alpha_new - row.alpha_old
-    bt = row.beta_new / (row.nu0 * row.tau)
-    scale = max(np.abs(d).max(), np.abs(bt).max(), 1.0)
-    fused = (
-        np.abs(row.beta_new - row.beta_old).max() <= 1e-10 * scale
-        and np.abs(d - 4.0 * bt).max() <= 1e-10 * scale
-        and np.abs(bt.imag).max() <= 1e-10 * scale
-    )
-    if fused and not force:
-        return None
     bn = row.beta_new_literal
     bo = row.beta_old_literal
     return _WallFixup(d, bn, bo, _nnz(d) + _nnz(bn) + _nnz(bo))
 
 
-def _mount_boundary(
-    mats: SchemeMatrices, left: BoundaryRow, right: BoundaryRow, force_fixup: bool = False
-):
+def _mount_boundary(mats: SchemeMatrices, left: BoundaryRow, right: BoundaryRow, patched: bool):
+    """Write the wall rows into the layers, and into B or a patch."""
     n = mats.grid.n
     a_new, a_old = mats.a_new, mats.a_old
     a_new.diag[0], a_new.upper[0] = left.alpha_new[0], left.alpha_new[1]
@@ -229,25 +218,14 @@ def _mount_boundary(
     a_old.diag[n], a_old.lower[n - 1] = right.alpha_old[0], right.alpha_old[1]
     mats.corner_new = (left.alpha_new[2], right.alpha_new[2])
     mats.corner_old = (left.alpha_old[2], right.alpha_old[2])
+    if patched:
+        mats._fix_left, mats._fix_right = _wall_fixup(left), _wall_fixup(right)
+        return
     for b, attr in ((mats.b_new, "beta_new"), (mats.b_old, "beta_old")):
-        if b is None:
-            continue
         bl = getattr(left, attr) / (left.nu0 * left.tau)
         br = getattr(right, attr) / (right.nu0 * right.tau)
         b.diag[0], b.upper[0] = bl[0], bl[1]
         b.diag[n], b.lower[n - 1] = br[0], br[1]
-    mats._fix_left = _wall_fixup(left, force_fixup)
-    mats._fix_right = _wall_fixup(right, force_fixup)
-    if mats._fix_left is not None:
-        for b in (mats.b_new, mats.b_old):
-            if b is not None:
-                b.diag[0] = 0.0
-                b.upper[0] = 0.0
-    if mats._fix_right is not None:
-        for b in (mats.b_new, mats.b_old):
-            if b is not None:
-                b.diag[n] = 0.0
-                b.lower[n - 1] = 0.0
 
 
 def _finalize(mats: SchemeMatrices):
@@ -365,7 +343,8 @@ def _assemble(problem: ProblemSpec, grid: Grid1D, scheme, points, fill) -> Schem
         mats.a_new.diag[0] = mats.a_new.diag[m - 1] = 1.0
     else:
         left, right = _build_walls(problem, grid, scheme.neumann, samples[1])
-        _mount_boundary(mats, left, right, force_fixup=classic_rhs is not None)
+        patched = classic_rhs is not None or isinstance(scheme.neumann, ClassicNeumann)
+        _mount_boundary(mats, left, right, patched)
     _finalize(mats)
     _last_operator[:] = [(key, samples, mats)] if m <= _AFFINE_MAX_NODES else []
     return mats
@@ -703,13 +682,24 @@ def _engine(problem: ProblemSpec, grid: Grid1D):
     return _march_stepwise
 
 
-def _march_stepwise(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
-    """One banded step per time level."""
+def _stepwise_states(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
+    """Yield the state after each of ``n_steps`` banded steps from u.
+
+    The finiteness check runs once per forcing chunk, after that chunk's
+    states are yielded.
+    """
     for k, f, g in _chunks(problem, mats, n_steps):
         c = f.shape[0] - 1
         for i in range(c):
             u = _step(mats, u, f[i], f[i + 1], bc_vals=None if g is None else g[i])
+            yield u
         _check_finite(u, k, k + c)
+
+
+def _march_stepwise(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
+    """One banded step per time level."""
+    for u in _stepwise_states(mats, u, problem, n_steps):
+        pass
     return u
 
 

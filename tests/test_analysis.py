@@ -269,15 +269,7 @@ def test_probed_transition_matches_the_dense_solve(name, scheme, kind):
         got, want = transition_matrix(mats), dense_transition(mats)
         size = n - 1 if mats.dirichlet is not None else n + 1
         assert got.shape == want.shape == (size, size)
-        bound = 1e-13 * np.abs(want).max()
-        if isinstance(scheme.neumann, ReducedTwoPoint) and mats.dirichlet is None:
-            # The step marches A_new - 4B for -A_old.  This closure's wall
-            # rows meet A_new - A_old = 4B only to 1e-14 to 1e-12 of their
-            # size, growing with N, and the two maps differ by A_new^{-1}
-            # times that gap.
-            a_new, a_old, b_new, _ = dense_operators(mats)
-            bound += np.abs(solve_dense(a_new, a_new - a_old - 4.0 * b_new)).max()
-        assert np.abs(got - want).max() <= bound, n
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), n
 
 
 def test_transition_of_a_numerically_singular_solver_raises():
@@ -458,6 +450,15 @@ def test_conservation_series_oscillates_but_returns():
     assert values[0] == pytest.approx(math.pi, rel=1e-3)
     spread = values.max() - values.min()
     assert 0.0 < spread < 1e-3 * values[0]
+
+
+def test_first_integral_series_stops_on_a_non_finite_state(monkeypatch):
+    problem = dataclasses.replace(
+        analysis.conservation_problem(), initial=lambda x: np.full(np.shape(x), np.nan, complex)
+    )
+    monkeypatch.setattr(analysis, "conservation_problem", lambda: problem)
+    with pytest.raises(FloatingPointError, match="non-finite between steps 1 and"):
+        first_integral_series(16, courant=1.0j, t_final=0.5)
 
 
 def test_drift_report_validation():

@@ -177,9 +177,12 @@ def test_right_row_matches_mirrored_oracle():
         assert np.allclose(getattr(row, attr), getattr(oracle, attr), rtol=1e-8, atol=1e-10)
 
 
-def test_reduced_two_point_row():
-    theta, fit, h = random_wall_fit()
-    nu0, tau = 1.1, 0.06
+@pytest.mark.parametrize("nu0", [1.1, 37.5, 1j, 100j])
+@pytest.mark.parametrize("n", [10, 100, 2000])
+def test_reduced_two_point_row(n, nu0):
+    theta = lambda x: 0.7 + math.exp(0.3 * math.sin(x) - 0.2 * math.cos(2.0 * x))
+    h, tau = TWO_PI / n, 0.06
+    fit = fit_boundary_left(theta, h)
     row = build_left_row(fit, nu0, h, tau, ReducedTwoPoint())
     # third entries are structurally zero in the two-point variant
     assert row.alpha_new[2] == 0.0 and row.alpha_old[2] == 0.0
@@ -191,6 +194,15 @@ def test_reduced_two_point_row():
     scale = np.abs(system).max() * np.abs(v).max()
     assert np.abs(system @ v).max() < 1e-10 * scale
     assert np.linalg.matrix_rank(system, tol=1e-9 * np.abs(system).max()) == 7
+    # The SVD row carries rounding that grows with |nu0|: 5.0e-12 |nu0|
+    # relative at most on this coefficient, 1.6e-11 |nu0| over 200 random
+    # ones (2.2e-13 at nu0 = 1.1).  The closed form meets the system above
+    # to 1e-16 or better.
+    oracle = boundary_oracle(fit, nu0, h, tau, REDUCED_BASIS, points=2)
+    tol = 3e-11 * max(abs(nu0), 1.0)
+    for attr in ("alpha_new", "alpha_old", "beta_new", "beta_old"):
+        a, b = getattr(row, attr), getattr(oracle, attr)
+        assert np.abs(a - b).max() <= tol * np.abs(a).max(), attr
 
 
 def test_classic_wall_row():

@@ -37,7 +37,7 @@ from cpde.linalg import (
     solve_tridiag,
 )
 from cpde.neumann import ClassicNeumann, CompactThreePoint, MainTerms, ReducedTwoPoint
-from cpde import steppers
+from cpde import analysis, steppers
 from cpde.steppers import (
     Classic,
     ClassicRhsVariant,
@@ -145,30 +145,53 @@ def test_step_matches_dense_complex_kind():
     assert np.abs(got - want).max() < 1e-11 * max(1.0, np.abs(want).max())
 
 
-def test_layer_difference_identity_compact():
+BANDS = ("lower", "diag", "upper")
+
+
+def layer_gap(mats):
+    """Entries of A_new - A_old - 4B on the bands and at the wall corners
+    (B has none: beta_2 = 0), without the Dirichlet wall rows.  Read off
+    the bands, since the dense layers at N = 2000 take hundreds of MB."""
+    lower, diag, upper = (
+        getattr(mats.a_new, band) - getattr(mats.a_old, band) - 4.0 * getattr(mats.b_new, band)
+        for band in BANDS
+    )
+    if mats.dirichlet is not None:
+        lower, diag, upper = lower[:-1], diag[1:-1], upper[1:]
+    return np.concatenate((lower, diag, upper, np.subtract(mats.corner_new, mats.corner_old)))
+
+
+@pytest.mark.parametrize("kind", [ScalarKind.REAL, ScalarKind.COMPLEX])
+def test_layer_difference_identity_compact(kind):
     """A_new - A_old equals 4B on every row for compact assemblies.
 
-    The two forcing layers coincide: bitwise on the closed-form paths,
-    and to null-space roundoff for the two-point wall, whose row comes
-    out of a numerical elimination with separate beta unknowns.
+    Every compact wall row is one closed form, so the two forcing layers
+    coincide bitwise and the layers meet the identity to rounding.
     """
-    for problem, variant, exact in (
-        (dirichlet_problem(), CompactThreePoint(), True),
-        (neumann_problem(), CompactThreePoint(), True),
-        (neumann_problem(), ReducedTwoPoint(), False),
-    ):
-        grid = make_grid(14, 1.0, 1.0, 2.0)
-        mats = assemble_compact(problem, grid, neumann_variant=variant)
-        a_new, a_old, b_new, b_old = dense_operators(mats)
-        rows = (
-            slice(1, -1) if isinstance(problem.boundary, Dirichlet) else slice(None)
-        )
-        diff = (a_new - a_old - 4.0 * b_new)[rows]
-        assert np.abs(diff).max() < 1e-9 * np.abs(a_new).max()
-        if exact:
-            assert np.abs(b_new - b_old).max() == 0.0
-        else:
-            assert np.abs(b_new - b_old).max() < 1e-12 * np.abs(b_new).max()
+    cases = [(dirichlet_problem(kind), CompactThreePoint())] + [
+        (neumann_problem(kind), variant)
+        for variant in (CompactThreePoint(), ReducedTwoPoint(), MainTerms())
+    ]
+    for problem, variant in cases:
+        for n in (14, 200, 2000):
+            mats = assemble_compact(problem, make_grid(n, 1.0, 1.0, 2.0), neumann_variant=variant)
+            scale = max(np.abs(np.concatenate([getattr(mats.a_new, b) for b in BANDS])).max(),
+                        np.abs(mats.corner_new).max())
+            assert np.abs(layer_gap(mats)).max() <= 1e-13 * scale, (variant, n)
+            for band in BANDS:
+                assert np.array_equal(getattr(mats.b_new, band), getattr(mats.b_old, band)), band
+
+
+def test_compact_walls_make_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("null_space_1d called")
+
+    monkeypatch.setattr("cpde.neumann.null_space_1d", no_svd)
+    for kind in (ScalarKind.REAL, ScalarKind.COMPLEX):
+        for variant in (CompactThreePoint(), ReducedTwoPoint(), MainTerms()):
+            for n in (10, 200, 2000):
+                assemble_compact(neumann_problem(kind), make_grid(n, 1.0, 1.0, 2.0),
+                                 neumann_variant=variant)
 
 
 def test_layer_difference_identity_classic():
@@ -197,6 +220,18 @@ def test_mul_counts():
             assemble_classic(problem_n, grid, neumann_variant=ClassicNeumann(0.8)).muls_per_step
             == 5 * n + 5
         )
+        # on the compact step a classic closure is always patched: the
+        # epsilon = 1/2 patch has no nonzero entry, the skewed one two per wall
+        half = assemble_compact(problem_n, grid, neumann_variant=ClassicNeumann(0.5))
+        assert half._fix_left is not None and half.muls_per_step == 8 * n + 2
+        skew = assemble_compact(problem_n, grid, neumann_variant=ClassicNeumann(0.8))
+        patch = skew._fix_left.muls + skew._fix_right.muls
+        assert patch == 4 and skew.muls_per_step == 8 * n + 2 + patch
+    # the two-point closure rides inside the B4 apply at every grid size
+    for n in (10, 50, 100, 200):
+        grid = analysis._matrix_grid(n, 100.0, problem_n.theta)
+        mats = assemble_compact(problem_n, grid, neumann_variant=ReducedTwoPoint())
+        assert mats.muls_per_step == 8 * n + 2, n
 
 
 def test_run_reports_constant_cost():
