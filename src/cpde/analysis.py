@@ -96,6 +96,8 @@ class SpectrumReport:
     max_modulus: float
     max_imag_abs: float
     all_negative: bool
+    # max|Im mu| of the real generator (see spectrum_report); None off that route
+    generator_imag_abs: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -346,18 +348,78 @@ def _is_dirichlet(boundary) -> bool:
     raise TypeError(f"not a boundary descriptor: {boundary!r}")
 
 
+def _cayley_generator(m: np.ndarray) -> Optional[np.ndarray]:
+    """Real K with M = (2 + iK)^{-1} (2 - iK), or None when M has no such K.
+
+    Such a K exists iff M conj(M) = I (M is reversible: conjugating it
+    inverts it) and -1 is not an eigenvalue of M.  Then
+    K = -2i (I + M)^{-1} (I - M) equals its own conjugate, and the real
+    part of (I + M) K = -2i (I - M) reads (I + Re M) K = -2 Im M, one
+    real solve.  For a reversible M, I + Re M is singular iff I + M is.
+
+    So M must pass two gates: ||M conj(M) - I||_F <= 64 m eps, and
+    I + Re M numerically nonsingular, cond_F < 1/(m eps) (numpy's
+    matrix_rank threshold) with ||(I + Re M)^{-1}|| estimated from one
+    extra right-hand side.  A solve that merely does not raise is not
+    enough: at an exact eigenvalue -1 (``ClassicNeumann(0.5)`` walls)
+    the rounded pivot is tiny but nonzero, Im M vanishes along its null
+    vector, and K comes back O(1) wrong.  A real M, or one beyond the
+    eigensolver's size cap, returns None without any work.
+    """
+    n = m.shape[0]
+    if not np.iscomplexobj(m) or m.shape != (n, n) or not 0 < n <= 512:
+        return None
+    # m x m temporaries are updated in place: the route must not raise the peak memory
+    eps = np.finfo(float).eps
+    diag = np.arange(n), np.arange(n)
+    defect = m @ m.conj()
+    defect[diag] -= 1.0
+    if not np.linalg.norm(defect) <= 64 * n * eps:
+        return None
+    del defect
+    shifted = np.array(m.real)
+    shifted[diag] += 1.0
+    # the alternating ramp of Higham's condition estimator (LAPACK xLACN2)
+    r = np.linspace(1.0, 2.0, n) * (1.0 - 2.0 * (np.arange(n) % 2))
+    try:
+        x = np.linalg.solve(shifted, np.column_stack((m.imag, r)))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.norm(shifted) * np.linalg.norm(x[:, -1]) / np.linalg.norm(r) < 1.0 / (n * eps):
+        return None
+    x *= -2.0
+    return x[:, :-1]
+
+
 def spectrum_report(m: np.ndarray) -> SpectrumReport:
     """Eigenvalues of a transition matrix M plus summary flags.
+
+    A reversible complex M (the Schrodinger kind's step map) is the
+    Cayley map M = (2 + iK)^{-1} (2 - iK) of a real K
+    (``_cayley_generator``), so its eigenvalues are
+    (2 - i mu)/(2 + i mu) for the eigenvalues mu of K: one real
+    eigensolve at about half the cost of a complex one.  They are
+    unimodular iff every mu is real, and generator_imag_abs = max|Im mu|
+    is the defect ("almost self-adjoint").  Any other M takes
+    ``eigenvalues`` directly, and generator_imag_abs is None.
 
     all_negative applies the sign criterion to A_new^{-1} A_old = -M:
     True when every eigenvalue of -M has negative real part.
     """
-    vals = eigenvalues(m)
+    m = np.asarray(m)
+    k = _cayley_generator(m)
+    if k is None:
+        vals, defect = eigenvalues(m), None
+    else:
+        mu = eigenvalues(k)
+        vals = (2.0 - 1j * mu) / (2.0 + 1j * mu)
+        vals, defect = vals[np.lexsort((vals.imag, vals.real))], float(np.abs(mu.imag).max())
     return SpectrumReport(
         eigenvalues=vals,
         max_modulus=float(np.abs(vals).max()),
         max_imag_abs=float(np.abs(vals.imag).max()),
         all_negative=bool(np.all((-vals).real < 0.0)),
+        generator_imag_abs=defect,
     )
 
 
@@ -375,20 +437,24 @@ def classic_uniform_spectrum(n: int, nu: float) -> np.ndarray:
 
 
 def diagonalization_check(m: np.ndarray, cluster_tol: float = 1e-8,
-                          residual_tol: float = 1e-6) -> str:
+                          residual_tol: float = 1e-6, vals: Optional[np.ndarray] = None) -> str:
     """"ok" when the matrix is verifiably diagonalizable, else "inconclusive".
 
     Distinct eigenvalues (no cluster within cluster_tol relative to the
     spectral scale) settle it; with clusters, a small eigendecomposition
-    residual still counts as ok.  Never raises: callers are expected to
-    skip rather than fail on "inconclusive".
+    residual still counts as ok.  vals, when given, are m's eigenvalues
+    (a ``spectrum_report``'s); the eigenvectors are computed only for a
+    cluster.  Never raises: callers are expected to skip rather than
+    fail on "inconclusive".
     """
-    vals, vecs = np.linalg.eig(m)
+    if vals is None:
+        vals = np.linalg.eigvals(m)
     scale = max(float(np.abs(vals).max()), 1e-300)
     sorted_vals = vals[np.lexsort((vals.imag, vals.real))]
     gaps = np.abs(np.diff(sorted_vals))
     if gaps.size == 0 or gaps.min() > cluster_tol * scale:
         return "ok"
+    vals, vecs = np.linalg.eig(m)
     try:
         recon = vecs @ np.diag(vals) @ np.linalg.inv(vecs)
     except np.linalg.LinAlgError:

@@ -493,8 +493,13 @@ def _cmd_spectrum(settings: dict) -> tuple:
         f"  max |lambda| = {g17(rep.max_modulus)}",
         f"  max |Im lambda| = {g17(rep.max_imag_abs)}",
         f"  negativity criterion (A_new^-1 A_old): {'yes' if rep.all_negative else 'no'}",
-        f"  diagonalization: {diagonalization_check(m)}",
+        f"  diagonalization: {diagonalization_check(m, vals=rep.eigenvalues)}",
     ]
+    if is_ll:
+        # M = (2 + iK)^-1 (2 - iK) with K real: unimodular iff every mu is real
+        defect = rep.generator_imag_abs
+        summary.append("  max |Im mu| (real generator) = "
+                       + ("n/a (no real generator)" if defect is None else g17(defect)))
     failures = []
     if settings["check"]:
         if is_ll:

@@ -223,6 +223,123 @@ def test_ll_transition_is_unimodular_small():
     assert np.abs(np.abs(vals) - 1.0).max() < 1e-10
 
 
+def set_distance(a, b):
+    """Hausdorff distance between two finite point sets in the plane."""
+    d = np.abs(a[:, None] - b[None, :])
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+COMPACT_CLOSURES = (CompactThreePoint(), MainTerms(), ReducedTwoPoint())
+# every catalogue sample in the complex kind with each compact closure its walls take,
+# and the classic scheme's Dirichlet step
+REVERSIBLE_CASES = [
+    pytest.param(name, Compact(), id=f"{name}-compact") for name in ("s1", "s2", "s3")
+] + [
+    pytest.param(name, Compact(neumann=c), id=f"{name}-compact-{type(c).__name__}")
+    for name in ("sn", "snll") for c in COMPACT_CLOSURES
+] + [pytest.param("s1", Classic(), id="s1-classic")]
+
+
+@pytest.mark.parametrize("name, scheme", REVERSIBLE_CASES)
+@pytest.mark.parametrize("courant, rtol", [(1j, 1e-12), (10j, 1e-12), (100j, 1e-12), (1e4j, 1e-10)])
+def test_cayley_mapped_spectrum_matches_the_complex_eigensolve(name, scheme, courant, rtol):
+    problem = sample_solution(name, kind=ScalarKind.COMPLEX).problem
+    for n in (10, 50, 100):
+        m = transition_matrix(assemble(problem, analysis._matrix_grid(n, courant, problem.theta), scheme))
+        rep = spectrum_report(m)
+        assert rep.generator_imag_abs is not None, n  # the real route ran
+        want = np.linalg.eigvals(m)
+        assert set_distance(rep.eigenvalues, want) <= rtol * np.abs(want).max(), n
+        order = np.lexsort((rep.eigenvalues.imag, rep.eigenvalues.real))
+        assert np.array_equal(order, np.arange(m.shape[0])), n
+
+
+def _compact_sn(closure, n, courant):
+    problem = sample_solution("sn", kind=ScalarKind.COMPLEX).problem
+    grid = analysis._matrix_grid(n, courant, problem.theta)
+    return transition_matrix(assemble_compact(problem, grid, neumann_variant=closure))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [pytest.param(_compact_sn(ClassicNeumann(eps), n, c), id=f"ClassicNeumann({eps})-N{n}-{c}")
+     for eps in (0.5, 0.75, 1.0) for n in (10, 40) for c in (1j, 100j)]
+    + [
+        pytest.param(np.random.default_rng(7).normal(size=(6, 6, 2)) @ [1, 1j], id="random"),
+        pytest.param(np.diag([1j, -1]), id="diag(i,-1)"),
+    ],
+)
+def test_spectrum_report_falls_back_to_the_complex_eigensolve(m):
+    """Not reversible (ClassicNeumann(0.75), (1.0), random), or an eigenvalue -1."""
+    rep = spectrum_report(m)
+    assert rep.generator_imag_abs is None
+    assert np.array_equal(rep.eigenvalues, eigenvalues(m))
+
+
+def test_spectrum_report_of_a_real_matrix_is_unchanged():
+    s = sample_solution("s1")
+    m = transition_matrix(assemble_compact(s.problem, analysis._matrix_grid(12, 5.0, s.problem.theta)))
+    vals = eigenvalues(m)
+    want = analysis.SpectrumReport(
+        eigenvalues=vals,
+        max_modulus=float(np.abs(vals).max()),
+        max_imag_abs=float(np.abs(vals.imag).max()),
+        all_negative=bool(np.all((-vals).real < 0.0)),
+        generator_imag_abs=None,
+    )
+    rep = spectrum_report(m)
+    assert np.array_equal(rep.eigenvalues, want.eigenvalues)
+    assert (rep.max_modulus, rep.max_imag_abs, rep.all_negative, rep.generator_imag_abs) == (
+        want.max_modulus, want.max_imag_abs, want.all_negative, want.generator_imag_abs)
+
+
+@pytest.mark.parametrize(
+    "name, closure",
+    [pytest.param("snll", CompactThreePoint(), id="snll")]
+    + [pytest.param("sn", c, id=f"sn-{type(c).__name__}") for c in COMPACT_CLOSURES],
+)
+def test_complex_kind_spectra_make_no_complex_eigensolve(monkeypatch, name, closure):
+    real_eigvals = np.linalg.eigvals
+
+    def real_only(a):
+        if np.iscomplexobj(a):
+            raise AssertionError("complex eigensolve")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", real_only)
+    problem = sample_solution(name, kind=ScalarKind.COMPLEX).problem
+    for n in (16, 100):
+        grid = analysis._matrix_grid(n, 1j, problem.theta)
+        rep = spectrum_report(transition_matrix(assemble_compact(problem, grid, neumann_variant=closure)))
+        assert np.abs(np.abs(rep.eigenvalues) - 1.0).max() < 1e-14
+        assert rep.generator_imag_abs < 1e-8
+
+
+def test_diagonalization_check_reuses_given_eigenvalues(monkeypatch):
+    q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    m = q @ np.diag(np.arange(1.0, 7.0)) @ q.T
+    vals = np.linalg.eigvals(m)
+    defective = np.array([[1.0, 1.0], [0.0, 1.0]])
+    defective_vals = np.linalg.eigvals(defective)
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def call(a):
+            calls.append((name, a.shape))
+            return solver(a)
+
+        return call
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    assert diagonalization_check(m, vals=vals) == "ok"
+    assert calls == []  # distinct eigenvalues: no eigensolve at all
+    assert diagonalization_check(defective, vals=defective_vals) == "inconclusive"
+    assert calls == [("eig", (2, 2))]  # a cluster: the eigenvectors are computed
+
+
 RHS_VARIANTS = tuple(ClassicRhsVariant)
 DIRICHLET_SCHEMES = (Compact(),) + tuple(Classic(rhs) for rhs in RHS_VARIANTS)
 NEUMANN_SCHEMES = tuple(

@@ -421,7 +421,32 @@ def test_spectrum_default_is_neumann_demo(capsys):
     assert out.splitlines()[0] == "index,re,im,modulus"
     # Neumann keeps every node: n + 1 eigenvalue rows
     assert len(out.splitlines()) == 18
-    assert "diagonalization:" in err
+    assert "diagonalization: ok" in err
+    # the complex kind's spectrum came from the real generator K, with real mu
+    line = next(ln for ln in err.splitlines() if "max |Im mu| (real generator) = " in ln)
+    assert float(line.split("= ")[1]) < 1e-8
+
+
+@pytest.mark.parametrize("argv", [["--n", "16", "--courant", "i"],
+                                  ["--solution", "s1", "--n", "12", "--courant", "5"]])
+def test_spectrum_eigensolves_once(capsys, monkeypatch, argv):
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def call(a):
+            calls.append((name, np.iscomplexobj(a)))
+            return solver(a)
+
+        return call
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rc, _, err = run_main(capsys, ["spectrum"] + argv)
+    assert rc == 0 and "diagonalization: ok" in err
+    # one real eigensolve for either kind: of K for the complex kind, of M for the real
+    assert calls == [("eigvals", False)]
 
 
 def test_spectrum_real_diffusion_check(capsys):
@@ -430,6 +455,7 @@ def test_spectrum_real_diffusion_check(capsys):
     )
     assert rc == 0
     assert "negativity criterion" in err
+    assert "Im mu" not in err
 
 
 def test_first_integral_history(capsys):
