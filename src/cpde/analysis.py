@@ -1,7 +1,7 @@
 """Experiment layer: convergence, extrapolation, spectra, conservation.
 
 Everything here consumes the assembly/stepping layer and produces small
-report dataclasses that the command line serializes to CSV.  Orders of
+report records that the command line serializes to CSV.  Orders of
 accuracy come from one of two log ratios.  The endpoint ratio
 
     order = log(err(N_min) / err(N_max)) / log(N_max / N_min)
@@ -21,8 +21,7 @@ diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,8 +57,7 @@ from .steppers import (
 # reports
 
 
-@dataclass(frozen=True)
-class ConvergenceEntry:
+class ConvergenceEntry(NamedTuple):
     n: int
     h: float
     tau: float
@@ -68,30 +66,26 @@ class ConvergenceEntry:
     muls_per_step: int
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     entries: tuple
     estimated_order: float
     lsq_order: float
 
 
-@dataclass(frozen=True)
-class RichardsonEntry:
+class RichardsonEntry(NamedTuple):
     n: int
     h: float
     error_h: float
     error_extrapolated: float
 
 
-@dataclass(frozen=True)
-class RichardsonReport:
+class RichardsonReport(NamedTuple):
     entries: tuple
     order_h: float
     order_extrapolated: float
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     eigenvalues: np.ndarray
     max_modulus: float
     max_imag_abs: float
@@ -100,8 +94,7 @@ class SpectrumReport:
     generator_imag_abs: Optional[float]
 
 
-@dataclass(frozen=True)
-class AsymmetryEntry:
+class AsymmetryEntry(NamedTuple):
     n: int
     h: float
     tau: float
@@ -109,31 +102,27 @@ class AsymmetryEntry:
     s_forcing: float
 
 
-@dataclass(frozen=True)
-class AsymmetryReport:
+class AsymmetryReport(NamedTuple):
     entries: tuple
     order_transition: float
     order_forcing: float
 
 
-@dataclass(frozen=True)
-class NegativityBracket:
+class NegativityBracket(NamedTuple):
     """Last all-negative nu and first violating nu (None = not seen)."""
 
     lower: Optional[float]
     upper: Optional[float]
 
 
-@dataclass(frozen=True)
-class DriftEntry:
+class DriftEntry(NamedTuple):
     n: int
     h: float
     baseline: float
     amplitude: float
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     entries: tuple
     slope: float
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class ScalarKind(Enum):
         return 1j if self is ScalarKind.COMPLEX else 1.0
 
 
+# Grid1D, ProblemSpec and steppers.SchemeMatrices are cpde's only
+# dataclasses, because callers copy them with ``dataclasses.replace``.
+# Every other record is a plain class or a NamedTuple: a dataclass
+# compiles its methods at import, in every process that imports cpde.
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform space-time grid on [0, 2*pi] x [0, t_final]."""
@@ -90,17 +94,26 @@ def theta_grid_max(theta: Callable, grid_or_x) -> float:
     return float(sample_theta(theta, x).max())
 
 
-@dataclass(frozen=True)
-class Dirichlet:
+class Dirichlet(NamedTuple):
     """Prescribed end values u(t, 0) and u(t, 2*pi)."""
 
     left: Callable[[float], complex]
     right: Callable[[float], complex]
 
 
-@dataclass(frozen=True)
 class Neumann:
     """Homogeneous derivative conditions u_x = 0 at both walls."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Neumann
+
+    def __hash__(self):
+        return hash(Neumann)
+
+    def __repr__(self):
+        return "Neumann()"
 
 
 BoundaryCondition = Union[Dirichlet, Neumann]
@@ -115,8 +128,7 @@ class ProblemSpec:
     kind: ScalarKind
 
 
-@dataclass(frozen=True)
-class SampleSolution:
+class SampleSolution(NamedTuple):
     """A manufactured solution: problem plus the exact field and pieces.
 
     exact and its derivative callables are built from the sample's two
@@ -136,8 +148,6 @@ class SampleSolution:
     theta_dx: Callable[[np.ndarray], np.ndarray]
 
 
-# The two mode classes are plain classes, not frozen dataclasses: each
-# dataclass costs about 1.3 ms at import, in every process that imports cpde.
 class TwoModeForcing:
     """The forcing cos(omega t) * f_c(x) + sin(omega t) * f_s(x), modes declared.
 
@@ -235,7 +245,10 @@ def _build_s1(name: str, kind: ScalarKind, params: dict) -> SampleSolution:
 
 
 def _build_s2(name: str, kind: ScalarKind, params: dict) -> SampleSolution:
-    k = int(params.get("k", 2))
+    k = params.get("k", 2)
+    if k != int(k):
+        raise ValueError(f"power k must be an integer, got {k}")
+    k = int(k)
     if k < 2:
         raise ValueError(f"power k must be at least 2, got {k}")
     params = {"k": k}
@@ -323,12 +336,13 @@ def _build_sn(name: str, kind: ScalarKind, params: dict) -> SampleSolution:
     )
 
 
+# name: (builder, natural kind, the parameters it takes)
 _BUILDERS = {
-    "s1": (_build_s1, ScalarKind.REAL),
-    "s2": (_build_s2, ScalarKind.REAL),
-    "s3": (_build_s3, ScalarKind.REAL),
-    "sn": (_build_sn, ScalarKind.REAL),
-    "snll": (_build_sn, ScalarKind.COMPLEX),
+    "s1": (_build_s1, ScalarKind.REAL, ()),
+    "s2": (_build_s2, ScalarKind.REAL, ("k",)),
+    "s3": (_build_s3, ScalarKind.REAL, ("a", "b", "omega")),
+    "sn": (_build_sn, ScalarKind.REAL, ()),
+    "snll": (_build_sn, ScalarKind.COMPLEX, ()),
 }
 
 
@@ -337,12 +351,20 @@ def sample_solution(name: str, kind: ScalarKind | None = None, **params) -> Samp
 
     Passing kind switches the same field to the other equation kind
     (the forcing changes accordingly); by default each sample uses its
-    natural kind.  Unknown names raise ValueError listing the choices.
+    natural kind.  Unknown names, a parameter the sample does not take,
+    a parameter that is not finite and a non-integral s2 power k raise
+    ValueError.
     """
     key = name.lower()
     if key not in _BUILDERS:
         raise ValueError(f"unknown sample {name!r}; choose from {sorted(_BUILDERS)}")
-    builder, default_kind = _BUILDERS[key]
+    builder, default_kind, takes = _BUILDERS[key]
+    for param, value in params.items():
+        if param not in takes:
+            raise ValueError(f"unknown parameter {param!r} for sample {key!r}; "
+                             f"it takes {', '.join(takes) or 'no parameters'}")
+        if not math.isfinite(value):
+            raise ValueError(f"parameter {param} must be finite, got {value}")
     return builder(key, kind or default_kind, dict(params))
 
 

@@ -30,7 +30,7 @@ most stable anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,24 +41,8 @@ from .theta_fit import ExpFit
 # CUT_FULL keeps every power, smaller values drop powers >= cut
 CUT_FULL = 10
 
-FIELD_NAMES = (
-    "b_l0",
-    "a_0",
-    "b_r0",
-    "b_l1",
-    "a_1",
-    "b_r1",
-    "q_l0",
-    "p_0",
-    "q_r0",
-    "q_l1",
-    "p_1",
-    "q_r1",
-)
 
-
-@dataclass(frozen=True)
-class CompactRow:
+class CompactRow(NamedTuple):
     """The twelve coefficients of one row, or twelve node arrays of them."""
 
     b_l0: complex
@@ -75,11 +59,14 @@ class CompactRow:
     q_r1: complex
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in FIELD_NAMES])
+        return np.array(self)
 
     @property
     def solution_side_sum(self) -> complex:
         return self.b_l0 + self.a_0 + self.b_r0 + self.b_l1 + self.a_1 + self.b_r1
+
+
+FIELD_NAMES = CompactRow._fields
 
 
 def coefficient_stacks(fit: ExpFit, nu: complex) -> dict[str, list]:

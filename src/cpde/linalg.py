@@ -9,7 +9,6 @@ than wall time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -30,7 +29,6 @@ class EigenConvergenceError(RuntimeError):
     """The eigenvalue iteration did not converge."""
 
 
-@dataclass
 class Tridiag:
     """Tridiagonal operator stored as three bands.
 
@@ -38,9 +36,10 @@ class Tridiag:
     length m-1 (superdiagonal), where m = diag.size.
     """
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    __slots__ = ("lower", "diag", "upper")
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        self.lower, self.diag, self.upper = lower, diag, upper
 
     @classmethod
     def zeros(cls, m: int, dtype=float) -> "Tridiag":
@@ -95,7 +94,6 @@ def _check_pivots(t: Tridiag, pivots: list):
         )
 
 
-@dataclass
 class TridiagLU:
     """A tridiagonal matrix factored once for many solves in 16-row blocks.
 
@@ -116,11 +114,15 @@ class TridiagLU:
     both schemes.
     """
 
-    diag: np.ndarray
-    maps: np.ndarray  # (nb, 17, 16)
-    fwd_in: np.ndarray  # (nb, 16)
-    back_in: np.ndarray  # (nb, 16)
-    loop_weights: tuple  # three lists of nb scalars
+    __slots__ = ("diag", "maps", "fwd_in", "back_in", "loop_weights")
+
+    def __init__(self, diag: np.ndarray, maps: np.ndarray, fwd_in: np.ndarray,
+                 back_in: np.ndarray, loop_weights: tuple):
+        self.diag = diag
+        self.maps = maps  # (nb, 17, 16)
+        self.fwd_in = fwd_in  # (nb, 16)
+        self.back_in = back_in  # (nb, 16)
+        self.loop_weights = loop_weights  # three lists of nb scalars
 
     @property
     def size(self) -> int:

@@ -29,8 +29,7 @@ The right-wall row is the left row of the mirrored fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -38,35 +37,61 @@ from .linalg import null_space_1d, RankError
 from .theta_fit import ExpFit
 
 
-@dataclass(frozen=True)
-class CompactThreePoint:
-    pass
+class _FieldlessClosure:
+    """A closure without parameters: immutable, equal to any closure of its type."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class ReducedTwoPoint:
-    pass
+class CompactThreePoint(_FieldlessClosure):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MainTerms:
-    pass
+class ReducedTwoPoint(_FieldlessClosure):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class MainTerms(_FieldlessClosure):
+    __slots__ = ()
+
+
 class ClassicNeumann:
-    epsilon: float = 0.5
+    __slots__ = ("epsilon",)
 
-    def __post_init__(self):
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+    def __init__(self, epsilon: float = 0.5):
+        if not (0.0 < epsilon <= 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is ClassicNeumann and other.epsilon == self.epsilon
+
+    def __hash__(self):
+        return hash((ClassicNeumann, self.epsilon))
+
+    def __repr__(self):
+        return f"ClassicNeumann(epsilon={self.epsilon!r})"
+
+    def __reduce__(self):
+        return ClassicNeumann, (self.epsilon,)
 
 
 NeumannVariant = Union[CompactThreePoint, ReducedTwoPoint, MainTerms, ClassicNeumann]
 
 
-@dataclass(frozen=True)
-class BoundaryRow:
+class BoundaryRow(NamedTuple):
     """One wall equation.  Index 0 is the wall node, increasing inward.
 
     beta_new/beta_old are in scaled units; divide by nu0 for the weight

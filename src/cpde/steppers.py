@@ -95,7 +95,7 @@ import numpy as np
 
 from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind, TwoModeForcing, TwoModeWall
 from .interior import CUT_FULL, assemble_row
-from .linalg import SingularMatrixError, Tridiag, TridiagLU, factor_tridiag, solve_tridiag
+from .linalg import SingularMatrixError, Tridiag, factor_tridiag, solve_tridiag
 from .neumann import (
     BoundaryRow,
     ClassicNeumann,
@@ -114,49 +114,86 @@ class ClassicRhsVariant(Enum):
     FIVE_POINT = "fivepoint"
 
 
-@dataclass(frozen=True)
 class Compact:
     """Compact scheme descriptor: cut level and Neumann closure variant."""
 
-    cut: int = CUT_FULL
-    neumann: NeumannVariant = CompactThreePoint()
+    __slots__ = ("cut", "neumann")
+
+    def __init__(self, cut: int = CUT_FULL, neumann: NeumannVariant = CompactThreePoint()):
+        object.__setattr__(self, "cut", cut)
+        object.__setattr__(self, "neumann", neumann)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is Compact and (other.cut, other.neumann) == (self.cut, self.neumann)
+
+    def __hash__(self):
+        return hash((Compact, self.cut, self.neumann))
+
+    def __repr__(self):
+        return f"Compact(cut={self.cut!r}, neumann={self.neumann!r})"
+
+    def __reduce__(self):
+        return Compact, (self.cut, self.neumann)
 
 
-@dataclass(frozen=True)
 class Classic:
     """Classic implicit (Crank-Nicolson type) scheme descriptor."""
 
-    rhs: ClassicRhsVariant = ClassicRhsVariant.POINTWISE
-    neumann: NeumannVariant = ClassicNeumann(0.5)
+    __slots__ = ("rhs", "neumann")
+
+    def __init__(self, rhs: ClassicRhsVariant = ClassicRhsVariant.POINTWISE,
+                 neumann: NeumannVariant = ClassicNeumann(0.5)):
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "neumann", neumann)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is Classic and (other.rhs, other.neumann) == (self.rhs, self.neumann)
+
+    def __hash__(self):
+        return hash((Classic, self.rhs, self.neumann))
+
+    def __repr__(self):
+        return f"Classic(rhs={self.rhs!r}, neumann={self.neumann!r})"
+
+    def __reduce__(self):
+        return Classic, (self.rhs, self.neumann)
 
 
 SchemeDescriptor = Union[Compact, Classic]
 
 
-@dataclass
 class StepReport:
-    final_state: np.ndarray
-    muls_per_step: int
-    steps: int
+    __slots__ = ("final_state", "muls_per_step", "steps")
+
+    def __init__(self, final_state: np.ndarray, muls_per_step: int, steps: int):
+        self.final_state, self.muls_per_step, self.steps = final_state, muls_per_step, steps
 
 
-@dataclass
 class _WallFixup:
     """Right-hand-side patch that applies a wall row outside the B4 apply."""
 
-    d: np.ndarray  # alpha_new - alpha_old
-    b_new_lit: np.ndarray
-    b_old_lit: np.ndarray
-    muls: int
+    __slots__ = ("d", "b_new_lit", "b_old_lit", "muls")
+
+    def __init__(self, d: np.ndarray, b_new_lit: np.ndarray, b_old_lit: np.ndarray, muls: int):
+        self.d = d  # alpha_new - alpha_old
+        self.b_new_lit, self.b_old_lit, self.muls = b_new_lit, b_old_lit, muls
 
 
-@dataclass
 class _Built:
     """The pieces of an operator built on first use."""
 
-    factored: Optional[TridiagLU] = None  # the solver, factored
-    eigen: Optional[tuple] = None  # (lam, V, V^-1, cond(V)) of the step map P
-    modal: Optional[tuple] = None  # _eigen_maps of the unit inputs and lam's powers
+    __slots__ = ("factored", "eigen", "modal")
+
+    def __init__(self):
+        self.factored = None  # the solver, factored: a TridiagLU
+        self.eigen = None  # (lam, V, V^-1, cond(V)) of the step map P
+        self.modal = None  # _eigen_maps of the unit inputs and lam's powers
 
 
 @dataclass

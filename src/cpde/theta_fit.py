@@ -19,8 +19,7 @@ CoefficientDomainError with the offending abscissa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class CoefficientDomainError(ValueError):
     """The coefficient was non-positive (or non-finite) at a sample point."""
 
 
-@dataclass(frozen=True)
-class ExpFit:
+class ExpFit(NamedTuple):
     """Fitted local model around a center point (or an array of them).
 
     r_minus and r_plus are the ratios theta(center)/theta(center -+ h)

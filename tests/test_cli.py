@@ -295,6 +295,22 @@ def test_exit_2_on_unknown_solution(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("solution,params,reason", [
+    ("s1", "bogus:3", "unknown parameter 'bogus'"),
+    ("neumann-demo", "k:2", "unknown parameter 'k' for sample 'snll'"),
+    ("s2", "k:2.5", "k must be an integer"),
+    ("s3", "omega:nan", "omega must be finite"),
+    ("s3", "a:inf", "a must be finite"),
+])
+def test_exit_2_on_sample_parameters_it_cannot_honour(capsys, solution, params, reason):
+    rc, out, err = run_main(
+        capsys, ["convergence", "--solution", solution, "--params", params, "--ns", "8,16"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("configuration error") and reason in err
+
+
 def test_exit_2_on_missing_required_setting(capsys):
     rc, _, err = run_main(capsys, ["convergence", "--solution", "s1"])
     assert rc == 2

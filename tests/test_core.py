@@ -273,6 +273,27 @@ def test_unknown_sample():
         sample_solution("nope")
 
 
+@pytest.mark.parametrize("name,params,match", [
+    ("s1", {"bogus": 3}, "unknown parameter 'bogus' for sample 's1'; it takes no parameters"),
+    ("snll", {"k": 2}, "unknown parameter 'k'"),
+    ("s2", {"a": 1.0}, "it takes k"),
+    ("s3", {"k": 2}, "it takes a, b, omega"),
+    ("s2", {"k": 2.5}, "must be an integer"),
+    ("s2", {"k": math.inf}, "k must be finite"),
+    ("s3", {"omega": math.nan}, "omega must be finite"),
+    ("s3", {"a": -math.inf}, "a must be finite"),
+    ("s3", {"b": math.inf}, "b must be finite"),
+])
+def test_sample_rejects_parameters_it_cannot_honour(name, params, match):
+    with pytest.raises(ValueError, match=match):
+        sample_solution(name, **params)
+
+
+def test_integral_float_power_is_accepted():
+    assert sample_solution("s2", k=3.0).params == {"k": 3}
+    assert sample_solution("s3", a=2, b=1, omega=0).params == {"a": 2.0, "b": 1.0, "omega": 0.0}
+
+
 def test_s2_k_changes_field():
     a = sample_solution("s2", k=2)
     b = sample_solution("s2", k=4)
