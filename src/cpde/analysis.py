@@ -21,7 +21,7 @@ diagnostic.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 

@@ -129,6 +129,8 @@ def parse_params(text: Optional[str]) -> dict:
                 num = float(value)
             except ValueError as exc:
                 raise ConfigError(f"bad parameter value {value!r}") from exc
+        if name in out:
+            raise ConfigError(f"parameter {name!r} given twice")
         out[name] = num
     return out
 

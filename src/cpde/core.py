@@ -153,7 +153,7 @@ class TwoModeForcing:
 
     f_c and f_s see x alone, so a (k, 1) time column against a (1, m)
     node row costs two outer products and one sum.  ``steppers.run``
-    reads omega, f_c and f_s to sum a long march in closed form.
+    reads omega, f_c and f_s to advance a long march in closed form.
     """
 
     __slots__ = ("omega", "f_c", "f_s")

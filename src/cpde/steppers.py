@@ -34,10 +34,10 @@ itself, whose parameters may have changed.  The operator holds no
 problem data: the ``SchemeMatrices`` an assembly returns pairs
 it with the caller's grid and Dirichlet walls, and forcing and initial
 state come from the problem at march time.  What the operator builds on
-first use is kept with it: the factored A_new and P's eigendecomposition
-with the modal engine's maps.  So a march run as consecutive ``run``
-calls sets up once, and a reused operator gives bitwise the result of a
-fresh one.  Its band arrays are read-only.
+first use is kept with it: the factored A_new and the modal engine's
+eigendecomposition of P and input maps.  So a march run as consecutive
+``run`` calls sets up once, and a reused operator gives bitwise the
+result of a fresh one.  Its band arrays are read-only.
 
 The per-step cost is data on the assembled scheme: ``_finalize`` adds
 up the multiplications and divisions the step performs (additions are
@@ -56,32 +56,32 @@ does not build it.
 ``run`` marches with one of three engines.  The stepwise one takes the
 step above per time level.  theta does not depend on time, so the step
 is a fixed affine map u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} (g the
-Dirichlet data), and the other two work in P's eigenbasis: one
-``_step`` on a stack of unit states and inputs gives P and the input
-maps, and P = V diag(lam) V^-1 is factored once.
+Dirichlet data), and one ``_step`` on a stack of unit states and inputs
+gives P and the responses to the inputs.
 
 - The closed form serves a problem that declares its modes: a
   ``core.TwoModeForcing`` and, for Dirichlet walls, ``core.TwoModeWall``
-  data with the same omega.  Step k's forcing is then cos(k omega tau)
-  E_c + sin(k omega tau) E_s, so besides P the probe needs only the two
-  responses E_c and E_s, and the whole march sums in closed form
-  (``_geometric``): one probe and one eigensolve whatever the step
-  count.  It runs from
+  data with the same omega.  Step k's inputs are then cos(k omega tau)
+  and sin(k omega tau) times two fixed ones, so (u, cos, sin) advances by
+  one (m + 2)-square map G, and the march is G^n applied to the start:
+  one probe and floor(log2 n) squarings (``_march_closed``), in the
+  kind's own arithmetic.  It runs from
   ``max(_CLOSED_MIN_STEPS, K m^2)`` steps on any grid, K from
-  ``_CLOSED_STEPS_PER_NODE_SQUARED``: the eigensolve costs O(m^3), the
+  ``_CLOSED_STEPS_PER_NODE_SQUARED``: a squaring costs O(m^3), the
   stepwise march O(steps).
 - The chunked modal engine serves any other problem on grids of at
   most ``_AFFINE_MAX_NODES`` nodes with at least
-  ``_AFFINE_MIN_STEPS_PER_NODE`` steps per node.  It advances z = V^-1 u
-  by a whole 256-step chunk at a time: two GEMMs give the chunk's modal
-  forcing, and one weighted sum with powers of lam folds it into z.
+  ``_AFFINE_MIN_STEPS_PER_NODE`` steps per node.  It factors
+  P = V diag(lam) V^-1 once and advances z = V^-1 u by a whole 256-step
+  chunk at a time: two GEMMs give the chunk's modal forcing, and one
+  weighted sum with powers of lam folds it into z.  It hands over to the
+  stepwise march when V is worse conditioned than ``_MODAL_MAX_COND``.
 - Everything else steps.
 
-Both eigenbasis engines hand over to the stepwise march when V is worse
-conditioned than ``_MODAL_MAX_COND``.  No engine holds an array that
-grows with the step count: times, forcing and wall data are made block
-by block.  ``muls_per_step`` is the analytic cost of the banded step
-whichever engine runs, not the work executed.
+No engine holds an array that grows with the step count: times, forcing
+and wall data are made block by block.  ``muls_per_step`` is the
+analytic cost of the banded step whichever engine runs, not the work
+executed.
 """
 
 from __future__ import annotations
@@ -665,19 +665,21 @@ _AFFINE_MIN_STEPS_PER_NODE = 4
 # richardson run of the README commands raised their peak RSS from 38.7 to
 # 41.5 MB; with it, 38.5 MB.
 _AFFINE_MAX_NODES = 128
-# The closed form costs one probe, one eig and one inv, O(m^3) whatever the
-# step count; stepping costs about 40-110 us a step at m = 11-1001.  Closed
-# form / one stepwise step, best of 1-5, on a 2-core Xeon with one BLAS
-# thread, s1 at courant 1 (real) and snll at courant i (complex): m = 11,
-# 0.79 ms / 41 us (real) and 0.80 ms / 47 us (complex); m = 21, 1.1 / 49
-# and 1.5 / 59; m = 51, 3.1 / 68 and 6.1 / 92; m = 101, 10.6 / 68 and
-# 25 / 78; m = 201, 38 / 82 and 91 / 91; m = 401, 164 / 99 and 454 / 113;
-# m = 801 and 1001 (real), 1.08 s / 91 us and 1.89 s / 111 us.  Break-even
-# is 17-25 steps below m = 30, and from m = 51 up 0.010-0.018 m^2 steps
-# (real) or 0.025-0.032 m^2 (complex, whose eig costs 2-3 times more).
-# The dense maps are O(m^2) memory: 135 MB peak at m = 1001.
-_CLOSED_MIN_STEPS = 24
-_CLOSED_STEPS_PER_NODE_SQUARED = {ScalarKind.REAL: 1 / 64, ScalarKind.COMPLEX: 1 / 32}
+# The closed form costs one probe of m + 2 states and floor(log2 n) squarings
+# of an (m + 2)-square matrix; a step costs about 15-80 us.  Break-even, best
+# of 3-5 on a 2-core Xeon with one BLAS thread, s1 at courant 1 (real) and
+# snll at courant i (complex): 8-12 steps up to m = 51, then 25-45 / 55-90
+# (real / complex) at m = 101, 150-200 / 330-650 at m = 201 and 1000-1450 /
+# 1500-2500 at m = 401.  At n = m^2 / 64 the closed form is 3.1 / 2.2 times
+# as fast as stepping at m = 101, 3.5 / 1.5 at m = 201 and 2.0 / 1.2 at 401.
+_CLOSED_MIN_STEPS = 16
+_CLOSED_STEPS_PER_NODE_SQUARED = 1 / 64
+# The closed form zeroes the entries of G's top rows below this fraction of
+# their column's largest, before each use until none is left.  They move no
+# result by more than about m * 1e-150 of its inputs, and their products
+# would be subnormal, which slows a GEMM 5-10 times: 11.6M steps of s3 a=2
+# at m = 401 took 201 ms without the flush and 71 ms with it.
+_CLOSED_FLUSH = 1e-150
 # Bound on ||V||_1 ||V^-1||_1 for P's eigenvectors V.  The march's
 # deviation from the stepwise one is at most about steps * eps * cond(V).
 # s1, s2, s3, sn and snll, both kinds, compact, classic and every Neumann
@@ -711,7 +713,7 @@ def _engine(problem: ProblemSpec, grid: Grid1D):
     """The march ``run`` uses: the rule of the module docstring."""
     m, n_steps = grid.n + 1, grid.n_steps
     if _modes(problem) is not None and n_steps >= max(
-        _CLOSED_MIN_STEPS, _CLOSED_STEPS_PER_NODE_SQUARED[problem.kind] * m * m
+        _CLOSED_MIN_STEPS, _CLOSED_STEPS_PER_NODE_SQUARED * m * m
     ):
         return _march_closed
     if m <= _AFFINE_MAX_NODES and n_steps >= _AFFINE_MIN_STEPS_PER_NODE * m:
@@ -830,59 +832,53 @@ def _march_affine(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
     return u_new if np.iscomplexobj(u) else u_new.real.copy()
 
 
-def _geometric(lam: np.ndarray, nu: complex, n: int) -> np.ndarray:
-    """sum_{k<n} lam^(n-1-k) nu^k for |nu| = 1, accurate for lam near nu.
+def _closed_map(mats: SchemeMatrices, problem: ProblemSpec, dtype) -> np.ndarray:
+    """G = [[P, E], [0, R]], the step map of y = (u, cos k theta, sin k theta).
 
-    With r = lam / nu = 1 + d the sum is nu^(n-1) expm1(n log1p(d)) / d.
-    numpy's complex log1p loses the digits of a small d, so log|1 + d| is
-    taken as log1p(2 Re d + |d|^2) / 2.  A mode with lam = 0 (a Dirichlet
-    wall row) keeps the last term alone, nu^(n-1): the formula would take
-    log(0), which times n is NaN.
-    """
-    zero = lam == 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = np.where(zero, -0.5, (lam - nu) / nu)
-        log_abs = 0.5 * np.log1p(d.real * (2.0 + d.real) + d.imag**2)
-        n_log_r = n * log_abs + 1j * (n * np.arctan2(d.imag, 1.0 + d.real))
-        ratio = np.where(d == 0, n, np.expm1(n_log_r) / d)
-    return nu ** (n - 1) * np.where(zero, 1.0, ratio)
-
-
-def _march_closed(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
-    """Sum the whole march of a problem that declares its modes.
-
-    Step k's forcing is cos(k theta) E_c + sin(k theta) E_s with theta =
-    omega tau, where E_c and E_s are the step's responses to the inputs
-    of k = 0 and of omega t = pi/2.  In P's eigenbasis this is
-    a+ mu^k + a- mu^-k with mu = e^(i theta), so
-    z_n = lam^n z_0 + a+ G(mu) + a- G(1/mu), G the sum ``_geometric`` takes.
+    Step k's inputs are cos(k theta) times those of k = 0 plus sin(k theta)
+    times those of omega t = pi/2, theta = omega tau, so E holds the step's
+    responses to these two inputs, and the phase turns by the rotation R
+    each step.  One probe gives P and E together.
     """
     forcing, walls = _modes(problem)
     theta = forcing.omega * mats.grid.tau
     cb, sb = math.cos(theta), math.sin(theta)
     xf = _forcing_grid(mats)
-    f_c, f_s = (
-        np.broadcast_to(np.asarray(mode(xf), u.dtype), xf.shape)
-        for mode in (forcing.f_c, forcing.f_s)
-    )
+    f_c, f_s = (np.broadcast_to(np.asarray(mode(xf), dtype), xf.shape)
+                for mode in (forcing.f_c, forcing.f_s))
     g = None
     if walls:
         g_c, g_s = np.array([w.c for w in walls]), np.array([w.s for w in walls])
         g = np.stack((cb * g_c + sb * g_s, cb * g_s - sb * g_c))
     f1 = np.stack((cb * f_c + sb * f_s, cb * f_s - sb * f_c))
-    maps = _eigen_maps(mats, np.stack((f_c, f_s)), f1, g)
-    if maps is None:
-        return _march_stepwise(mats, u, problem, n_steps)
-    lam, v, v_inv, (e_c, e_s) = maps
-    mu = complex(cb, sb)
-    z = (
-        lam**n_steps * (v_inv @ u)
-        + 0.5 * (e_c - 1j * e_s) * _geometric(lam, mu, n_steps)
-        + 0.5 * (e_c + 1j * e_s) * _geometric(lam, mu.conjugate(), n_steps)
-    )
-    u_new = v @ z
-    _check_finite(u_new, 0, n_steps)
-    return u_new if np.iscomplexobj(u) else u_new.real.copy()
+    m = mats.grid.n + 1
+    step_map = np.zeros((m + 2, m + 2), dtype)
+    step_map[:m] = _probe(mats, range(m), np.stack((f_c, f_s)), f1, g).T
+    step_map[m:, m:] = ((cb, -sb), (sb, cb))
+    return step_map
+
+
+def _march_closed(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
+    """y_n = G^n y_0 for a problem that declares its modes (``_closed_map``).
+
+    Every factor is a power of G, so the order does not matter: floor(log2 n)
+    squarings of G and one matrix-vector product per set bit of n.
+    """
+    step_map = _closed_map(mats, problem, u.dtype)
+    y, bits, flush = np.concatenate((u, (1.0, 0.0))), n_steps, True
+    while bits:
+        if flush:  # while G has entries to flush: see _CLOSED_FLUSH
+            top = np.abs(step_map[:-2])
+            tiny = (top < _CLOSED_FLUSH * top.max(axis=0)) & (top > 0.0)
+            flush = tiny.any()
+            step_map[:-2][tiny] = 0.0
+        if bits & 1:
+            y = step_map @ y
+        bits >>= 1
+        if bits:
+            step_map = step_map @ step_map
+    _check_finite(y, 0, n_steps)
+    return y[:-2]
 
 
 def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepReport:
@@ -894,7 +890,8 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
     chosen as the module docstring says; a non-finite state raises
     FloatingPointError.  A run on the operator of the previous assembly
     (same theta samples, grid, kind, wall type and scheme) skips its
-    assembly, probe and eigensolve, and gives bitwise the same state.
+    assembly, and on the modal engine its probe and eigensolve, and
+    gives bitwise the same state.
     """
     if isinstance(scheme, Compact):
         mats = assemble_compact(problem, grid, scheme.cut, scheme.neumann)

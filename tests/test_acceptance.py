@@ -150,8 +150,8 @@ def test_criterion_03_s3_steep_coefficient():
 def test_criterion_03_stiff_row_past_n_100():
     """The a=2 row of criterion 3 on to N=200 and 400 (2.9M and 11.6M steps).
 
-    Its problem declares its modes, so each march is summed in closed form:
-    the three runs take about 0.2 s, where stepping them would take minutes.
+    Its problem declares its modes, so each march takes the closed form:
+    the three runs take about 0.1 s, where stepping them would take minutes.
     """
     failures = []
     start = time.perf_counter()

@@ -79,6 +79,8 @@ def test_parse_params():
         parse_params("k=3")
     with pytest.raises(ConfigError, match="value"):
         parse_params("k:three")
+    with pytest.raises(ConfigError, match="parameter 'k' given twice"):
+        parse_params("k:2, k:3")
 
 
 def test_parse_cut():
@@ -287,6 +289,15 @@ def test_config_key_of_no_subcommand_warns_and_changes_nothing(tmp_path, capsys)
     assert rc == rc0 == 0
     assert out == out0
     assert err.splitlines() == ["warning: config key 'cut' ignored"] + err0.splitlines()
+
+
+def test_exit_2_on_a_repeated_parameter(capsys):
+    rc, out, err = run_main(
+        capsys, ["convergence", "--solution", "s2", "--params", "k:2,k:3", "--ns", "8,16"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert "parameter 'k' given twice" in err
 
 
 def test_exit_2_on_unknown_solution(capsys):

@@ -42,7 +42,6 @@ from cpde.steppers import (
     Classic,
     ClassicRhsVariant,
     Compact,
-    _geometric,
     _march_affine,
     _march_closed,
     _march_stepwise,
@@ -456,13 +455,57 @@ def test_closed_form_matches_stepwise(name, kind, scheme):
 
 
 @pytest.mark.parametrize("name,kind,scheme", ENGINE_CASES)
-def test_closed_form_matches_the_modal_march_over_2000_steps(name, kind, scheme):
-    """N=50: the two eigenbasis engines agree to 3e-13 (measured), while the
-    stepwise march's own rounding puts it up to 1.4e-11 from both."""
+def test_closed_form_matches_stepwise_over_2000_steps(name, kind, scheme):
+    """N=50: measured up to 8.1e-13 apart (snll, compact cut 5)."""
     s = sample_solution(name, kind=kind)
     grid = with_steps(grid_for(s, 50, 1.0, 1.0), 2000)
-    got = march_with(_march_closed, s.problem, grid, scheme)
-    assert relative_gap(got, march_with(_march_affine, s.problem, grid, scheme)) <= 1e-12
+    assert engine_deviation(s.problem, grid, scheme, _march_closed) <= 1e-12
+
+
+def extended_power(problem, grid, scheme):
+    """G^n y_0 in long double from the float64 G that ``_march_closed`` powers."""
+    mats = assemble(problem, grid, scheme)
+    u = np.asarray(problem.initial(grid.x), dtype=mats.kind.dtype)
+    wide = np.clongdouble if mats.kind is ScalarKind.COMPLEX else np.longdouble
+    step_map = steppers._closed_map(mats, problem, u.dtype).astype(wide)
+    y, n = np.concatenate((u, (1.0, 0.0))).astype(wide), grid.n_steps
+    while n:
+        if n & 1:
+            y = step_map @ y
+        n >>= 1
+        if n:
+            step_map = step_map @ step_map
+    return y[:-2]
+
+
+LONG_CLOSED_CASES = [
+    # criterion 3's stiff row at N=20: 29,054 steps, measured 8.2e-13
+    pytest.param("s3", {"a": 2.0}, None, Compact(), 20, 100.0, None, 1e-12,
+                 id="s3-a2-N20-courant100"),
+    # a unimodular spectrum keeps every rounding of 100,000 steps: measured
+    # 2.0e-12, where the stepwise and modal marches are 4.9e-12 and 5.8e-12
+    # from the same reference
+    pytest.param("snll", {}, None, Compact(), 20, 1j, 100_000, 5e-12, id="snll-N20-100k-steps"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,params,kind,scheme,n,courant,n_steps,bound",
+    [pytest.param(name, {}, kind, scheme, 50, 1.0, 2000, 1e-12, id=p.id)
+     for p in ENGINE_CASES for name, kind, scheme in [p.values]] + LONG_CLOSED_CASES,
+)
+def test_closed_form_matches_an_extended_precision_power(
+    name, params, kind, scheme, n, courant, n_steps, bound
+):
+    """The binary power's own rounding, against the same power in long double.
+    The N=50 cases measured up to 7.4e-13, where the stepwise march is up to
+    9.2e-13 and the modal one 1.3e-11 from the same references."""
+    s = sample_solution(name, kind=kind, **params)
+    grid = grid_for(s, n, courant, 1.0)
+    grid = with_steps(grid, n_steps) if n_steps else grid
+    assert steppers._engine(s.problem, grid) is _march_closed
+    want = extended_power(s.problem, grid, scheme)
+    assert relative_gap(march_with(_march_closed, s.problem, grid, scheme), want) <= bound
 
 
 def test_affine_engine_matches_stepwise_long_complex_march():
@@ -488,7 +531,7 @@ def solve_calls(monkeypatch):
 
 def test_modal_engine_matches_stepwise_over_the_stiff_march():
     """All 29,054 steps of the s3 a=2 courant-100 march at N=20, for the modal
-    march and the closed form (measured 1.9e-13 for both)."""
+    march and the closed form (measured 5.7e-13 and 2.4e-13)."""
     s = sample_solution("s3", a=2.0)
     grid = grid_for(s, 20, 100.0, 1.0)
     assert grid.n_steps == 29054
@@ -497,24 +540,10 @@ def test_modal_engine_matches_stepwise_over_the_stiff_march():
 
 def test_modal_engine_matches_stepwise_over_100k_complex_steps():
     """snll at courant i, where max|lambda| is 1 + O(eps): 100,000 steps, for the
-    modal march and the closed form (measured 8.5e-13 and 2.4e-12)."""
+    modal march and the closed form (measured 1.2e-12 and 2.9e-12)."""
     s = sample_solution("snll")
     grid = with_steps(grid_for(s, 20, 1j, 1.0), 100_000)
     assert engine_deviation(s.problem, grid, Compact(), _march_affine, _march_closed) <= 1e-11
-
-
-def test_geometric_sum_near_resonance():
-    """lam within 1e-12 of nu: the plain (r^n - 1)/(r - 1) loses about 4 digits."""
-    n = 1000
-    nu = np.exp(0.3j)
-    lam = nu * (1.0 + 1e-12 * np.exp(np.array([0.0, 0.7, 2.0, 3.1]) * 1j))
-    lam = np.append(lam, [0.0, 0.5, 0.9j, nu])
-    got = _geometric(lam, nu, n)
-    want = np.zeros_like(lam)
-    for k in range(n):  # Horner: lam^(n-1-k) nu^k summed term by term
-        want = want * lam + nu**k
-    assert np.isfinite(got).all()
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_closed_form_stays_accurate_at_resonance():
@@ -535,26 +564,53 @@ def failing_eig(a):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-@pytest.mark.parametrize("march", [_march_affine, _march_closed])
 @pytest.mark.parametrize(
     "target,name,value",
     [(steppers, "_MODAL_MAX_COND", 0.0), (np.linalg, "eig", failing_eig)],
     ids=["above-gate", "eig-fails"],
 )
-def test_ill_conditioned_eigenbasis_marches_stepwise(
-    monkeypatch, solve_calls, target, name, value, march
-):
-    """Above the conditioning gate, or without an eigenbasis, both eigenbasis
-    engines probe once and then step like the stepwise one."""
+def test_ill_conditioned_eigenbasis_marches_stepwise(monkeypatch, solve_calls, target, name,
+                                                     value):
+    """Above the conditioning gate, or without an eigenbasis, the modal engine
+    probes once and then steps like the stepwise one."""
     monkeypatch.setattr(target, name, value)
     s = sample_solution("s3", a=2.0)
-    problem = s.problem if march is _march_closed else opaque(s.problem)
+    problem = opaque(s.problem)
     grid = with_steps(grid_for(s, 20, 100.0, 1.0), 600)
-    assert steppers._engine(problem, grid) is march
-    got = march_with(march, problem, grid, Compact())
+    assert steppers._engine(problem, grid) is _march_affine
+    got = march_with(_march_affine, problem, grid, Compact())
     assert len(solve_calls) == 1 + 600
     ref = march_with(_march_stepwise, problem, grid, Compact())
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name,courant", [("s3", 100.0), ("snll", 1j)])
+def test_closed_form_makes_no_eigensolve_or_inverse(monkeypatch, solve_calls, name, courant):
+    """One batched probe and matrix products only, on either kind."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form called a dense eigensolve or inverse")
+
+    for fn in ("eig", "eigvals", "inv"):
+        monkeypatch.setattr(np.linalg, fn, forbidden)
+    s = sample_solution(name)
+    grid = with_steps(grid_for(s, 20, courant, 1.0), 600)
+    assert steppers._engine(s.problem, grid) is _march_closed
+    got = run(s.problem, grid, Compact()).final_state
+    assert len(solve_calls) == 1
+    ref = march_with(_march_stepwise, s.problem, grid, Compact())
+    assert relative_gap(got, ref) <= 1e-12
+
+
+def test_closed_form_flush_moves_no_result(monkeypatch):
+    """s3 a=2 at N=200: the probed G has entries below 1e-150 of their
+    column's largest, and zeroing them leaves the final state as it was."""
+    s = sample_solution("s3", a=2.0)
+    grid = grid_for(s, 200, 100.0, 1.0)
+    top = np.abs(steppers._closed_map(assemble_compact(s.problem, grid), s.problem, float)[:-2])
+    assert ((top > 0) & (top < steppers._CLOSED_FLUSH * top.max(axis=0))).any()
+    flushed = run(s.problem, grid, Compact()).final_state
+    monkeypatch.setattr(steppers, "_CLOSED_FLUSH", 0.0)
+    assert relative_gap(run(s.problem, grid, Compact()).final_state, flushed) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -563,18 +619,20 @@ def test_ill_conditioned_eigenbasis_marches_stepwise(
         (False, 20, 2048, 1),
         (False, 20, 40, 40),
         (False, 200, 2048, 2048),
-        (True, 20, 40, 1),
-        (True, 20, 23, 23),
+        (True, 20, 16, 1),
+        (True, 20, 15, 15),
         (True, 200, 2048, 1),
         (True, 200, 600, 600),
         (True, 400, 2600, 1),
+        (True, 400, 2400, 2400),
     ],
 )
 def test_run_picks_engine_by_grid_and_step_count(solve_calls, declared, n, n_steps, solves):
-    """The eigenbasis engines solve only in their one batched probe, the stepwise
-    one once per step.  A problem that declares its modes is summed in closed
-    form from max(24, m^2 / 64) steps, on any grid; an opaque one marches by
-    chunks on grids of at most 128 nodes with 4 steps per node."""
+    """The eigenbasis and closed-form engines solve only in their one batched
+    probe, the stepwise one once per step.  A problem that declares its modes
+    is advanced in closed form from max(16, m^2 / 64) steps, on any grid; an
+    opaque one marches by chunks on grids of at most 128 nodes with 4 steps
+    per node."""
     s = sample_solution("s3", a=2.0)
     grid = with_steps(grid_for(s, n, 100.0, 1.0), n_steps)
     run(s.problem if declared else opaque(s.problem), grid, Compact())
@@ -954,8 +1012,8 @@ def test_a_reused_operator_gives_bitwise_the_cold_result(name, params, kind, sch
         cold[march] = march_with(march, problem, grid, scheme)
     steppers._last_operator.clear()
     built = assemble(s.problem, grid, scheme)._built
-    # the closed form builds P's eigenbasis, the modal march then adds its
-    # unit responses, and the second round reuses both
+    # the closed form probes afresh each time, the modal march builds P's
+    # eigenbasis and its unit responses, and the second round reuses them
     for march in (_march_closed, _march_affine, _march_stepwise, _march_closed, _march_affine):
         got = march_with(march, problems[march], grid, scheme)
         assert np.array_equal(got, cold[march]), march.__name__
