@@ -33,7 +33,10 @@ from .core import (
     ProblemSpec,
     SampleSolution,
     ScalarKind,
+    TwoModeForcing,
+    TwoModeWall,
     grid_for,
+    grid_nodes,
     make_grid,
     sample_solution,
     theta_grid_max,
@@ -46,7 +49,7 @@ from .steppers import (
     SchemeDescriptor,
     SchemeMatrices,
     _probe,
-    _stepwise_states,
+    _states,
     assemble_compact,
     c_norm_error,
     run,
@@ -191,9 +194,8 @@ def _single_run(sample: SampleSolution, n: int, scheme, courant, t_final):
 
 def _matrix_grid(n: int, courant, theta: Callable[[float], float]) -> Grid1D:
     """One-step grid whose tau is exactly |courant| h^2 / max theta."""
+    theta_max = theta_grid_max(theta, grid_nodes(n))
     h = TWO_PI / n
-    x = np.arange(n + 1) * h
-    theta_max = theta_grid_max(theta, x)
     t = abs(complex(courant)) * h * h / theta_max
     return make_grid(n, courant, t, theta_max)
 
@@ -495,8 +497,7 @@ def asymmetry_study(
         if t_final is None:
             grid = _matrix_grid(n, courant, _theta_demo)
         else:
-            x = np.arange(n + 1) * (TWO_PI / n)
-            grid = make_grid(n, courant, t_final, theta_grid_max(_theta_demo, x))
+            grid = make_grid(n, courant, t_final, theta_grid_max(_theta_demo, grid_nodes(n)))
         mats = assemble_compact(problem, grid)
         # the transposes P^T and Q0^T on the interior nodes, to which S is blind
         p_t = _probe(mats, range(1, n))[:, 1:n]
@@ -562,26 +563,29 @@ def negativity_threshold(
 # first integral
 
 
-def first_integral(state: np.ndarray, h: float, quadrature: str = "trapezoid") -> float:
-    """Composite quadrature of |state|^2 over the period."""
+def first_integral(state: np.ndarray, h: float, quadrature: str = "trapezoid"):
+    """Composite quadrature of |state|^2 over the period; a block of states
+    with the node axis first gives an array, one value per column."""
     q = np.abs(np.asarray(state)) ** 2
+    out = float if q.ndim == 1 else np.asarray
     if quadrature == "trapezoid":
-        return float(h * (q.sum() - 0.5 * q[0] - 0.5 * q[-1]))
+        return out(h * (q.sum(0) - 0.5 * q[0] - 0.5 * q[-1]))
     if quadrature == "simpson":
         panels = q.shape[0] - 1
         if panels % 2 != 0:
             raise ValueError(f"Simpson quadrature needs an even panel count, got {panels}")
-        return float(h / 3.0 * (q[0] + q[-1] + 4.0 * q[1:-1:2].sum() + 2.0 * q[2:-2:2].sum()))
+        return out(h / 3.0 * (q[0] + q[-1] + 4.0 * q[1:-1:2].sum(0) + 2.0 * q[2:-2:2].sum(0)))
     raise ValueError(f"unknown quadrature {quadrature!r}")
 
 
 def conservation_problem() -> ProblemSpec:
-    """Free Schrodinger-type evolution of sin x with homogeneous walls."""
+    """Free Schrodinger-type evolution of sin x with homogeneous walls, whose
+    zero forcing and walls declare their modes (closed form, ``steppers``)."""
     return ProblemSpec(
         theta=_theta_demo,
-        forcing=lambda t, x: np.zeros_like(np.asarray(x, dtype=complex)),
+        forcing=TwoModeForcing(0.0, np.zeros_like, np.zeros_like),
         initial=lambda x: np.sin(np.asarray(x, dtype=float)).astype(complex),
-        boundary=Dirichlet(_zero, _zero),
+        boundary=Dirichlet(TwoModeWall(0.0, 0.0, 0.0), TwoModeWall(0.0, 0.0, 0.0)),
         kind=ScalarKind.COMPLEX,
     )
 
@@ -592,18 +596,19 @@ def first_integral_series(
     t_final: float = 1.0,
     quadrature: str = "trapezoid",
 ) -> list:
-    """Per-step (step, t, I) history of the complex-kind conservation demo run."""
+    """Per-step (step, t, I) history of the complex-kind conservation demo run,
+    one quadrature call per block of ``steppers._states``."""
     _require_kind(courant, ScalarKind.COMPLEX, "the conservation demo")
     problem = conservation_problem()
-    x = np.arange(n + 1) * (TWO_PI / n)
-    grid = make_grid(n, courant, t_final, theta_grid_max(problem.theta, x))
-    mats = assemble_compact(problem, grid)
+    grid = make_grid(n, courant, t_final, theta_grid_max(problem.theta, grid_nodes(n)))
     u = np.asarray(problem.initial(grid.x), dtype=complex)
-    states = _stepwise_states(mats, u, problem, grid.n_steps)
     out = [(0, 0.0, first_integral(u, grid.h, quadrature))]
-    out.extend((k, k * grid.tau, first_integral(v, grid.h, quadrature))
-               for k, v in enumerate(states, 1))
+    mats = assemble_compact(problem, grid)
+    for block in _states(mats, u, problem, grid.n_steps):
+        values = first_integral(block, grid.h, quadrature).tolist()
+        out.extend((k, k * grid.tau, i) for k, i in enumerate(values, len(out)))
     return out
+
 
 def first_integral_drift(
     ns: Sequence[int],

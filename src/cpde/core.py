@@ -61,6 +61,13 @@ class Grid1D:
     t_final: float
 
 
+def grid_nodes(n: int) -> np.ndarray:
+    """The nodes j h, h = 2 pi / n, of n intervals; at least 4 are needed."""
+    if not isinstance(n, (int, np.integer)) or n < 4:
+        raise ValueError(f"need at least 4 intervals, got {n!r}")
+    return np.arange(n + 1) * (TWO_PI / n)
+
+
 def make_grid(n: int, courant: complex, t_final: float, theta_max: float) -> Grid1D:
     """Build the grid for a target grid ratio.
 
@@ -69,8 +76,7 @@ def make_grid(n: int, courant: complex, t_final: float, theta_max: float) -> Gri
     integer number of steps lands exactly on t_final.  Neither part of
     courant may be negative.
     """
-    if not isinstance(n, (int, np.integer)) or n < 4:
-        raise ValueError(f"need at least 4 intervals, got {n!r}")
+    x = grid_nodes(n)
     mag = abs(courant)
     if not (math.isfinite(mag) and mag > 0.0):
         raise ValueError(f"courant number must be nonzero and finite, got {courant}")
@@ -84,7 +90,6 @@ def make_grid(n: int, courant: complex, t_final: float, theta_max: float) -> Gri
     raw_tau = h * h * mag / theta_max
     n_steps = max(1, math.ceil(t_final / raw_tau - 1e-9))
     tau = t_final / n_steps
-    x = np.arange(n + 1) * h
     return Grid1D(n=int(n), h=h, x=x, tau=tau, n_steps=n_steps, t_final=t_final)
 
 
@@ -372,6 +377,4 @@ def grid_for(
     sample: SampleSolution, n: int, courant: complex, t_final: float
 ) -> Grid1D:
     """Grid whose ratio is measured against max theta over the nodes."""
-    probe = make_grid(n, 1.0, t_final, 1.0)
-    tmax = theta_grid_max(sample.problem.theta, probe)
-    return make_grid(n, courant, t_final, tmax)
+    return make_grid(n, courant, t_final, theta_grid_max(sample.problem.theta, grid_nodes(n)))

@@ -129,14 +129,9 @@ class TridiagLU:
         return self.diag.size
 
 
-def factor_tridiag(t: Tridiag) -> TridiagLU:
-    """Run the pivot recurrence of ``solve_tridiag`` once and build its block maps.
-
-    Raises SingularMatrixError naming the row of a zero pivot, as the
-    sweep does, and of a pivot below ``PIVOT_RTOL`` of the largest band
-    entry, as a stacked sweep does.  The maps are built one row at a time
-    across all blocks.
-    """
+def sweep_pivots(t: Tridiag) -> tuple[list, list]:
+    """The multipliers w and pivots d of ``solve_tridiag``'s forward sweep,
+    checked as ``factor_tridiag`` checks them."""
     lower, upper, d = t.lower.tolist(), t.upper.tolist(), t.diag.tolist()
     m = len(d)
     w = [0.0] * m
@@ -149,6 +144,19 @@ def factor_tridiag(t: Tridiag) -> TridiagLU:
     if d[m - 1] == 0.0:
         raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
     _check_pivots(t, d)
+    return w, d
+
+
+def factor_tridiag(t: Tridiag) -> TridiagLU:
+    """Run the pivot recurrence of ``solve_tridiag`` once and build its block maps.
+
+    Raises SingularMatrixError naming the row of a zero pivot, as the
+    sweep does, and of a pivot below ``PIVOT_RTOL`` of the largest band
+    entry, as a stacked sweep does.  The maps are built one row at a time
+    across all blocks.
+    """
+    w, d = sweep_pivots(t)
+    m = len(d)
     dtype = np.result_type(t.lower, t.diag, t.upper)
     nb = -(-m // _BLOCK)
     piv = np.ones(nb * _BLOCK, dtype)
@@ -216,7 +224,7 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
     naming the row if a pivot is exactly zero.  A stack's sweep also
     checks its pivots, once, against ``PIVOT_RTOL`` of the largest band
     entry, as ``solve_dense``'s rank check does; the sweep of a single
-    right-hand side, the stepwise march's, leaves that out.
+    right-hand side leaves that out (see ``sweep_pivots``).
 
     A ``TridiagLU`` (``factor_tridiag``, which makes the pivot check)
     takes one right-hand side and solves it block by block: one batched

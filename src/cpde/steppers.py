@@ -51,7 +51,8 @@ states.  A single state on a grid of at least ``_BLOCKED_MIN_NODES``
 nodes is solved with A_new factored once per assembly
 (``linalg.factor_tridiag``) and swept in 16-row blocks; the factor is
 built by the first such ``_step``, so an assembly that is never stepped
-does not build it.
+does not build it.  Below that, an operator's first single-state
+``_step`` checks its pivots as the factor does (``linalg.sweep_pivots``).
 
 ``run`` marches with one of three engines.  The stepwise one takes the
 step above per time level.  theta does not depend on time, so the step
@@ -78,6 +79,13 @@ gives P and the responses to the inputs.
   stepwise march when V is worse conditioned than ``_MODAL_MAX_COND``.
 - Everything else steps.
 
+The first-integral series reads every state off ``_states``, in blocks
+with the node axis first: where ``run`` takes the closed form on at most
+``_STATES_MAX_NODES`` nodes, 64 powers of G per GEMM (``_closed_states``),
+O(n m^2) work at BLAS speed against O(n m) stepping.  At n = m^2/64 steps
+the demo's series takes, blocked / stepwise, 1.3 / 2.5 ms at m = 51, 4.3 /
+7.1 at 101, 18 / 29 at 201, 37 / 51 at 257, 61 / 68 at 301, 106 / 106 at 351.
+
 No engine holds an array that grows with the step count: times, forcing
 and wall data are made block by block.  ``muls_per_step`` is the
 analytic cost of the banded step whichever engine runs, not the work
@@ -95,7 +103,7 @@ import numpy as np
 
 from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind, TwoModeForcing, TwoModeWall
 from .interior import CUT_FULL, assemble_row
-from .linalg import SingularMatrixError, Tridiag, factor_tridiag, solve_tridiag
+from .linalg import SingularMatrixError, Tridiag, factor_tridiag, solve_tridiag, sweep_pivots
 from .neumann import (
     BoundaryRow,
     ClassicNeumann,
@@ -188,10 +196,11 @@ class _WallFixup:
 class _Built:
     """The pieces of an operator built on first use."""
 
-    __slots__ = ("factored", "eigen", "modal")
+    __slots__ = ("factored", "checked", "eigen", "modal")
 
     def __init__(self):
         self.factored = None  # the solver, factored: a TridiagLU
+        self.checked = False  # the solver's pivots passed ``sweep_pivots``
         self.eigen = None  # (lam, V, V^-1, cond(V)) of the step map P
         self.modal = None  # _eigen_maps of the unit inputs and lam's powers
 
@@ -525,12 +534,14 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
         rhs[..., 0] -= mats._k_left * rhs[..., 1]
     if mats._k_right != 0.0:
         rhs[..., m - 1] -= mats._k_right * rhs[..., m - 2]
-    solver = mats._solver
+    solver, built = mats._solver, mats._built
     if rhs.ndim == 1 and m >= _BLOCKED_MIN_NODES:
-        built = mats._built
         if built.factored is None:
             built.factored = factor_tridiag(solver)
         solver = built.factored
+    elif rhs.ndim == 1 and not built.checked:
+        sweep_pivots(solver)  # the single sweep itself checks for zero pivots only
+        built.checked = True
     v, _ = solve_tridiag(solver, rhs)
     return v - u
 
@@ -680,6 +691,9 @@ _CLOSED_STEPS_PER_NODE_SQUARED = 1 / 64
 # would be subnormal, which slows a GEMM 5-10 times: 11.6M steps of s3 a=2
 # at m = 401 took 201 ms without the flush and 71 ms with it.
 _CLOSED_FLUSH = 1e-150
+# ``_closed_states``: timings in the module docstring (2-core Xeon, 1 thread)
+_STATE_BLOCK = 64
+_STATES_MAX_NODES = 256
 # Bound on ||V||_1 ||V^-1||_1 for P's eigenvectors V.  The march's
 # deviation from the stepwise one is at most about steps * eps * cond(V).
 # s1, s2, s3, sn and snll, both kinds, compact, classic and every Neumann
@@ -759,16 +773,14 @@ def _probe(mats: SchemeMatrices, states, f0=None, f1=None, g=None) -> np.ndarray
     u = np.zeros((p + k, m), dtype)
     u[range(p), states] = 1.0
     zero = np.zeros((1, _forcing_grid(mats).size), dtype)
-    if k:
-        pad = np.zeros((p, f0.shape[1]), dtype)
-        f0, f1 = np.vstack((pad, f0)), zero if f1 is None else np.vstack((pad, f1))
-    else:
-        f0 = f1 = zero
-    bc = (0.0, 0.0)
-    if g is not None:
-        bc = np.zeros((p + k, 2), dtype)
-        bc[p:] = g
-        bc = bc.T
+
+    def padded(inputs):  # np.zeros leaves the state rows unwritten: no resident pages
+        out = np.zeros((p + k, inputs.shape[1]), dtype)
+        out[p:] = inputs
+        return out
+
+    f0, f1 = (zero if f is None else padded(f) for f in (f0, f1))
+    bc = (0.0, 0.0) if g is None else padded(g).T
     return _step(mats, u, f0, f1, bc_vals=bc)
 
 
@@ -858,6 +870,14 @@ def _closed_map(mats: SchemeMatrices, problem: ProblemSpec, dtype) -> np.ndarray
     return step_map
 
 
+def _flush(step_map: np.ndarray) -> bool:
+    """Flush a power of G (``_CLOSED_FLUSH``); False when it had nothing to flush."""
+    top = np.abs(step_map[:-2])
+    tiny = (top < _CLOSED_FLUSH * top.max(axis=0)) & (top > 0.0)
+    step_map[:-2][tiny] = 0.0
+    return bool(tiny.any())
+
+
 def _march_closed(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
     """y_n = G^n y_0 for a problem that declares its modes (``_closed_map``).
 
@@ -867,11 +887,8 @@ def _march_closed(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
     step_map = _closed_map(mats, problem, u.dtype)
     y, bits, flush = np.concatenate((u, (1.0, 0.0))), n_steps, True
     while bits:
-        if flush:  # while G has entries to flush: see _CLOSED_FLUSH
-            top = np.abs(step_map[:-2])
-            tiny = (top < _CLOSED_FLUSH * top.max(axis=0)) & (top > 0.0)
-            flush = tiny.any()
-            step_map[:-2][tiny] = 0.0
+        if flush:
+            flush = _flush(step_map)
         if bits & 1:
             y = step_map @ y
         bits >>= 1
@@ -879,6 +896,33 @@ def _march_closed(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
             step_map = step_map @ step_map
     _check_finite(y, 0, n_steps)
     return y[:-2]
+
+
+def _closed_states(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
+    """Yield y_1..y_n of ``_closed_map`` in checked blocks: with y the last s
+    states and G^s in hand, the next s are G^s y; y = [y_0] doubles and G^s
+    squares until s = ``_STATE_BLOCK``, then each block is one GEMM."""
+    power, flush = _closed_map(mats, problem, u.dtype), True
+    y, k = np.concatenate((u, (1.0, 0.0)))[:, None], 0
+    while k < n_steps:
+        if flush:
+            flush = _flush(power)
+        new = power @ y
+        block = new[: u.size, : n_steps - k]
+        _check_finite(block, k, k + block.shape[1])
+        yield block
+        k += y.shape[1]
+        if y.shape[1] < _STATE_BLOCK:
+            new, power = np.hstack((y, new)), power @ power
+        y = new
+
+
+def _states(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
+    """The states after steps 1..n_steps from u in blocks, node axis first: the
+    closed form's where ``run`` takes it, on at most ``_STATES_MAX_NODES`` nodes."""
+    if u.size <= _STATES_MAX_NODES and _engine(problem, mats.grid) is _march_closed:
+        return _closed_states(mats, u, problem, n_steps)
+    return (v[:, None] for v in _stepwise_states(mats, u, problem, n_steps))
 
 
 def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepReport:

@@ -559,6 +559,26 @@ def test_first_integral_unknown_quadrature():
         first_integral(np.ones(5), 0.1, "midpoint")
 
 
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+def test_first_integral_of_a_block_is_that_of_each_column(quadrature):
+    """A block sums over its node axis in another order than a 1-D state does."""
+    h = TWO_PI / 50
+    block = np.sin(np.arange(51)[:, None] * h) * np.exp(1j * np.arange(9)) * np.arange(1, 10)
+    got = first_integral(block, h, quadrature)
+    want = [first_integral(block[:, j], h, quadrature) for j in range(block.shape[1])]
+    assert got.shape == (9,)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_series_rejects_an_odd_panel_count_before_any_march_work(monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("assembled before checking the quadrature")
+
+    monkeypatch.setattr(analysis, "assemble_compact", no_assembly)
+    with pytest.raises(ValueError, match="even panel count, got 25"):
+        first_integral_series(25, quadrature="simpson")
+
+
 def test_conservation_series_oscillates_but_returns():
     series = first_integral_series(16, courant=1.0j, t_final=0.5)
     steps = [s for s, _, _ in series]

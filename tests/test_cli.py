@@ -24,7 +24,9 @@ from cpde.cli import (
     parse_scheme,
     scheme_label,
 )
+from cpde import steppers
 from cpde.interior import CUT_FULL
+from cpde.linalg import Tridiag
 from cpde.neumann import (
     ClassicNeumann,
     CompactThreePoint,
@@ -541,6 +543,32 @@ def test_first_integral_rejects_a_real_courant(capsys, mode):
     assert rc == 2
     assert out == ""
     assert "the conservation demo runs the complex kind" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+@pytest.mark.parametrize("command", [["first-integral"], ["spectrum", "--courant", "1"]])
+def test_too_few_intervals_are_a_configuration_error(capsys, command, n):
+    rc, out, err = run_main(capsys, [*command, "--n", n])
+    assert rc == 2
+    assert out == ""
+    assert f"need at least 4 intervals, got {n}" in err
+
+
+def test_a_numerically_singular_step_matrix_is_a_numerical_failure(monkeypatch, capsys):
+    """A pivot of 2^-50 against unit band entries, in a stepwise march on 11 nodes."""
+    finalize = steppers._finalize
+
+    def near_singular(mats):
+        finalize(mats)
+        diag = np.ones(mats.grid.n + 1)
+        diag[1] += 2.0**-50
+        mats._solver = Tridiag(np.ones(diag.size - 1), diag, np.ones(diag.size - 1))
+
+    monkeypatch.setattr(steppers, "_finalize", near_singular)
+    rc, out, err = run_main(capsys, ["convergence", "--solution", "s1", "--ns", "10"])
+    assert rc == 3
+    assert out == ""
+    assert "numerical failure: pivot" in err and "below 1e-14" in err
 
 
 def test_derive_row_check_passes(capsys):

@@ -30,6 +30,7 @@ from cpde.core import (
 )
 from cpde.interior import assemble_row
 from cpde.linalg import (
+    SingularMatrixError,
     Tridiag,
     TridiagLU,
     factor_tridiag,
@@ -896,6 +897,144 @@ def test_stepwise_march_picks_the_solver_by_node_count(solve_calls, n, solver):
     assert steppers._engine(opaque(s.problem), grid) is _march_stepwise
     run(opaque(s.problem), grid, Compact())
     assert solve_calls == [solver] * 40
+
+
+def near_singular(m):
+    """A tridiagonal whose sweep meets the pivot 2^-50 at row 1: nonzero, and
+    far below 1e-14 of its unit band entries."""
+    diag = np.ones(m)
+    diag[1] += 2.0**-50
+    return Tridiag(np.ones(m - 1), diag, np.ones(m - 1))
+
+
+def test_single_state_sweep_rejects_a_relatively_tiny_pivot():
+    s = sample_solution("s1")
+    grid = grid_for(s, 20, 1.0, 1.0)
+    mats = dataclasses.replace(assemble_compact(s.problem, grid), _solver=near_singular(21),
+                               _built=steppers._Built())
+    u = np.asarray(s.problem.initial(grid.x))
+    with pytest.raises(SingularMatrixError, match="pivot .* at row 1 is below 1e-14"):
+        step(mats, u, np.zeros_like(u), np.zeros_like(u), t_new=grid.tau)
+
+
+def test_single_state_sweep_checks_the_pivots_once_per_operator(monkeypatch):
+    calls = []
+    check = steppers.sweep_pivots
+    monkeypatch.setattr(steppers, "sweep_pivots", lambda t: calls.append(t) or check(t))
+    s = sample_solution("s3", a=2.0)
+    grid = with_steps(grid_for(s, 20, 100.0, 1.0), 40)
+    assert steppers._engine(opaque(s.problem), grid) is _march_stepwise
+    run(opaque(s.problem), grid, Compact())
+    run(opaque(s.problem), grid, Compact())  # the kept operator is checked already
+    mats = assemble_compact(s.problem, grid)
+    assert calls == [mats._solver] and mats._built.checked
+
+
+# ---------------------------------------------------------------------------
+# the states of a march in blocks (``_states``)
+
+
+def demo_grid(n, t_final=1.0):
+    """The conservation demo's problem and grid (max theta is 2, at x = 0)."""
+    return analysis.conservation_problem(), make_grid(n, 1j, t_final, 2.0)
+
+
+def state_columns(states, problem, grid, scheme=Compact()):
+    """Every state ``states`` yields after the start, as the columns of one array."""
+    mats = assemble(problem, grid, scheme)
+    u = np.asarray(problem.initial(grid.x), dtype=mats.kind.dtype)
+    return np.column_stack(list(states(mats, u, problem, grid.n_steps)))
+
+
+@pytest.mark.parametrize("n", [16, 25, 50, 100, 200])
+def test_blocked_demo_series_matches_the_stepwise_one(n):
+    """Per-step I of the closed form's blocks against the stepwise march:
+    measured up to 5.0e-13 apart (N=200)."""
+    problem, grid = demo_grid(n)
+    got = state_columns(steppers._closed_states, problem, grid)
+    ref = state_columns(steppers._stepwise_states, problem, grid)
+    assert got.shape == ref.shape == (n + 1, grid.n_steps)
+    for quadrature in ("trapezoid", "simpson")[: 2 - n % 2]:
+        gap = analysis.first_integral(got, grid.h, quadrature) - [
+            analysis.first_integral(v, grid.h, quadrature) for v in ref.T]
+        assert np.abs(gap).max() <= 1e-12
+
+
+def test_blocked_states_match_an_extended_precision_power():
+    """Each state against the same float64 G stepped in long double: measured
+    5.2e-15, where the stepwise march is 7.7e-15 from the same reference."""
+    problem, grid = demo_grid(50)
+    mats = assemble_compact(problem, grid)
+    u = np.asarray(problem.initial(grid.x), dtype=complex)
+    step_map = steppers._closed_map(mats, problem, complex).astype(np.clongdouble)
+    y, want = np.concatenate((u, (1.0, 0.0))).astype(np.clongdouble), []
+    for _ in range(grid.n_steps):
+        y = step_map @ y
+        want.append(y[:-2])
+    got = state_columns(steppers._closed_states, problem, grid)
+    assert relative_gap(got, np.column_stack(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,kind", [("s1", ScalarKind.COMPLEX), ("snll", None)])
+def test_blocked_states_of_a_forced_problem_match_the_stepwise_ones(name, kind):
+    """omega != 0, so the phase rows E and R of G enter: 300 steps, five
+    blocks, measured 1.7e-14 (s1) and 1.6e-14 (snll)."""
+    s = sample_solution(name, kind=kind)
+    grid = with_steps(grid_for(s, 20, 1j, 1.0), 300)
+    assert s.problem.forcing.omega != 0.0
+    got = state_columns(steppers._closed_states, s.problem, grid)
+    ref = state_columns(steppers._stepwise_states, s.problem, grid)
+    assert relative_gap(got, ref) <= 1e-12
+
+
+def closed_floor(m):
+    """The fewest steps the closed form takes on m nodes."""
+    return max(steppers._CLOSED_MIN_STEPS,
+               math.ceil(steppers._CLOSED_STEPS_PER_NODE_SQUARED * m * m))
+
+
+CAP = steppers._STATES_MAX_NODES
+
+
+@pytest.mark.parametrize(
+    "n,n_steps,solves",
+    [
+        (50, closed_floor(51), 1),
+        (50, closed_floor(51) - 1, closed_floor(51) - 1),
+        (CAP - 1, closed_floor(CAP), 1),
+        (CAP, closed_floor(CAP + 1), closed_floor(CAP + 1)),
+    ],
+)
+def test_states_take_the_closed_form_up_to_the_cap(solve_calls, n, n_steps, solves):
+    """The closed form's blocks make one solve, the probe; stepping makes one
+    per state."""
+    problem, grid = demo_grid(n)
+    grid = with_steps(grid, n_steps)
+    got = state_columns(steppers._states, problem, grid)
+    assert got.shape == (n + 1, n_steps) and len(solve_calls) == solves
+
+
+def test_closed_states_check_each_block_before_yielding_it(monkeypatch):
+    """G scaled by 1e12 overflows the state near step 26: blocks 1, 2-3, 4-7
+    and 8-15 are yielded, the doubling's block 16-31 raises."""
+    closed_map = steppers._closed_map
+    monkeypatch.setattr(steppers, "_closed_map", lambda *args: 1e12 * closed_map(*args))
+    problem, grid = demo_grid(50)
+    states = steppers._states(assemble_compact(problem, grid), problem.initial(grid.x),
+                              problem, grid.n_steps)
+    yielded = []
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError, match="non-finite between steps 16 and 31"
+    ):
+        yielded.extend(block.shape[1] for block in states)
+    assert yielded == [1, 2, 4, 8]
+
+
+def test_run_marches_the_conservation_demo_in_closed_form():
+    problem, grid = demo_grid(50)
+    assert steppers._engine(problem, grid) is _march_closed
+    ref = march_with(_march_stepwise, problem, grid, Compact())
+    assert relative_gap(run(problem, grid, Compact()).final_state, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["sn", "snll"])
