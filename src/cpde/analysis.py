@@ -206,7 +206,7 @@ def _zero(t):
 
 def _theta_demo(s):
     """The coefficient cos^2 x + 1 of the asymmetry and conservation studies."""
-    return math.cos(s) ** 2 + 1.0
+    return np.cos(s) ** 2 + 1.0
 
 
 def _matrix_problem(theta, boundary, kind=ScalarKind.REAL) -> ProblemSpec:

@@ -22,6 +22,7 @@ repeated key keeps its last value, and explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional, Sequence
@@ -661,6 +662,7 @@ _HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cpde", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -126,7 +126,7 @@ BoundaryCondition = Union[Dirichlet, Neumann]
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    theta: Callable[[float], float]
+    theta: Callable[[float], float]  # on an array of abscissae, or else on each float
     forcing: Callable[[float, np.ndarray], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
     boundary: BoundaryCondition

@@ -69,8 +69,49 @@ class CompactRow(NamedTuple):
 FIELD_NAMES = CompactRow._fields
 
 
-def coefficient_stacks(fit: ExpFit, nu: complex) -> dict[str, list]:
-    """The twelve coefficient stacks, one list of h-power terms each.
+def _stacks(fit: ExpFit, nu: complex) -> tuple[np.ndarray, np.ndarray]:
+    """coefficient_stacks' nine distinct stacks as a (6, CUT_FULL, ...) array
+    of the solution side, b_l0 .. b_r1, and a real (3, CUT_FULL, ...) one of
+    the forcing side, q_l, p and q_r."""
+    c1, c2, c3, c4 = fit.c1, fit.c2, fit.c3, fit.c4
+    K = [
+        -72.0,
+        36 * c1,
+        -96 * c2,
+        18 * c3 - 3 * c1**3 + 42 * c1 * c2,
+        -32 * c2**2 - 192 * c4 + 24 * c1 * c3,
+        84 * c1 * c4 + 12 * c1 * c2**2 - 18 * c1**2 * c3,
+        72 * c3**2 - 128 * c2 * c4,
+        -27 * c1 * c3**2 + 48 * c1 * c2 * c4,
+        -128 * c4**2,
+        48 * c1 * c4**2,
+    ]
+    Q = [6.0, -3 * c1, 4 * c2 - c1**2, 6 * c3 - 2 * c1 * c2, 8 * c4 - 3 * c1 * c3, -4 * c1 * c4,
+         0.0, 0.0, 0.0, 0.0]
+    P = [60.0, 0.0, 4 * (-(c1**2) + 16 * c2), 0.0, 4 * (4 * c2**2 + 32 * c4 - 6 * c1 * c3), 0.0,
+         4 * (-9 * c3**2 + 16 * c2 * c4), 0.0, 64 * c4**2, 0.0]
+    shape = np.shape(c1)
+    # the new layer's rows first hold nu K, its mirror and their centre
+    sol = np.empty((6, CUT_FULL) + shape, np.result_type(nu, c1))
+    frc, q = np.empty((3, CUT_FULL) + shape), np.empty((CUT_FULL,) + shape)
+    for row, terms in zip((sol[3], q, frc[1]), (K, Q, P)):
+        for k, term in enumerate(terms):
+            row[k] = term
+    signs = ((-1.0) ** np.arange(CUT_FULL)).reshape((-1,) + (1,) * len(shape))  # the mirror
+    sol[3] *= nu
+    np.multiply(signs, sol[3], out=sol[5])
+    np.negative(sol[3] + sol[5], out=sol[4])
+    np.multiply(fit.r_minus, q, out=frc[0])
+    np.multiply(signs * fit.r_plus, q, out=frc[2])
+    for i in range(3):  # the layers: solution terms -+ twice the forcing side
+        two = 2 * frc[i]
+        np.subtract(sol[i + 3], two, out=sol[i])
+        sol[i + 3] += two
+    return sol, frc
+
+
+def coefficient_stacks(fit: ExpFit, nu: complex) -> dict[str, np.ndarray]:
+    """The twelve coefficient stacks, one (CUT_FULL, ...) array of h-power terms each.
 
     Entry k of a stack multiplies h^k.  Stacks do not depend on h; the
     caller evaluates them at a concrete step (see assemble_row).  The
@@ -88,46 +129,8 @@ def coefficient_stacks(fit: ExpFit, nu: complex) -> dict[str, list]:
       * constants: a_0/a_1 = -nu (K_l + K_r) -+ 2P and p_0 = p_1 = P, so
         the solution side sums to zero.
     """
-    c1, c2, c3, c4 = fit.c1, fit.c2, fit.c3, fit.c4
-    K = [
-        -72.0,
-        36 * c1,
-        -96 * c2,
-        18 * c3 - 3 * c1**3 + 42 * c1 * c2,
-        -32 * c2**2 - 192 * c4 + 24 * c1 * c3,
-        84 * c1 * c4 + 12 * c1 * c2**2 - 18 * c1**2 * c3,
-        72 * c3**2 - 128 * c2 * c4,
-        -27 * c1 * c3**2 + 48 * c1 * c2 * c4,
-        -128 * c4**2,
-        48 * c1 * c4**2,
-    ]
-    Q = [6.0, -3 * c1, 4 * c2 - c1**2, 6 * c3 - 2 * c1 * c2, 8 * c4 - 3 * c1 * c3, -4 * c1 * c4,
-         0.0, 0.0, 0.0, 0.0]
-    P = [
-        60.0,
-        0.0,
-        4 * (-(c1**2) + 16 * c2),
-        0.0,
-        4 * (4 * c2**2 + 32 * c4 - 6 * c1 * c3),
-        0.0,
-        4 * (-9 * c3**2 + 16 * c2 * c4),
-        0.0,
-        64 * c4**2,
-        0.0,
-    ]
-    sol_l = [nu * k for k in K]
-    sol_r = [(-1) ** i * w for i, w in enumerate(sol_l)]
-    ql = [fit.r_minus * q for q in Q]
-    qr = [(-1) ** i * fit.r_plus * q for i, q in enumerate(Q)]
-    centre = [-(wl + wr) for wl, wr in zip(sol_l, sol_r)]
-
-    def layers(sol, frc):
-        return [w - 2 * f for w, f in zip(sol, frc)], [w + 2 * f for w, f in zip(sol, frc)]
-
-    bl0, bl1 = layers(sol_l, ql)
-    br0, br1 = layers(sol_r, qr)
-    a0, a1 = layers(centre, P)
-    return dict(zip(FIELD_NAMES, (bl0, a0, br0, bl1, a1, br1, ql, P, qr, ql, P, qr)))
+    sol, frc = _stacks(fit, nu)
+    return dict(zip(FIELD_NAMES, (*sol, *frc, *frc)))  # the layers share q_l, p, q_r
 
 
 def _check_cut(cut: int) -> int:
@@ -141,18 +144,13 @@ def assemble_row(fit: ExpFit, nu: complex, h: float, cut: int = CUT_FULL) -> Com
 
     cut = 10 keeps everything (the stacks stop at h^9).  Lower cuts
     reproduce the truncation experiments; at least the h^0 terms always
-    survive since cut >= 4.
+    survive since cut >= 4.  The stacks are summed power by power, h^0 up.
     """
     cut = _check_cut(cut)
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    stacks = coefficient_stacks(fit, nu)
-    powers = [h**k for k in range(cut)]
-    values = {
-        name: sum(stack[k] * powers[k] for k in range(cut))
-        for name, stack in stacks.items()
-    }
-    return CompactRow(**values)
+    sol, frc = (sum(t[:, k] * h**k for k in range(cut)) for t in _stacks(fit, nu))
+    return CompactRow(*sol, *frc, *frc)
 
 
 _K1_MAX = 4

@@ -19,10 +19,11 @@ the ``ClassicNeumann`` closure's layers need not differ by 4B, so a wall
 of either is patched into the right-hand side explicitly, at O(1) cost.
 The scheme and closure types decide this, never the rows' values.
 
-Assembly samples theta once (``theta_fit.sample_theta``) and builds the
-interior rows of every band as array arithmetic over the nodes: the
-compact scheme through one ``fit_interior``/``assemble_row`` call on the
-node array, the classic one from theta at the half nodes.
+Assembly samples theta once (``theta_fit.sample_theta``, in one array
+call when theta takes arrays) and builds the interior rows of every band
+as array arithmetic over the nodes: the compact scheme through one
+``fit_interior``/``assemble_row`` call on the node array, the classic
+one from theta at the half nodes.
 
 theta does not depend on time, so an assembled operator is a value fixed
 by theta's samples, the grid (n, h, tau), the kind, the wall type and
@@ -864,8 +865,9 @@ def _closed_map(mats: SchemeMatrices, problem: ProblemSpec, dtype) -> np.ndarray
         g = np.stack((cb * g_c + sb * g_s, cb * g_s - sb * g_c))
     f1 = np.stack((cb * f_c + sb * f_s, cb * f_s - sb * f_c))
     m = mats.grid.n + 1
-    step_map = np.zeros((m + 2, m + 2), dtype)
-    step_map[:m] = _probe(mats, range(m), np.stack((f_c, f_s)), f1, g).T
+    cols = _probe(mats, range(m), np.stack((f_c, f_s)), f1, g)
+    step_map = np.zeros((m + 2, m + 2), dtype)  # made after the probe, so not alive during it
+    step_map[:m] = cols.T
     step_map[m:, m:] = ((cb, -sb), (sb, cb))
     return step_map
 

@@ -7,12 +7,12 @@ Every interior stencil row is built from a local model
 whose four coefficients are pinned down by matching log-ratios of theta
 at a handful of nearby nodes.  The boundary rows use a one-sided variant
 sampled at half-step offsets into the domain.  All theta values come
-from ``sample_theta``, once per abscissa and once per assembly: the
-interior fit takes a node or an array of nodes and returns an ExpFit of
-matching shape.  Each fit also takes theta's samples at its points
-(``interior_points``, ``wall_points``) when the caller has them.  The
-coefficient must stay finite and strictly positive at every sampled
-point or the logs are meaningless; violations raise
+from ``sample_theta``, once per assembly and in one array call when
+theta takes arrays: the interior fit takes a node or an array of nodes
+and returns an ExpFit of matching shape.  Each fit also takes theta's
+samples at its points (``interior_points``, ``wall_points``) when the
+caller has them.  The coefficient must stay finite and strictly positive
+at every sampled point or the logs are meaningless; violations raise
 CoefficientDomainError with the offending abscissa.
 """
 
@@ -63,16 +63,19 @@ class ExpFit(NamedTuple):
 
 
 def sample_theta(theta: Callable[[float], float], x) -> np.ndarray:
-    """theta at every abscissa of x, one call with a Python float each.
+    """theta at every abscissa of x, from one call on the whole array.
 
-    The values are checked once, over the whole array: the first one that
-    is not finite and positive raises CoefficientDomainError naming it.
+    The result must be real, of x's shape or a scalar, and equal theta
+    called with a Python float at x's first and last abscissa to 1e-12
+    relative; else (say, a closure on ``math.cos``) theta is called with a
+    Python float per abscissa.  The first value that is not finite and
+    positive raises CoefficientDomainError naming its abscissa.
     """
     x = np.asarray(x, dtype=float)
     # overflow in the user's coefficient is exactly what the check below
     # reports, so the sweep itself runs silent
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.array([float(theta(xi)) for xi in x.ravel().tolist()]).reshape(x.shape)
+        vals = _samples(theta, x)
     ok = np.isfinite(vals) & (vals > 0.0)
     if not ok.all():
         bad = np.flatnonzero(~ok)[0]
@@ -80,6 +83,21 @@ def sample_theta(theta: Callable[[float], float], x) -> np.ndarray:
         what = "is not finite" if not math.isfinite(v) else "must be positive"
         raise CoefficientDomainError(f"coefficient {what}, got {v} at x={x.flat[bad]}")
     return vals
+
+
+def _samples(theta, x: np.ndarray) -> np.ndarray:
+    """theta at x by one array call, or one call per float if it fails sample_theta's checks."""
+    try:
+        vals = np.asarray(theta(x))
+        usable = vals.dtype.kind in "biuf" and vals.shape in (x.shape, ()) and x.size > 0
+    except (TypeError, ValueError, IndexError):
+        usable = False
+    if usable:
+        vals = np.array(np.broadcast_to(vals, x.shape), dtype=float)
+        refs = [float(theta(float(x.flat[i]))) for i in (0, -1)]
+        if all(abs(vals.flat[i] - ref) <= 1e-12 * abs(ref) for i, ref in zip((0, -1), refs)):
+            return vals
+    return np.array([float(theta(xi)) for xi in x.ravel().tolist()]).reshape(x.shape)
 
 
 # sample offsets in units of h: interior ones centred on the node, wall

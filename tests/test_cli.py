@@ -24,7 +24,7 @@ from cpde.cli import (
     parse_scheme,
     scheme_label,
 )
-from cpde import steppers
+from cpde import cli, steppers
 from cpde.interior import CUT_FULL
 from cpde.linalg import Tridiag
 from cpde.neumann import (
@@ -612,6 +612,20 @@ def test_subcommand_flag_sets(capsys):
         rc, out, _ = run_main(capsys, [sub, "--help"])
         assert rc == 0
         assert set(re.findall(r"--[a-z-]+", out)) == common | flags, sub
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    texts = []
+    for argv in (["--help"], ["spectrum", "--help"], ["spectrum", "--bogus", "1"]):
+        first, again = run_main(capsys, argv), run_main(capsys, argv)
+        assert first == again, argv
+        texts.append(first)
+    assert [rc for rc, _, _ in texts] == [0, 0, 2]
+    assert "unrecognized arguments: --bogus 1" in texts[2][2]
+    for _ in range(3):
+        assert run_main(capsys, ["derive-row", "--solution", "s1", "--n", "12"])[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):

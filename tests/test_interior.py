@@ -116,7 +116,7 @@ def test_forcing_diagonals_agree_across_layers():
         fit, h = random_fit()
         nu = rng.uniform(0.3, 2.0)
         stacks = coefficient_stacks(fit, nu)
-        assert stacks["p_0"] == stacks["p_1"]
+        assert np.array_equal(stacks["p_0"], stacks["p_1"])
         assert stacks["p_0"][0] == 60.0
         row = assemble_row(fit, nu, h)
         assert row.p_0 == row.p_1
@@ -214,6 +214,57 @@ def test_cut_drops_high_powers():
         for name in FIELD_NAMES:
             want = sum(stacks[name][k] * h**k for k in range(cut))
             assert getattr(row, name) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def _list_sum_row(fit, nu, h, cut):
+    """The row as twelve lists of h-power terms summed one by one: the
+    stacks written out term by term, kept here to pin assemble_row's bits."""
+    c1, c2, c3, c4 = fit.c1, fit.c2, fit.c3, fit.c4
+    K = [-72.0, 36 * c1, -96 * c2, 18 * c3 - 3 * c1**3 + 42 * c1 * c2,
+         -32 * c2**2 - 192 * c4 + 24 * c1 * c3, 84 * c1 * c4 + 12 * c1 * c2**2 - 18 * c1**2 * c3,
+         72 * c3**2 - 128 * c2 * c4, -27 * c1 * c3**2 + 48 * c1 * c2 * c4, -128 * c4**2,
+         48 * c1 * c4**2]
+    Q = [6.0, -3 * c1, 4 * c2 - c1**2, 6 * c3 - 2 * c1 * c2, 8 * c4 - 3 * c1 * c3, -4 * c1 * c4,
+         0.0, 0.0, 0.0, 0.0]
+    P = [60.0, 0.0, 4 * (-(c1**2) + 16 * c2), 0.0, 4 * (4 * c2**2 + 32 * c4 - 6 * c1 * c3), 0.0,
+         4 * (-9 * c3**2 + 16 * c2 * c4), 0.0, 64 * c4**2, 0.0]
+    sol_l = [nu * k for k in K]
+    sol_r = [(-1) ** i * w for i, w in enumerate(sol_l)]
+    ql = [fit.r_minus * q for q in Q]
+    qr = [(-1) ** i * fit.r_plus * q for i, q in enumerate(Q)]
+    centre = [-(wl + wr) for wl, wr in zip(sol_l, sol_r)]
+
+    def layers(sol, frc):
+        return [w - 2 * f for w, f in zip(sol, frc)], [w + 2 * f for w, f in zip(sol, frc)]
+
+    bl0, bl1 = layers(sol_l, ql)
+    br0, br1 = layers(sol_r, qr)
+    a0, a1 = layers(centre, P)
+    stacks = (bl0, a0, br0, bl1, a1, br1, ql, P, qr, ql, P, qr)
+    powers = [h**k for k in range(cut)]
+    return [sum(stack[k] * powers[k] for k in range(cut)) for stack in stacks]
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+@pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+def test_rows_are_bitwise_the_list_sum(n, complex_kind):
+    h = 2 * math.pi / n
+    tau = 0.3 * h * h
+    nodes = np.arange(1, n) * h
+    for theta in (lambda x: np.cos(x) ** 2 + 1.0, lambda x: np.exp(1.5 * x)):
+        fits = [fit_interior(theta, nodes, h)]  # a node array, then single nodes
+        fits += [fit_interior(theta, float(xj), h) for xj in nodes[::7]]
+        for fit in fits:
+            nu = fit.theta_center * tau / (h * h)
+            if complex_kind:
+                nu = 1j * nu
+            dtype = complex if complex_kind else float
+            for cut in range(4, CUT_FULL + 1):
+                got = assemble_row(fit, nu, h, cut)
+                for name, want in zip(FIELD_NAMES, _list_sum_row(fit, nu, h, cut)):
+                    a = np.asarray(getattr(got, name), dtype)
+                    assert a.shape == np.shape(fit.c1)
+                    assert a.tobytes() == np.asarray(want, dtype).tobytes(), (cut, name)
 
 
 def test_cut_validation():

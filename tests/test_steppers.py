@@ -1076,14 +1076,23 @@ def test_assembled_bands_match_the_scalar_row_at_every_node(name, params, kind, 
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (cut, field)
 
 
-def test_interior_fits_sample_theta_five_times_per_node():
+def test_assembly_samples_theta_in_one_array_call():
     s = sample_solution("s1")
     grid = grid_for(s, 20, 1.0, 1.0)
     calls = []
-    theta = lambda x: calls.append(x) or s.problem.theta(x)
+    theta = lambda x: calls.append(np.shape(x)) or s.problem.theta(x)
     assemble_compact(dataclasses.replace(s.problem, theta=theta), grid)
-    assert len(calls) == 5 * 19
-    assert all(type(x) is float for x in calls)
+    # five abscissae per interior node, then the two scalar spot checks
+    assert calls == [(19, 5), (), ()]
+
+
+def test_assembly_samples_a_math_theta_five_times_per_node():
+    s = sample_solution("s1")
+    grid = grid_for(s, 20, 1.0, 1.0)
+    calls = []
+    theta = lambda x: calls.append(type(x)) or math.cos(x) ** 2 + 1.0
+    assemble_compact(dataclasses.replace(s.problem, theta=theta), grid)
+    assert calls == [np.ndarray] + [float] * (5 * 19)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0])

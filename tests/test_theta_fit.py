@@ -159,11 +159,63 @@ def test_negative_at_right_wall_names_the_physical_abscissa():
         fit_boundary_right(lambda x: -1.0, 0.1)
 
 
-def test_sample_theta_calls_with_floats_and_checks_once():
+X_GRID = np.array([[0.0, 1.0, 2.5], [3.0, 4.5, 6.0]])
+
+
+def _recorded(theta):
     calls = []
-    theta = lambda x: calls.append(type(x)) or math.cos(x) ** 2 + 1.0
-    vals = sample_theta(theta, np.array([[0.0, 1.0], [2.0, 3.0]]))
-    assert vals.shape == (2, 2) and calls == [float] * 4
-    with pytest.raises(CoefficientDomainError, match="not finite, got nan at x=2.0"):
-        sample_theta(lambda x: math.nan if x == 2.0 else -1.0 if x > 2.0 else 1.0,
-                     [1.0, 2.0, 3.0])
+    return calls, lambda x: calls.append(type(x)) or theta(x)
+
+
+def test_sample_theta_calls_a_numpy_theta_once_on_the_array():
+    calls, theta = _recorded(lambda x: np.cos(x) ** 2 + 1.0)
+    vals = sample_theta(theta, X_GRID)
+    # one array call, then spot checks at the first and last abscissa
+    assert calls == [np.ndarray, float, float]
+    assert vals.shape == X_GRID.shape
+    assert np.array_equal(vals, np.cos(X_GRID) ** 2 + 1.0)
+
+
+def test_sample_theta_calls_a_math_closure_once_per_float():
+    calls, theta = _recorded(lambda x: math.cos(x) ** 2 + 1.0)
+    vals = sample_theta(theta, X_GRID)
+    assert calls == [np.ndarray] + [float] * X_GRID.size
+    assert vals.tolist() == [[math.cos(x) ** 2 + 1.0 for x in row] for row in X_GRID.tolist()]
+
+
+def _on_arrays(misbehaviour):
+    """2 + sin x on a float, ``misbehaviour`` on an array."""
+    return lambda x: 2.0 + np.sin(x) if np.ndim(x) == 0 else misbehaviour(x)
+
+
+@pytest.mark.parametrize("misbehaviour", [
+    lambda x: 3.0 if x > 7.0 else 2.0,  # ValueError: an array's truth value
+    lambda x: x[7],  # IndexError
+    lambda x: (2.0 + np.sin(x)).T,  # the wrong shape
+    lambda x: np.full(x.shape, 2.0 + np.sin(x.flat[0])),  # agrees at the first abscissa only
+    lambda x: (2.0 + np.sin(x)).astype(complex),  # not real
+], ids=["raises", "index", "shape", "disagrees", "complex"])
+def test_sample_theta_falls_back_to_floats(misbehaviour):
+    calls, theta = _recorded(_on_arrays(misbehaviour))
+    vals = sample_theta(theta, X_GRID)
+    assert calls[0] is np.ndarray and calls[-X_GRID.size:] == [float] * X_GRID.size
+    assert vals.tolist() == [[float(2.0 + np.sin(x)) for x in row] for row in X_GRID.tolist()]
+
+
+def test_sample_theta_broadcasts_a_constant():
+    vals = sample_theta(lambda x: 2.5, X_GRID)
+    assert vals.shape == X_GRID.shape and (vals == 2.5).all()
+    vals[0, 0] = 1.0  # a writable array of its own
+
+
+@pytest.mark.parametrize("bad_at", [2.5, 0.0, 6.0], ids=["inside", "first", "last"])
+def test_coefficient_error_names_the_same_abscissa_on_both_paths(bad_at):
+    def scalar(x):
+        return math.nan if x == bad_at else -1.0 if x > bad_at else 1.0
+
+    def array(x):
+        return np.where(x == bad_at, np.nan, np.where(x > bad_at, -1.0, 1.0))
+
+    for theta in (scalar, array):
+        with pytest.raises(CoefficientDomainError, match=f"not finite, got nan at x={bad_at}"):
+            sample_theta(theta, X_GRID)
