@@ -21,6 +21,7 @@ diagnostic.
 from __future__ import annotations
 
 import math
+from itertools import takewhile
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from .core import (
     sample_solution,
     theta_grid_max,
 )
-from .linalg import eigenvalues, frobenius
+from .linalg import block_eigenvalues, eigenvalues, frobenius, mirror_blocks
 from .linalg import solve_dense  # noqa: F401  unused; the benchmark's tracer test patches this binding
 from .steppers import (
     Classic,
@@ -385,24 +386,30 @@ def _cayley_generator(m: np.ndarray) -> Optional[np.ndarray]:
 def spectrum_report(m: np.ndarray) -> SpectrumReport:
     """Eigenvalues of a transition matrix M plus summary flags.
 
-    A reversible complex M (the Schrodinger kind's step map) is the
-    Cayley map M = (2 + iK)^{-1} (2 - iK) of a real K
-    (``_cayley_generator``), so its eigenvalues are
-    (2 - i mu)/(2 + i mu) for the eigenvalues mu of K: one real
-    eigensolve at about half the cost of a complex one.  They are
-    unimodular iff every mu is real, and generator_imag_abs = max|Im mu|
-    is the defect ("almost self-adjoint").  Any other M takes
-    ``eigenvalues`` directly, and generator_imag_abs is None.
+    A mirror-symmetric M (theta symmetric about pi) is split once into
+    its two half-size blocks (``linalg.mirror_blocks``), and all below
+    runs per block; any other M is one block.  A reversible complex M
+    (the Schrodinger kind's step map) is the Cayley map
+    M = (2 + iK)^{-1} (2 - iK) of a real K (``_cayley_generator``), so
+    its eigenvalues are (2 - i mu)/(2 + i mu) for the eigenvalues mu of
+    K: one real eigensolve at about half the cost of a complex one.
+    They are unimodular iff every mu is real, and generator_imag_abs =
+    max|Im mu| is the defect ("almost self-adjoint").  If a block fails
+    either of the route's gates, M's blocks are eigensolved directly and
+    generator_imag_abs is None.  The blocks' squared reversibility
+    defects add up to M's, and a block has at most n/sqrt 2 rows, so an
+    M that fails the full-size reversibility gate fails some block's.
 
     all_negative applies the sign criterion to A_new^{-1} A_old = -M:
     True when every eigenvalue of -M has negative real part.
     """
     m = np.asarray(m)
-    k = _cayley_generator(m)
-    if k is None:
-        vals, defect = eigenvalues(m), None
+    blocks = mirror_blocks(m) or (m,)
+    ks = list(takewhile(lambda k: k is not None, map(_cayley_generator, blocks)))
+    if len(ks) < len(blocks):
+        vals, defect = block_eigenvalues(blocks), None
     else:
-        mu = eigenvalues(k)
+        mu = block_eigenvalues(ks)
         vals = (2.0 - 1j * mu) / (2.0 + 1j * mu)
         vals, defect = vals[np.lexsort((vals.imag, vals.real))], float(np.abs(mu.imag).max())
     return SpectrumReport(
@@ -529,15 +536,15 @@ def negativity_threshold(
     some real part reaches zero or above.  Either side may be None when
     the transition is not seen in range.
 
-    One assembly and one eigensolve, at the scan's first nu, serve the
-    whole scan.  The layers are S + 2B and S - 2B, where S is
-    proportional to tau (every grid ratio theta_j tau / h^2, the walls'
-    too) and B does not depend on it.  So with mu the eigenvalues of
-    B^{-1} S on the first grid, those of A_new^{-1} A_old on a grid whose
-    tau is s times the first one's are (s mu - 2)/(s mu + 2), and their
-    real parts, of the sign of s^2 |mu|^2 - 4, are all negative iff
-    s max|mu| < 2.  mu = 2 (1 + lam)/(1 - lam) from the first grid's
-    eigenvalues lam.
+    One assembly and one ``eigenvalues`` call (two half-size eigensolves
+    for a theta symmetric about pi), at the first nu, serve the scan.
+    The layers are S + 2B and S - 2B, where S is proportional to tau
+    (every grid ratio theta_j tau / h^2, the walls' too) and B does not
+    depend on it.  So with mu the eigenvalues of B^{-1} S on the first
+    grid, those of A_new^{-1} A_old on a grid whose tau is s times the
+    first one's are (s mu - 2)/(s mu + 2), and their real parts, of the
+    sign of s^2 |mu|^2 - 4, are all negative iff s max|mu| < 2.
+    mu = 2 (1 + lam)/(1 - lam) from the first grid's eigenvalues lam.
     """
     nus = [float(v) for v in nu_grid]
     if any(b <= a for a, b in zip(nus, nus[1:])):

@@ -28,7 +28,7 @@ from cpde.analysis import (
     transition_matrix,
 )
 from cpde.core import Dirichlet, Neumann, ProblemSpec, ScalarKind, make_grid, sample_solution
-from cpde.linalg import SingularMatrixError, eigenvalues, solve_dense
+from cpde.linalg import SingularMatrixError, eigenvalues, mirror_blocks, solve_dense
 from cpde.neumann import ClassicNeumann, CompactThreePoint, MainTerms, ReducedTwoPoint
 from cpde.steppers import (
     Classic,
@@ -40,6 +40,7 @@ from cpde.steppers import (
     dense_operators,
 )
 from cpde.theta_fit import TWO_PI
+from test_linalg import eigvals_sorted, mirror_basis
 
 rng = np.random.default_rng(60601)
 
@@ -172,9 +173,11 @@ def test_classic_uniform_spectrum_closed_form():
     assert np.allclose(np.sort(got), np.sort(want), atol=1e-14)
 
 
-def test_classic_transition_matches_closed_form():
-    """Dense transition eigenvalues against the trigonometric formula."""
-    n, nu = 12, 0.3
+@pytest.mark.parametrize("n", [12, 40, 41])
+def test_classic_transition_matches_closed_form(n):
+    """Dense transition eigenvalues against the trigonometric formula; theta = 1
+    makes M mirror-symmetric, so they come from its two blocks, at both parities."""
+    nu = 0.3
     problem = ProblemSpec(
         theta=lambda x: 1.0,
         forcing=lambda t, x: np.zeros_like(x),
@@ -188,11 +191,13 @@ def test_classic_transition_matches_closed_form():
     assert grid.tau == pytest.approx(nu * grid.h * grid.h, rel=1e-12)
     mats = assemble_classic(problem, grid)
     m = transition_matrix(mats)
+    assert mirror_blocks(m) is not None
     vals = eigenvalues(m)
     want = classic_uniform_spectrum(n, nu)
     assert vals.shape == (n - 1,)
     assert np.allclose(np.sort(vals.real), np.sort(want), atol=1e-10)
     assert np.abs(vals.imag).max() < 1e-10
+    assert np.abs(np.sort(vals.real) - np.sort(want)).max() < 1e-13
 
 
 def test_spectrum_report_fields():
@@ -260,20 +265,98 @@ def _compact_sn(closure, n, courant):
     return transition_matrix(assemble_compact(problem, grid, neumann_variant=closure))
 
 
+def _cayley_map(k):
+    two = 2.0 * np.eye(len(k))
+    return np.linalg.solve(two + 1j * k, two - 1j * k)
+
+
+def _mirror_with_a_failing_block(n):
+    """Q diag(E, O) Q^T: E the Cayley map of a real K, which passes both gates;
+    O = diag(-1, Cayley map), reversible, with the eigenvalue -1 that fails the
+    second.  The null vector of I + Re O is e_0, on which the condition
+    estimate's ramp has weight 1; the estimate can miss a null vector nearly
+    orthogonal to the ramp."""
+    k = n // 2
+    blocks = np.zeros((n, n), complex)
+    blocks[: n - k, : n - k] = _cayley_map(rng.normal(size=(n - k, n - k)))
+    blocks[n - k, n - k] = -1.0
+    blocks[n - k + 1:, n - k + 1:] = _cayley_map(rng.normal(size=(k - 1, k - 1)))
+    q = mirror_basis(n)
+    return q @ blocks @ q.T
+
+
+# mirror-symmetric step maps that reach the route's gates as two blocks, one of which fails
+MIRROR_FALLBACKS = [
+    pytest.param(_compact_sn(ClassicNeumann(eps), n, c), id=f"ClassicNeumann({eps})-N{n}-{c}")
+    for eps in (0.5, 0.75, 1.0) for n in (10, 40) for c in (1j, 100j)
+] + [pytest.param(_mirror_with_a_failing_block(n), id=f"one-block-with-eigenvalue-1-n{n}") for n in (8, 9)]
+
+
 @pytest.mark.parametrize(
     "m",
-    [pytest.param(_compact_sn(ClassicNeumann(eps), n, c), id=f"ClassicNeumann({eps})-N{n}-{c}")
-     for eps in (0.5, 0.75, 1.0) for n in (10, 40) for c in (1j, 100j)]
+    MIRROR_FALLBACKS
     + [
         pytest.param(np.random.default_rng(7).normal(size=(6, 6, 2)) @ [1, 1j], id="random"),
         pytest.param(np.diag([1j, -1]), id="diag(i,-1)"),
     ],
 )
 def test_spectrum_report_falls_back_to_the_complex_eigensolve(m):
-    """Not reversible (ClassicNeumann(0.75), (1.0), random), or an eigenvalue -1."""
+    """Not reversible (ClassicNeumann(0.75), (1.0), random), or an eigenvalue -1
+    (ClassicNeumann(0.5), diag(i, -1), one block of the constructed matrices)."""
     rep = spectrum_report(m)
     assert rep.generator_imag_abs is None
     assert np.array_equal(rep.eigenvalues, eigenvalues(m))
+
+
+def _catalogue_step_map(name, kind, n, courant, **params):
+    problem = sample_solution(name, kind=kind, **params).problem
+    return transition_matrix(assemble_compact(problem, analysis._matrix_grid(n, courant, problem.theta)))
+
+
+@pytest.mark.parametrize("n", [50, 51, 100, 101])
+@pytest.mark.parametrize("name, kind, courant", [
+    ("s1", ScalarKind.REAL, 5.0), ("s2", ScalarKind.REAL, 5.0),
+    ("s1", ScalarKind.COMPLEX, 1j), ("snll", ScalarKind.COMPLEX, 1j),
+])
+def test_split_spectra_match_the_unsplit_eigensolve(name, kind, courant, n):
+    """theta = cos^2 x + 1 is symmetric about pi, so the step maps split
+    (Dirichlet: N - 1 rows, Neumann: N + 1, both parities)."""
+    m = _catalogue_step_map(name, kind, n, courant)
+    assert mirror_blocks(m) is not None
+    rep = spectrum_report(m)
+    assert (rep.generator_imag_abs is not None) == (kind is ScalarKind.COMPLEX)
+    want = np.linalg.eigvals(m)
+    assert set_distance(rep.eigenvalues, want) <= 1e-12 * np.abs(want).max()
+    assert set_distance(eigenvalues(m), want) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind, courant", [(ScalarKind.REAL, 5.0), (ScalarKind.COMPLEX, 1j)])
+def test_a_non_mirror_spectrum_is_unchanged(kind, courant):
+    """s3's theta = e^{ax} has no mirror symmetry: one eigensolve of M, or of K."""
+    m = _catalogue_step_map("s3", kind, 40, courant, a=2.0)
+    assert mirror_blocks(m) is None
+    assert np.array_equal(eigenvalues(m), eigvals_sorted(m))
+    rep = spectrum_report(m)
+    if kind is ScalarKind.REAL:
+        assert np.array_equal(rep.eigenvalues, eigvals_sorted(m))
+    else:
+        mu = eigvals_sorted(analysis._cayley_generator(m))
+        vals = (2.0 - 1j * mu) / (2.0 + 1j * mu)
+        assert np.array_equal(rep.eigenvalues, vals[np.lexsort((vals.imag, vals.real))])
+
+
+@pytest.mark.parametrize("m", MIRROR_FALLBACKS)
+def test_split_fallbacks_match_the_unsplit_eigensolve(m):
+    assert mirror_blocks(m) is not None
+    want = np.linalg.eigvals(m)
+    assert set_distance(spectrum_report(m).eigenvalues, want) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_one_block_of_the_constructed_matrix_passes_both_gates(n):
+    blocks = mirror_blocks(_mirror_with_a_failing_block(n))
+    assert analysis._cayley_generator(blocks[0]) is not None
+    assert analysis._cayley_generator(blocks[1]) is None
 
 
 def test_spectrum_report_of_a_real_matrix_is_unchanged():

@@ -456,16 +456,16 @@ def test_spectrum_default_is_neumann_demo(capsys):
     assert float(line.split("= ")[1]) < 1e-8
 
 
-@pytest.mark.parametrize("argv", [["--n", "16", "--courant", "i"],
-                                  ["--solution", "s1", "--n", "12", "--courant", "5"]])
-def test_spectrum_eigensolves_once(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, size", [(["--n", "16", "--courant", "i"], 17),
+                                        (["--solution", "s1", "--n", "12", "--courant", "5"], 11)])
+def test_spectrum_makes_one_real_eigensolve_per_block(capsys, monkeypatch, argv, size):
     calls = []
 
     def counted(name):
         solver = getattr(np.linalg, name)
 
         def call(a):
-            calls.append((name, np.iscomplexobj(a)))
+            calls.append((name, np.iscomplexobj(a), a.shape[0]))
             return solver(a)
 
         return call
@@ -474,8 +474,11 @@ def test_spectrum_eigensolves_once(capsys, monkeypatch, argv):
         monkeypatch.setattr(np.linalg, name, counted(name))
     rc, _, err = run_main(capsys, ["spectrum"] + argv)
     assert rc == 0 and "diagonalization: ok" in err
-    # one real eigensolve for either kind: of K for the complex kind, of M for the real
-    assert calls == [("eigvals", False)]
+    # both README grids are mirror-symmetric: one real eigensolve per half-size
+    # block, of K's blocks for the complex kind and of M's for the real
+    assert [name for name, _, _ in calls] == ["eigvals", "eigvals"]
+    assert not any(is_complex for _, is_complex, _ in calls)
+    assert sum(n for _, _, n in calls) == size
 
 
 def test_spectrum_real_diffusion_check(capsys):

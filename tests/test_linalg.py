@@ -15,6 +15,7 @@ from cpde.linalg import (
     eigenvalues,
     factor_tridiag,
     frobenius,
+    mirror_blocks,
     null_space_1d,
     solve_dense,
     solve_tridiag,
@@ -321,6 +322,117 @@ def test_eigenvalues_rotation_pair():
 def test_eigenvalues_size_guard():
     with pytest.raises(ValueError, match="exceeds"):
         eigenvalues(np.eye(20), max_size=8)
+
+
+def mirror_basis(n):
+    """The orthogonal Q with Q^T S Q = diag(even, odd) for every S = J S J:
+    columns (e_i + e_(n-1-i))/sqrt 2, then e_k for n = 2k+1, then (e_i - e_(n-1-i))/sqrt 2."""
+    k = n // 2
+    ends, mirrored = np.eye(n, k), np.eye(n, k)[::-1]
+    return np.hstack((np.sqrt(0.5) * (ends + mirrored), np.eye(n)[:, k : n - k],
+                      np.sqrt(0.5) * (ends - mirrored)))
+
+
+def random_mirror(n, dtype=float):
+    a = rng.normal(size=(n, n))
+    if dtype is complex:
+        a = a + 1j * rng.normal(size=(n, n))
+    return a + a[::-1, ::-1]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 40, 41])
+def test_mirror_blocks_are_the_even_and_odd_blocks(n, dtype):
+    s = random_mirror(n, dtype)
+    even, odd = mirror_blocks(s)
+    k = n // 2
+    assert (even.shape, odd.shape) == ((n - k, n - k), (k, k))
+    q = mirror_basis(n)
+    want = q.T @ s @ q
+    assert np.abs(want[:n - k, n - k:]).max() < 1e-13 * np.abs(s).max()  # the off-diagonal blocks vanish
+    assert np.allclose(even, want[:n - k, :n - k], rtol=0.0, atol=1e-13 * np.abs(s).max())
+    assert np.allclose(odd, want[n - k:, n - k:], rtol=0.0, atol=1e-13 * np.abs(s).max())
+
+
+def test_mirror_blocks_come_from_the_symmetrized_matrix():
+    s = random_mirror(9)
+    a = s.copy()
+    a[0, 1] += 8.0 * 9 * np.finfo(float).eps * np.linalg.norm(s)  # within the 64 n eps tolerance
+    e, o = mirror_blocks(a)
+    e2, o2 = mirror_blocks(0.5 * (a + a[::-1, ::-1]))
+    assert np.array_equal(e, e2) and np.array_equal(o, o2)
+
+
+def eigvals_sorted(a):
+    vals = np.linalg.eigvals(a)
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(rng.normal(size=(8, 8)), id="random"),
+    pytest.param(random_mirror(8) * (1.0 + 1e-9 * rng.normal(size=(8, 8))), id="mirror-perturbed-1e-9"),
+    pytest.param(random_mirror(9, complex) * (1.0 + 1e-9 * rng.normal(size=(9, 9))), id="complex-perturbed-1e-9"),
+    pytest.param(random_mirror(3), id="n3"),
+    pytest.param(np.eye(2), id="n2"),
+    pytest.param(np.ones((1, 1)), id="n1"),
+    pytest.param(np.ones((4, 5)), id="non-square"),
+    pytest.param(np.ones(4), id="vector"),
+])
+def test_mirror_blocks_reject_other_matrices(a):
+    assert mirror_blocks(a) is None
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(rng.normal(size=(8, 8)), id="random"),
+    pytest.param(random_mirror(8) * (1.0 + 1e-9 * rng.normal(size=(8, 8))), id="mirror-perturbed-1e-9"),
+    pytest.param(random_mirror(3), id="n3"),
+])
+def test_eigenvalues_of_other_matrices_are_one_plain_eigensolve(a):
+    assert np.array_equal(eigenvalues(a), eigvals_sorted(a))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [4, 5, 40, 41])
+def test_eigenvalues_of_a_mirror_matrix_solve_two_blocks(monkeypatch, n, dtype):
+    # a normal matrix diag(E, O) in the mirror basis, so the eigenvalues are well conditioned
+    k = n // 2
+    d = rng.normal(size=n) + (1j * rng.normal(size=n) if dtype is complex else 0.0)
+    blocks = np.zeros((n, n), dtype)
+    for rows, part in ((slice(0, n - k), d[: n - k]), (slice(n - k, n), d[n - k:])):
+        u = np.linalg.qr(rng.normal(size=(part.size, part.size)))[0]
+        blocks[rows, rows] = u @ np.diag(part) @ u.T
+    q = mirror_basis(n)
+    s = q @ blocks @ q.T
+    want = eigvals_sorted(s)
+    sizes = []
+    solver = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda b: sizes.append(b.shape[0]) or solver(b))
+    vals = eigenvalues(s)
+    assert sizes == [n - n // 2, n // 2]
+    assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(vals - np.sort_complex(d)).max() <= 1e-13 * np.abs(d).max()
+    assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(n))
+
+
+def test_eigenvalues_size_guard_counts_both_blocks():
+    with pytest.raises(ValueError, match="size 20 exceeds limit 19"):
+        eigenvalues(random_mirror(20), max_size=19)
+
+
+@pytest.mark.parametrize("failing_call", [0, 1])
+def test_eigenvalues_convergence_failure_in_either_block(monkeypatch, failing_call):
+    calls = []
+    solver = np.linalg.eigvals
+
+    def flaky(b):
+        calls.append(b.shape)
+        if len(calls) - 1 == failing_call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solver(b)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    with pytest.raises(EigenConvergenceError, match="did not converge"):
+        eigenvalues(random_mirror(10))
 
 
 def test_frobenius():
