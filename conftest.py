@@ -1,9 +1,9 @@
 """Pin BLAS to one thread before any test imports numpy, and clear the
 operator that ``steppers`` keeps from its last assembly before each test.
 
-The suite's dense work (the modal march's GEMMs, and eigensolves of step
-maps of up to 401 nodes for the closed-form march) is too small to gain
-from a second BLAS thread, which only burns CPU.  A thread count set in
+The suite's dense work (the GEMMs of the closed-form and opaque marches,
+and the spectral studies' eigensolves of step maps of up to 401 nodes) is
+too small to gain from a second BLAS thread, which only burns CPU.  A thread count set in
 the environment is left as it is.  This file sits at the repository root
 so that both test trees, ``tests`` and ``perfbench/tests``, use it.
 """

@@ -349,14 +349,16 @@ def _cayley_generator(m: np.ndarray) -> Optional[np.ndarray]:
     part of (I + M) K = -2i (I - M) reads (I + Re M) K = -2 Im M, one
     real solve.  For a reversible M, I + Re M is singular iff I + M is.
 
-    So M must pass two gates: ||M conj(M) - I||_F <= 64 m eps, and
-    I + Re M numerically nonsingular, cond_F < 1/(m eps) (numpy's
-    matrix_rank threshold) with ||(I + Re M)^{-1}|| estimated from one
-    extra right-hand side.  A solve that merely does not raise is not
-    enough: at an exact eigenvalue -1 (``ClassicNeumann(0.5)`` walls)
-    the rounded pivot is tiny but nonzero, Im M vanishes along its null
-    vector, and K comes back O(1) wrong.  A real M, or one beyond the
-    eigensolver's size cap, returns None without any work.
+    So M must pass two gates: ||M conj(M) - I||_F <= 64 n eps, and the K
+    solved for must give M back: R = 2 (M - I) + iK (M + I) must vanish to
+    ||R||_F <= n eps ||M||_F (2 + ||K||_F)^2.  The solve's rounding grows
+    with the conditioning of I + Re M, which grows with ||K||, hence the
+    square.  A solve that merely does not raise is not enough: at an
+    eigenvalue -1 (``ClassicNeumann(0.5)`` walls) the rounded pivot is
+    tiny but nonzero, Im M vanishes along the null vector, and K comes
+    back O(1) wrong; R is then at least 4 along that eigenvector.  A real
+    M, or one beyond the eigensolver's size cap, returns None without any
+    work.
     """
     n = m.shape[0]
     if not np.iscomplexobj(m) or m.shape != (n, n) or not 0 < n <= 512:
@@ -371,16 +373,23 @@ def _cayley_generator(m: np.ndarray) -> Optional[np.ndarray]:
     del defect
     shifted = np.array(m.real)
     shifted[diag] += 1.0
-    # the alternating ramp of Higham's condition estimator (LAPACK xLACN2)
-    r = np.linspace(1.0, 2.0, n) * (1.0 - 2.0 * (np.arange(n) % 2))
     try:
-        x = np.linalg.solve(shifted, np.column_stack((m.imag, r)))
+        x = np.linalg.solve(shifted, m.imag)  # K = -2x
     except np.linalg.LinAlgError:
         return None
-    if not np.linalg.norm(shifted) * np.linalg.norm(x[:, -1]) / np.linalg.norm(r) < 1.0 / (n * eps):
+    # R / 2 = (M - I) - ix (M + I): real part Re M - I + x Im M, imaginary
+    # part Im M - x (I + Re M), up to sign
+    imag = x @ shifted
+    del shifted
+    imag -= m.imag
+    real = x @ m.imag
+    real += m.real
+    real[diag] -= 1.0
+    half = math.hypot(np.linalg.norm(real), np.linalg.norm(imag))
+    if not half <= 2.0 * n * eps * np.linalg.norm(m) * (1.0 + np.linalg.norm(x)) ** 2:
         return None
     x *= -2.0
-    return x[:, :-1]
+    return x
 
 
 def spectrum_report(m: np.ndarray) -> SpectrumReport:

@@ -35,10 +35,10 @@ itself, whose parameters may have changed.  The operator holds no
 problem data: the ``SchemeMatrices`` an assembly returns pairs
 it with the caller's grid and Dirichlet walls, and forcing and initial
 state come from the problem at march time.  What the operator builds on
-first use is kept with it: the factored A_new and the modal engine's
-eigendecomposition of P and input maps.  So a march run as consecutive
-``run`` calls sets up once, and a reused operator gives bitwise the
-result of a fresh one.  Its band arrays are read-only.
+first use is kept with it: the factored A_new, and the opaque march's
+powers of P and input maps.  So a march run as consecutive ``run`` calls
+sets up once, and a reused operator gives bitwise the result of a fresh
+one.  Its band arrays are read-only.
 
 The per-step cost is data on the assembled scheme: ``_finalize`` adds
 up the multiplications and divisions the step performs (additions are
@@ -71,13 +71,13 @@ gives P and the responses to the inputs.
   ``max(_CLOSED_MIN_STEPS, K m^2)`` steps on any grid, K from
   ``_CLOSED_STEPS_PER_NODE_SQUARED``: a squaring costs O(m^3), the
   stepwise march O(steps).
-- The chunked modal engine serves any other problem on grids of at
-  most ``_AFFINE_MAX_NODES`` nodes with at least
-  ``_AFFINE_MIN_STEPS_PER_NODE`` steps per node.  It factors
-  P = V diag(lam) V^-1 once and advances z = V^-1 u by a whole 256-step
-  chunk at a time: two GEMMs give the chunk's modal forcing, and one
-  weighted sum with powers of lam folds it into z.  It hands over to the
-  stepwise march when V is worse conditioned than ``_MODAL_MAX_COND``.
+- The opaque march serves any other problem on grids of at most
+  ``_AFFINE_MAX_NODES`` nodes with at least ``_AFFINE_MIN_STEPS_PER_NODE``
+  steps per node (``_march_affine``).  From one probe it builds P's
+  powers up to P^256 in two stacks of 16, in the kind's own arithmetic,
+  and advances by a whole 256-step chunk at a time: one GEMM maps the
+  chunk's inputs, and two more sum them with the state under the
+  powers.  It makes no eigensolve.
 - Everything else steps.
 
 The first-integral series reads every state off ``_states``, in blocks
@@ -197,13 +197,12 @@ class _WallFixup:
 class _Built:
     """The pieces of an operator built on first use."""
 
-    __slots__ = ("factored", "checked", "eigen", "modal")
+    __slots__ = ("factored", "checked", "powers")
 
     def __init__(self):
         self.factored = None  # the solver, factored: a TridiagLU
         self.checked = False  # the solver's pivots passed ``sweep_pivots``
-        self.eigen = None  # (lam, V, V^-1, cond(V)) of the step map P
-        self.modal = None  # _eigen_maps of the unit inputs and lam's powers
+        self.powers = None  # the opaque march's powers of P and input maps
 
 
 @dataclass
@@ -354,10 +353,10 @@ def _build_walls(problem: ProblemSpec, grid: Grid1D, variant: NeumannVariant, sa
 
 # The last assembly, as [(key, theta samples, SchemeMatrices)], or [] when
 # it had more than _AFFINE_MAX_NODES nodes, so what stays alive after
-# ``run`` returns is at most about 1.6 MB (V, V^-1, the modal maps and
-# lam's powers at m = 128, complex).  Replaced by one slice assignment, so
-# a thread reads one whole entry or none; never rebound, since the
-# benchmark's tests compare the module's bindings before and after a run.
+# ``run`` returns is at most about 9 MB (the opaque march's powers and
+# input maps at m = 128, complex; 4.6 MB real).  Replaced by one slice
+# assignment, so a thread reads one whole entry or none; never rebound, since
+# the benchmark's tests compare the module's bindings before and after a run.
 _last_operator: list = []
 
 
@@ -493,7 +492,7 @@ def _apply_wall_fixup(rhs, fx: _WallFixup, idx, u, f0n, f1n):
 
 # A single state on a grid of at least this many nodes is solved with the
 # factored A_new (``linalg.factor_tridiag``, built by the first such step)
-# rather than the sweep; stacks of states, such as the modal probe, always
+# rather than the sweep; stacks of states, such as a probe, always
 # sweep.  One compact ``_step``, sweep / factored, best of 7 alternating
 # runs, on a 2-core Xeon with one BLAS thread, s3 a=2 at courant 100 (real)
 # and snll at courant i (complex): m = 11, 26 / 34 us (real) and
@@ -566,7 +565,7 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 # the catalogue's cos(omega t) f_c(x) + sin(omega t) f_s(x) does, then
 # costs a few outer products per block (s3 a=2, 257 rows on a 2-core
 # Xeon: about 270 -> 70 us at m = 21 and 510 -> 100 us at m = 41, against
-# the full two-variable expression).  The stepwise and chunked modal
+# the full two-variable expression).  The stepwise and opaque
 # engines consume the blocks chunk by chunk and check the state for
 # finiteness once per chunk.
 _FORCING_CHUNK = 256
@@ -664,18 +663,23 @@ def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
         yield k, f, g
 
 
-# The modal march probes the step once (one batched sweep), diagonalizes
-# the m x m step map, then costs two small GEMMs and one weighted sum per
-# 256-step chunk.  Whole runs, stepwise / modal, on a 2-core Xeon with one
-# BLAS thread, s3 a=2 at courant 100 (real) and snll at courant i (complex):
-# at m = 21, 1m steps took 1.7 / 1.9 ms (real) and 2.2 / 2.4 ms (complex),
-# 2m steps 3.1 / 2.3 and 4.5 / 3.6 ms; at m = 101, 2m steps 19.9 / 17.1 and
-# 30.2 / 35.0 ms (the complex eig dominates), 4m steps 33.9 / 18.5 and
-# 48.5 / 34.3 ms.  4 is the least of these that never loses.
+# The opaque march probes the step once and builds P's powers (32 m-square
+# products), then costs three GEMMs per 256-step chunk.  Whole runs with
+# assembly, stepwise / powers, best of 9 CPU timings on a 2-core Xeon with
+# one BLAS thread, s3 a=2 at courant 100 (real) and snll at courant i
+# (complex), at 1m / 4m / 8m steps: m = 21, 1.45 / 1.48, 3.46 / 1.54 ms
+# (real) and 1.08 / 1.08, 2.69 / 1.16 (complex); m = 41, 4m 4.59 / 1.33 and
+# 6.40 / 2.08; m = 101, 4m 10.9 / 8.3 and 14.3 / 17.6, 8m 20.8 / 9.9 and
+# 27.0 / 20.9; m = 128, 4m 14.3 / 13.4 and 19.7 / 27.9, 8m 29.8 / 16.1 and
+# 33.8 / 33.5.  4 never loses on the real kind; the complex kind above
+# about 100 nodes needs up to 8, since the first use costs O(m^3).
 _AFFINE_MIN_STEPS_PER_NODE = 4
-# The dense maps are O(m^2) memory: without a cap, the m = 201 / 2027-step
-# richardson run of the README commands raised their peak RSS from 38.7 to
-# 41.5 MB; with it, 38.5 MB.
+# ``_march_affine`` sums a chunk as this many blocks of this many steps.
+_POWER_BLOCK = math.isqrt(_FORCING_CHUNK)
+# The dense maps are O(m^2) memory, 9.2 MB at m = 128 (complex; a 11.7 MB
+# peak to build, by tracemalloc).  Without a cap on the operators kept, the
+# m = 201 / 2027-step richardson run of the README commands raised their
+# peak RSS from 38.7 to 41.5 MB; with it, 38.5 MB.
 _AFFINE_MAX_NODES = 128
 # The closed form costs one probe of m + 2 states and floor(log2 n) squarings
 # of an (m + 2)-square matrix; a step costs about 15-80 us.  Break-even, best
@@ -695,13 +699,6 @@ _CLOSED_FLUSH = 1e-150
 # ``_closed_states``: timings in the module docstring (2-core Xeon, 1 thread)
 _STATE_BLOCK = 64
 _STATES_MAX_NODES = 256
-# Bound on ||V||_1 ||V^-1||_1 for P's eigenvectors V.  The march's
-# deviation from the stepwise one is at most about steps * eps * cond(V).
-# s1, s2, s3, sn and snll, both kinds, compact, classic and every Neumann
-# closure, N = 10-100 at courant 1 and 100 measured 5.7-4.5e3 (2-norm cond
-# 1.4-571).  The worst, s3 a=2 at N = 100 and courant 100, deviated by
-# 9.0e-11 relative over its 726,350 steps (7.5e-12 over 181,588 at N = 50).
-_MODAL_MAX_COND = 1e4
 
 
 def _check_finite(u: np.ndarray, first: int, last: int):
@@ -785,64 +782,53 @@ def _probe(mats: SchemeMatrices, states, f0=None, f1=None, g=None) -> np.ndarray
     return _step(mats, u, f0, f1, bc_vals=bc)
 
 
-def _eigen_maps(mats: SchemeMatrices, f0, f1, g):
-    """P's eigenbasis and the responses to extra inputs in it.
-
-    The inputs j are as in ``_probe``.  The operator's first call probes
-    them together with the m unit states and keeps P = V diag(lam) V^-1
-    on the operator; later calls probe only the inputs.  Returns
-    (lam, V, V^-1, E) with row j of E the response to input j in P's
-    eigenbasis, or None when V is worse conditioned than
-    ``_MODAL_MAX_COND`` or does not exist.
-    """
-    built = mats._built
-    if built.eigen is not None and not built.eigen[3] <= _MODAL_MAX_COND:
-        return None
-    m = mats.grid.n + 1
-    p = m if built.eigen is None else 0  # unit states to probe
-    cols = _probe(mats, range(p), f0, f1, g)
-    if p:  # row j of cols: the response to unit state j
-        try:
-            lam, v = np.linalg.eig(cols[:m].T)
-            v_inv = np.linalg.inv(v)
-            built.eigen = lam, v, v_inv, np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
-        except np.linalg.LinAlgError:  # no convergence, or a defective P
-            built.eigen = None, None, None, np.inf
-    lam, v, v_inv, cond = built.eigen
-    if not cond <= _MODAL_MAX_COND:
-        return None
-    return lam, v, v_inv, cols[p:] @ v_inv.T
-
-
 def _march_affine(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
-    """Advance u <- P u + Q0 f^n + Q1 f^{n+1} + W g^{n+1} in P's eigenbasis.
+    """Advance u <- u T + f^n Q0 + f^{n+1} Q1 + g^{n+1} W by blocked powers of T.
 
-    With P = V diag(lam) V^-1 and z = V^-1 u, a chunk of c steps is
-    z <- lam^c z + sum_k lam^(c-1-k) E_k, E_k the modal forcing of step k,
-    read off the responses to unit f^n, f^{n+1} and g^{n+1}.  Those
-    responses and the chunk's powers of lam are the operator's, kept with it.
+    States are rows here, so T = P^T.  On the operator's first use one probe
+    of the m unit states and the unit inputs (``_probe``) gives T, Q0, Q1 and
+    W, and 32 m-square products give R = Q0 + Q1 T, S1 = [T^15; ...; T; I]
+    and S2 = [T^256; T^240; ...; T^16; I], kept with the operator.  Then
+    v = u - f^n Q1 steps as v <- v T + f^n R + g^{n+1} W, so after a chunk
+    of c steps with inputs e_j = f^j R + g^(j+1) W, v is v T^c + sum_j
+    e_j T^(c-1-j): the sum of the rows of x = [0; v; e_0; ...; e_(c-1)]
+    times the powers of T from T^(16b - 1) down to I, with x front-padded
+    by zero rows to b = c // 16 + 1 blocks of 16.  Each block of x times S1
+    is one row, and those rows times the last b blocks of S2 are the new v:
+    two products, in the kind's own arithmetic.
     """
-    mf = _forcing_grid(mats).size
-    built = mats._built
-    if built.modal is None:
-        unit = np.eye(2 * mf + 2, dtype=u.dtype)
-        maps = _eigen_maps(mats, unit[:, :mf], unit[:, mf : 2 * mf], unit[:, 2 * mf :])
-        if maps is None:
-            return _march_stepwise(mats, u, problem, n_steps)
-        powers = np.vstack((np.ones_like(maps[0]), np.tile(maps[0], (_FORCING_CHUNK - 1, 1))))
-        built.modal = maps + (np.cumprod(powers, axis=0)[::-1],)  # row k: lam^(255-k)
-    lam, v, v_inv, e, weights = built.modal
-    q0_t, q1_t, w_t = np.split(e, [mf, 2 * mf])
-    z = v_inv @ u
+    built, m = mats._built, u.size
+    if built.powers is None:
+        mf = _forcing_grid(mats).size
+        unit = np.eye(2 * mf + 2, dtype=mats.kind.dtype)
+        cols = _probe(mats, range(m), unit[:, :mf], unit[:, mf : 2 * mf], unit[:, 2 * mf :])
+        t, b = cols[:m], _POWER_BLOCK
+        s1, s2 = np.empty((b * m, m), t.dtype), np.empty(((b + 1) * m, m), t.dtype)
+        low, high = s1.reshape(b, m, m), s2.reshape(b + 1, m, m)  # written in place
+        low[-1] = high[-1] = np.eye(m)
+        for i in range(b - 1, 0, -1):
+            np.matmul(low[i], t, out=low[i - 1])
+        np.matmul(low[0], t, out=high[-2])
+        for i in range(b - 1, 0, -1):
+            np.matmul(high[i], high[-2], out=high[i - 1])
+        q0, q1, w = np.split(cols[m:], [mf, 2 * mf])
+        built.powers = s1, s2, (q0 + q1 @ t, q1.copy(), w.copy())
+    s1, s2, (r, q1, w) = built.powers
+    x = np.empty((_FORCING_CHUNK + _POWER_BLOCK, m), u.dtype)  # refilled by each chunk
     for k, f, g in _chunks(problem, mats, n_steps):
+        if k == 0:
+            v = u - f[0] @ q1
         c = f.shape[0] - 1
-        e = f[:-1] @ q0_t + f[1:] @ q1_t
+        b = c // _POWER_BLOCK + 1
+        x[: -c - 1] = 0.0
+        x[-c - 1] = v
+        np.matmul(f[:-1], r, out=x[-c:])
         if g is not None:
-            e += g @ w_t
-        z = lam**c * z + np.einsum("km,km->m", weights[_FORCING_CHUNK - c :], e)
-        _check_finite(z, k, k + c)
-    u_new = v @ z
-    return u_new if np.iscomplexobj(u) else u_new.real.copy()
+            x[-c:] += g @ w
+        v = (x[-b * _POWER_BLOCK :].reshape(b, _POWER_BLOCK * m) @ s1).reshape(-1) @ s2[-b * m :]
+        u = v + f[-1] @ q1
+        _check_finite(u, k, k + c)
+    return u
 
 
 def _closed_map(mats: SchemeMatrices, problem: ProblemSpec, dtype) -> np.ndarray:
@@ -936,8 +922,8 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
     chosen as the module docstring says; a non-finite state raises
     FloatingPointError.  A run on the operator of the previous assembly
     (same theta samples, grid, kind, wall type and scheme) skips its
-    assembly, and on the modal engine its probe and eigensolve, and
-    gives bitwise the same state.
+    assembly, and on the opaque march its probe and powers, and gives
+    bitwise the same state.
     """
     if isinstance(scheme, Compact):
         mats = assemble_compact(problem, grid, scheme.cut, scheme.neumann)

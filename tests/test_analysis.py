@@ -359,6 +359,37 @@ def test_one_block_of_the_constructed_matrix_passes_both_gates(n):
     assert analysis._cayley_generator(blocks[1]) is None
 
 
+def _mirror_with_a_hidden_eigenvalue_minus_one(n, seed):
+    """Q diag(E, R diag(-1, C) R^T) Q^T: E and C Cayley maps of random real
+    matrices, R a random orthogonal matrix that turns the eigenvalue -1's null
+    vector away from any fixed test vector."""
+    gen = np.random.default_rng(seed)
+    k = n // 2
+    r, _ = np.linalg.qr(gen.normal(size=(k, k)))
+    inner = np.zeros((k, k), complex)
+    inner[0, 0] = -1.0
+    inner[1:, 1:] = _cayley_map(gen.normal(size=(k - 1, k - 1)))
+    blocks = np.zeros((n, n), complex)
+    blocks[: n - k, : n - k] = _cayley_map(gen.normal(size=(n - k, n - k)))
+    blocks[n - k:, n - k:] = r @ inner @ r.T
+    q = mirror_basis(n)
+    return q @ blocks @ q.T
+
+
+def test_an_eigenvalue_minus_one_never_passes_the_cayley_route():
+    """Over 400 such matrices the route must give every spectrum right: the
+    block with the eigenvalue -1 has no K, and a K solved for anyway does not
+    give M back (its residual is at least 4, against a bound below 1e-4)."""
+    wrong = []
+    for n in (8, 9):
+        for seed in range(200):
+            m = _mirror_with_a_hidden_eigenvalue_minus_one(n, seed)
+            got = spectrum_report(m).eigenvalues
+            if set_distance(got, np.linalg.eigvals(m)) > 1e-12:
+                wrong.append((n, seed))
+    assert wrong == []
+
+
 def test_spectrum_report_of_a_real_matrix_is_unchanged():
     s = sample_solution("s1")
     m = transition_matrix(assemble_compact(s.problem, analysis._matrix_grid(12, 5.0, s.problem.theta)))

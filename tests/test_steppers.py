@@ -377,7 +377,7 @@ def with_steps(grid, n_steps):
 
 def opaque(problem):
     """``problem`` with its forcing and Dirichlet walls behind plain closures,
-    which hide any declared modes: ``run`` then picks the chunked modal or
+    which hide any declared modes: ``run`` then picks the opaque march or
     the stepwise engine."""
     forcing, boundary = problem.forcing, problem.boundary
     if isinstance(boundary, Dirichlet):
@@ -439,11 +439,18 @@ ENGINE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,kind,scheme", ENGINE_CASES)
-def test_affine_engine_matches_stepwise(name, kind, scheme):
+@pytest.mark.parametrize(
+    "name,kind,scheme,n_steps",
+    [pytest.param(*p.values, 300, id=p.id) for p in ENGINE_CASES]
+    + [pytest.param(*p.values, n, id=f"{p.id}-{n}-steps") for n in (2075, 261)
+       for p in ENGINE_CASES],
+)
+def test_affine_engine_matches_stepwise(name, kind, scheme, n_steps):
+    """300 steps cross one forcing-chunk boundary.  2075 (the benchmark's
+    stiff part) end in a 27-step chunk and 261 in a 5-step one: partial
+    chunks of more and of fewer steps than one block of powers."""
     s = sample_solution(name, kind=kind)
-    # 300 steps cross one forcing-chunk boundary
-    grid = with_steps(grid_for(s, 16, 1.0, 1.0), 300)
+    grid = with_steps(grid_for(s, 16, 1.0, 1.0), n_steps)
     assert engine_deviation(s.problem, grid, scheme) <= 1e-12
 
 
@@ -484,8 +491,7 @@ LONG_CLOSED_CASES = [
     pytest.param("s3", {"a": 2.0}, None, Compact(), 20, 100.0, None, 1e-12,
                  id="s3-a2-N20-courant100"),
     # a unimodular spectrum keeps every rounding of 100,000 steps: measured
-    # 2.0e-12, where the stepwise and modal marches are 4.9e-12 and 5.8e-12
-    # from the same reference
+    # 2.0e-12, where the stepwise march is 4.9e-12 from the same reference
     pytest.param("snll", {}, None, Compact(), 20, 1j, 100_000, 5e-12, id="snll-N20-100k-steps"),
 ]
 
@@ -500,7 +506,7 @@ def test_closed_form_matches_an_extended_precision_power(
 ):
     """The binary power's own rounding, against the same power in long double.
     The N=50 cases measured up to 7.4e-13, where the stepwise march is up to
-    9.2e-13 and the modal one 1.3e-11 from the same references."""
+    9.2e-13 from the same references."""
     s = sample_solution(name, kind=kind, **params)
     grid = grid_for(s, n, courant, 1.0)
     grid = with_steps(grid, n_steps) if n_steps else grid
@@ -531,8 +537,8 @@ def solve_calls(monkeypatch):
 
 
 def test_modal_engine_matches_stepwise_over_the_stiff_march():
-    """All 29,054 steps of the s3 a=2 courant-100 march at N=20, for the modal
-    march and the closed form (measured 5.7e-13 and 2.4e-13)."""
+    """All 29,054 steps of the s3 a=2 courant-100 march at N=20, for the opaque
+    march and the closed form (measured 1.7e-13 and 2.4e-13)."""
     s = sample_solution("s3", a=2.0)
     grid = grid_for(s, 20, 100.0, 1.0)
     assert grid.n_steps == 29054
@@ -541,7 +547,7 @@ def test_modal_engine_matches_stepwise_over_the_stiff_march():
 
 def test_modal_engine_matches_stepwise_over_100k_complex_steps():
     """snll at courant i, where max|lambda| is 1 + O(eps): 100,000 steps, for the
-    modal march and the closed form (measured 1.2e-12 and 2.9e-12)."""
+    opaque march and the closed form (measured 1.4e-13 and 2.9e-12)."""
     s = sample_solution("snll")
     grid = with_steps(grid_for(s, 20, 1j, 1.0), 100_000)
     assert engine_deviation(s.problem, grid, Compact(), _march_affine, _march_closed) <= 1e-11
@@ -551,8 +557,8 @@ def test_closed_form_stays_accurate_at_resonance():
     """A forcing whose mu = e^(i omega tau) sits within 1e-12 of a mode of P."""
     s = sample_solution("snll")
     grid = with_steps(grid_for(s, 16, 1j, 1.0), 2000)
-    none = np.zeros((0, grid.n + 1), complex)
-    lam = steppers._eigen_maps(assemble_compact(s.problem, grid), none, none, None)[0]
+    m = grid.n + 1
+    lam = np.linalg.eigvals(steppers._probe(assemble_compact(s.problem, grid), range(m)).T)
     j = np.argmin(np.abs(np.angle(lam) - 1.0))
     omega = (np.angle(lam[j]) + 1e-12) / grid.tau
     assert abs(np.exp(1j * omega * grid.tau) - lam[j]) < 2e-12
@@ -561,44 +567,28 @@ def test_closed_form_stays_accurate_at_resonance():
     assert engine_deviation(problem, grid, Compact(), _march_closed) <= 1e-11
 
 
-def failing_eig(a):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
 @pytest.mark.parametrize(
-    "target,name,value",
-    [(steppers, "_MODAL_MAX_COND", 0.0), (np.linalg, "eig", failing_eig)],
-    ids=["above-gate", "eig-fails"],
+    "name,courant,hidden",
+    [pytest.param("s3", 100.0, False, id="s3-100.0"),
+     pytest.param("snll", 1j, False, id="snll-1j"),
+     pytest.param("s3", 100.0, True, id="s3-100.0-opaque")],
 )
-def test_ill_conditioned_eigenbasis_marches_stepwise(monkeypatch, solve_calls, target, name,
-                                                     value):
-    """Above the conditioning gate, or without an eigenbasis, the modal engine
-    probes once and then steps like the stepwise one."""
-    monkeypatch.setattr(target, name, value)
-    s = sample_solution("s3", a=2.0)
-    problem = opaque(s.problem)
-    grid = with_steps(grid_for(s, 20, 100.0, 1.0), 600)
-    assert steppers._engine(problem, grid) is _march_affine
-    got = march_with(_march_affine, problem, grid, Compact())
-    assert len(solve_calls) == 1 + 600
-    ref = march_with(_march_stepwise, problem, grid, Compact())
-    assert np.array_equal(got, ref)
-
-
-@pytest.mark.parametrize("name,courant", [("s3", 100.0), ("snll", 1j)])
-def test_closed_form_makes_no_eigensolve_or_inverse(monkeypatch, solve_calls, name, courant):
-    """One batched probe and matrix products only, on either kind."""
+def test_closed_form_makes_no_eigensolve_or_inverse(monkeypatch, solve_calls, name, courant,
+                                                    hidden):
+    """One batched probe and matrix products only, on either kind, and so for
+    the opaque march of a problem that hides its modes."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("the closed form called a dense eigensolve or inverse")
+        raise AssertionError("the march called a dense eigensolve or inverse")
 
     for fn in ("eig", "eigvals", "inv"):
         monkeypatch.setattr(np.linalg, fn, forbidden)
     s = sample_solution(name)
+    problem = opaque(s.problem) if hidden else s.problem
     grid = with_steps(grid_for(s, 20, courant, 1.0), 600)
-    assert steppers._engine(s.problem, grid) is _march_closed
-    got = run(s.problem, grid, Compact()).final_state
+    assert steppers._engine(problem, grid) is (_march_affine if hidden else _march_closed)
+    got = run(problem, grid, Compact()).final_state
     assert len(solve_calls) == 1
-    ref = march_with(_march_stepwise, s.problem, grid, Compact())
+    ref = march_with(_march_stepwise, problem, grid, Compact())
     assert relative_gap(got, ref) <= 1e-12
 
 
@@ -629,7 +619,7 @@ def test_closed_form_flush_moves_no_result(monkeypatch):
     ],
 )
 def test_run_picks_engine_by_grid_and_step_count(solve_calls, declared, n, n_steps, solves):
-    """The eigenbasis and closed-form engines solve only in their one batched
+    """The opaque and closed-form engines solve only in their one batched
     probe, the stepwise one once per step.  A problem that declares its modes
     is advanced in closed form from max(16, m^2 / 64) steps, on any grid; an
     opaque one marches by chunks on grids of at most 128 nodes with 4 steps
@@ -1160,8 +1150,8 @@ def test_a_reused_operator_gives_bitwise_the_cold_result(name, params, kind, sch
         cold[march] = march_with(march, problem, grid, scheme)
     steppers._last_operator.clear()
     built = assemble(s.problem, grid, scheme)._built
-    # the closed form probes afresh each time, the modal march builds P's
-    # eigenbasis and its unit responses, and the second round reuses them
+    # the closed form probes afresh each time, the opaque march builds P's
+    # powers and its unit responses, and the second round reuses them
     for march in (_march_closed, _march_affine, _march_stepwise, _march_closed, _march_affine):
         got = march_with(march, problems[march], grid, scheme)
         assert np.array_equal(got, cold[march]), march.__name__
@@ -1263,7 +1253,7 @@ def test_every_part_of_the_key_can_miss():
 
 
 def test_only_operators_of_at_most_128_nodes_are_kept():
-    """A larger operator is not kept, so its eigendecomposition is freed
+    """A larger operator is not kept, so its powers of P are freed
     when the caller drops it, and it replaces the last small one."""
     s = sample_solution("s1")
     small, large = grid_for(s, 127, 1.0, 1.0), grid_for(s, 128, 1.0, 1.0)
@@ -1276,7 +1266,7 @@ def test_only_operators_of_at_most_128_nodes_are_kept():
 
 def test_threads_sharing_the_kept_operator_each_get_the_cold_result():
     """Threads that alternate two operators replace the kept one under each
-    other and race to build the same operator's eigenbasis and modal maps;
+    other and race to build the same operator's powers and input maps;
     every run must still give the state of a run on a fresh operator."""
     s1, s2 = sample_solution("s1"), sample_solution("s2", k=3)
     runs = [(s1.problem, with_steps(grid_for(s1, 16, 1.0, 1.0), 300)),
@@ -1311,23 +1301,23 @@ def test_threads_sharing_the_kept_operator_each_get_the_cold_result():
 
 def test_a_restarted_march_sets_up_once(monkeypatch):
     """Eight consecutive runs, each restarting the problem where the last one
-    stopped: one assembly and one eigensolve, and the one-call march's state."""
+    stopped: one assembly and one probe, and the one-call march's state."""
     s = sample_solution("s3", a=2.0)
     problem = opaque(s.problem)
     grid = grid_for(s, 20, 100.0, 1.0)
-    counts = {"rows": 0, "eig": 0}
-    row, eig = steppers.assemble_row, np.linalg.eig
+    counts = {"rows": 0, "probe": 0}
+    row, probe = steppers.assemble_row, steppers._probe
 
     def counting_row(*args):
         counts["rows"] += 1
         return row(*args)
 
-    def counting_eig(a):
-        counts["eig"] += 1
-        return eig(a)
+    def counting_probe(*args):
+        counts["probe"] += 1
+        return probe(*args)
 
     monkeypatch.setattr(steppers, "assemble_row", counting_row)
-    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(steppers, "_probe", counting_probe)
 
     def restarted(t0, state):
         f, bc = problem.forcing, problem.boundary
@@ -1346,6 +1336,6 @@ def test_a_restarted_march_sets_up_once(monkeypatch):
         state = run(restarted(first * grid.tau, state), part, Compact()).final_state
         first += steps
     assert first == grid.n_steps
-    assert counts == {"rows": 1, "eig": 1}
+    assert counts == {"rows": 1, "probe": 1}
     steppers._last_operator.clear()
     assert relative_gap(state, run(problem, grid, Compact()).final_state) <= 1e-10
