@@ -304,6 +304,8 @@ def cut_study(
     cuts: Sequence[int] = (5, 6, 7, 8, 9, 10),
 ) -> dict:
     """Convergence of the compact scheme with truncated coefficient powers."""
+    if len(set(cuts)) != len(cuts):
+        raise ValueError(f"cut levels must be distinct, got {list(cuts)}")
     return {
         cut: convergence_study(solution_id, params, Compact(cut=cut), ns, courant, t_final)
         for cut in cuts

@@ -45,7 +45,7 @@ from .analysis import (
     spectrum_report,
     transition_matrix,
 )
-from .core import ScalarKind, grid_for, sample_solution
+from .core import ScalarKind, grid_for
 from .interior import CUT_FULL, assemble_row, derive_row_oracle, FIELD_NAMES
 from .linalg import EigenConvergenceError, RankError, SingularMatrixError
 from .neumann import ClassicNeumann, CompactThreePoint, MainTerms, ReducedTwoPoint
@@ -480,8 +480,7 @@ def _cmd_spectrum(settings: dict) -> tuple:
     params = parse_params(settings.get("params"))
     n = int(_require(settings, "n"))
     courant = parse_courant(settings.get("courant", "1"))
-    kind = ScalarKind.COMPLEX if courant.imag != 0.0 else None
-    sample = sample_solution(solution, kind=kind, **params)
+    sample = analysis._resolve_sample(solution, params, courant)
     grid = analysis._matrix_grid(n, courant, sample.problem.theta)
     mats = assemble_compact(sample.problem, grid)
     m = transition_matrix(mats)
@@ -522,6 +521,8 @@ def _cmd_first_integral(settings: dict) -> tuple:
     courant = parse_courant(settings.get("courant", "i"))
     t_final = float(settings.get("t-final", "1"))
     ns_raw = settings.get("ns")
+    if ns_raw is not None and settings.get("n") is not None:
+        raise ConfigError("give n (one run) or ns (several runs), not both")
     failures = []
     if ns_raw is not None:
         ns = parse_ns(ns_raw)
@@ -593,8 +594,7 @@ def _cmd_derive_row(settings: dict) -> tuple:
     n = int(_require(settings, "n"))
     courant = parse_courant(settings.get("courant", "1"))
     t_final = float(settings.get("t-final", "1"))
-    kind = ScalarKind.COMPLEX if courant.imag != 0.0 else None
-    sample = sample_solution(solution, kind=kind, **params)
+    sample = analysis._resolve_sample(solution, params, courant)
     grid = grid_for(sample, n, courant, t_final)
     node = int(settings.get("node", str(max(1, n // 2))))
     if not (1 <= node <= n - 1):
@@ -653,7 +653,7 @@ _HELP = {
     "config": "key = value settings file",
     "output": "CSV destination (default stdout)",
     "check": "fail (exit 4) on threshold violations",
-    "cuts": "comma list from 4..9 and 9+",
+    "cuts": "comma list of distinct levels from 4..10; 9+ is 10, the full row",
     "quadrature": "trapezoid (default) or simpson",
     "classic-rhs": "pointwise (default), threepoint, or fivepoint",
     ("asymmetry", "t-final"): "optional horizon; omit for the raw one-step tau",

@@ -106,19 +106,50 @@ class Dirichlet(NamedTuple):
     right: Callable[[float], complex]
 
 
-class Neumann:
-    """Homogeneous derivative conditions u_x = 0 at both walls."""
+class _Frozen:
+    """An immutable record of the fields named in its class's ``__slots__``.
+
+    Equal only to a record of the same type with equal fields, and hashed
+    alike: the scheme descriptors and wall types key the kept operator
+    (``steppers._last_operator``).  The repr names the fields, and a
+    record pickles as its type and field values.  A subclass that needs
+    defaults or a check defines an ``__init__`` that takes the fields in
+    slot order and passes them on.
+    """
 
     __slots__ = ()
 
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
     def __eq__(self, other):
-        return type(other) is Neumann
+        return type(other) is type(self) and other._values() == self._values()
 
     def __hash__(self):
-        return hash(Neumann)
+        return hash((type(self),) + self._values())
 
     def __repr__(self):
-        return "Neumann()"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Neumann(_Frozen):
+    """Homogeneous derivative conditions u_x = 0 at both walls."""
+
+    __slots__ = ()
 
 
 BoundaryCondition = Union[Dirichlet, Neumann]

@@ -15,10 +15,9 @@ import numpy as np
 
 
 class SingularMatrixError(ValueError):
-    """A matrix is singular: a pivot of the tridiagonal sweep is exactly
-    zero, a pivot of a stacked sweep or of ``factor_tridiag`` is below
-    ``PIVOT_RTOL`` of the largest band entry, or a dense matrix fails the
-    rank check of ``solve_dense``."""
+    """A matrix is singular: a pivot of the tridiagonal sweep or of
+    ``factor_tridiag`` is zero or below ``PIVOT_RTOL`` of the largest band
+    entry, or a dense matrix fails the rank check of ``solve_dense``."""
 
 
 class RankError(ValueError):
@@ -84,7 +83,7 @@ PIVOT_RTOL = 1e-14
 
 def _check_pivots(t: Tridiag, pivots: list):
     """Raise SingularMatrixError at the first pivot below PIVOT_RTOL of t's scale."""
-    scale = max(np.abs(band).max(initial=0.0) for band in (t.lower, t.diag, t.upper))
+    scale = np.abs(np.concatenate((t.lower, t.diag, t.upper))).max()
     tol = PIVOT_RTOL * scale
     if min(map(abs, pivots)) < tol:
         i = next(i for i, piv in enumerate(pivots) if abs(piv) < tol)
@@ -129,9 +128,13 @@ class TridiagLU:
         return self.diag.size
 
 
-def sweep_pivots(t: Tridiag) -> tuple[list, list]:
-    """The multipliers w and pivots d of ``solve_tridiag``'s forward sweep,
-    checked as ``factor_tridiag`` checks them."""
+def factor_tridiag(t: Tridiag) -> TridiagLU:
+    """Run the pivot recurrence of ``solve_tridiag`` once and build its block maps.
+
+    Raises SingularMatrixError as the sweep does, naming the row of a
+    pivot that is zero or below ``PIVOT_RTOL`` of the largest band entry.
+    The maps are built one row at a time across all blocks.
+    """
     lower, upper, d = t.lower.tolist(), t.upper.tolist(), t.diag.tolist()
     m = len(d)
     w = [0.0] * m
@@ -144,19 +147,6 @@ def sweep_pivots(t: Tridiag) -> tuple[list, list]:
     if d[m - 1] == 0.0:
         raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
     _check_pivots(t, d)
-    return w, d
-
-
-def factor_tridiag(t: Tridiag) -> TridiagLU:
-    """Run the pivot recurrence of ``solve_tridiag`` once and build its block maps.
-
-    Raises SingularMatrixError naming the row of a zero pivot, as the
-    sweep does, and of a pivot below ``PIVOT_RTOL`` of the largest band
-    entry, as a stacked sweep does.  The maps are built one row at a time
-    across all blocks.
-    """
-    w, d = sweep_pivots(t)
-    m = len(d)
     dtype = np.result_type(t.lower, t.diag, t.upper)
     nb = -(-m // _BLOCK)
     piv = np.ones(nb * _BLOCK, dtype)
@@ -221,10 +211,8 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
     For a ``Tridiag`` the sweeps run on Python scalars from ``tolist()``
     (on numpy node columns for a stack): indexing the numpy arrays entry
     by entry takes over three times as long.  Raises SingularMatrixError
-    naming the row if a pivot is exactly zero.  A stack's sweep also
-    checks its pivots, once, against ``PIVOT_RTOL`` of the largest band
-    entry, as ``solve_dense``'s rank check does; the sweep of a single
-    right-hand side leaves that out (see ``sweep_pivots``).
+    naming the row of a pivot that is zero or below ``PIVOT_RTOL`` of the
+    largest band entry, the bound ``solve_dense``'s rank check applies.
 
     A ``TridiagLU`` (``factor_tridiag``, which makes the pivot check)
     takes one right-hand side and solves it block by block: one batched
@@ -249,8 +237,7 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
         r[i] = r[i] - w * r[i - 1]
     if d[m - 1] == 0.0:
         raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
-    if rhs.ndim == 2:
-        _check_pivots(t, d)
+    _check_pivots(t, d)
     r[m - 1] = r[m - 1] / d[m - 1]
     for i in range(m - 2, -1, -1):
         r[i] = (r[i] - upper[i] * r[i + 1]) / d[i]

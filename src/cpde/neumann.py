@@ -33,59 +33,30 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .core import _Frozen
 from .linalg import null_space_1d, RankError
 from .theta_fit import ExpFit
 
 
-class _FieldlessClosure:
-    """A closure without parameters: immutable, equal to any closure of its type."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(type(self))
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
-
-class CompactThreePoint(_FieldlessClosure):
+class CompactThreePoint(_Frozen):
     __slots__ = ()
 
 
-class ReducedTwoPoint(_FieldlessClosure):
+class ReducedTwoPoint(_Frozen):
     __slots__ = ()
 
 
-class MainTerms(_FieldlessClosure):
+class MainTerms(_Frozen):
     __slots__ = ()
 
 
-class ClassicNeumann:
+class ClassicNeumann(_Frozen):
     __slots__ = ("epsilon",)
 
     def __init__(self, epsilon: float = 0.5):
         if not (0.0 < epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-        object.__setattr__(self, "epsilon", epsilon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        return type(other) is ClassicNeumann and other.epsilon == self.epsilon
-
-    def __hash__(self):
-        return hash((ClassicNeumann, self.epsilon))
-
-    def __repr__(self):
-        return f"ClassicNeumann(epsilon={self.epsilon!r})"
-
-    def __reduce__(self):
-        return ClassicNeumann, (self.epsilon,)
+        super().__init__(epsilon)
 
 
 NeumannVariant = Union[CompactThreePoint, ReducedTwoPoint, MainTerms, ClassicNeumann]

@@ -52,8 +52,7 @@ states.  A single state on a grid of at least ``_BLOCKED_MIN_NODES``
 nodes is solved with A_new factored once per assembly
 (``linalg.factor_tridiag``) and swept in 16-row blocks; the factor is
 built by the first such ``_step``, so an assembly that is never stepped
-does not build it.  Below that, an operator's first single-state
-``_step`` checks its pivots as the factor does (``linalg.sweep_pivots``).
+does not build it.
 
 ``run`` marches with one of three engines.  The stepwise one takes the
 step above per time level.  theta does not depend on time, so the step
@@ -102,9 +101,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind, TwoModeForcing, TwoModeWall
+from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind, TwoModeForcing, TwoModeWall, _Frozen
 from .interior import CUT_FULL, assemble_row
-from .linalg import SingularMatrixError, Tridiag, factor_tridiag, solve_tridiag, sweep_pivots
+from .linalg import SingularMatrixError, Tridiag, factor_tridiag, solve_tridiag
 from .neumann import (
     BoundaryRow,
     ClassicNeumann,
@@ -123,55 +122,23 @@ class ClassicRhsVariant(Enum):
     FIVE_POINT = "fivepoint"
 
 
-class Compact:
+class Compact(_Frozen):
     """Compact scheme descriptor: cut level and Neumann closure variant."""
 
     __slots__ = ("cut", "neumann")
 
     def __init__(self, cut: int = CUT_FULL, neumann: NeumannVariant = CompactThreePoint()):
-        object.__setattr__(self, "cut", cut)
-        object.__setattr__(self, "neumann", neumann)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        return type(other) is Compact and (other.cut, other.neumann) == (self.cut, self.neumann)
-
-    def __hash__(self):
-        return hash((Compact, self.cut, self.neumann))
-
-    def __repr__(self):
-        return f"Compact(cut={self.cut!r}, neumann={self.neumann!r})"
-
-    def __reduce__(self):
-        return Compact, (self.cut, self.neumann)
+        super().__init__(cut, neumann)
 
 
-class Classic:
+class Classic(_Frozen):
     """Classic implicit (Crank-Nicolson type) scheme descriptor."""
 
     __slots__ = ("rhs", "neumann")
 
     def __init__(self, rhs: ClassicRhsVariant = ClassicRhsVariant.POINTWISE,
                  neumann: NeumannVariant = ClassicNeumann(0.5)):
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "neumann", neumann)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        return type(other) is Classic and (other.rhs, other.neumann) == (self.rhs, self.neumann)
-
-    def __hash__(self):
-        return hash((Classic, self.rhs, self.neumann))
-
-    def __repr__(self):
-        return f"Classic(rhs={self.rhs!r}, neumann={self.neumann!r})"
-
-    def __reduce__(self):
-        return Classic, (self.rhs, self.neumann)
+        super().__init__(rhs, neumann)
 
 
 SchemeDescriptor = Union[Compact, Classic]
@@ -197,11 +164,10 @@ class _WallFixup:
 class _Built:
     """The pieces of an operator built on first use."""
 
-    __slots__ = ("factored", "checked", "powers")
+    __slots__ = ("factored", "powers")
 
     def __init__(self):
         self.factored = None  # the solver, factored: a TridiagLU
-        self.checked = False  # the solver's pivots passed ``sweep_pivots``
         self.powers = None  # the opaque march's powers of P and input maps
 
 
@@ -539,9 +505,6 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
         if built.factored is None:
             built.factored = factor_tridiag(solver)
         solver = built.factored
-    elif rhs.ndim == 1 and not built.checked:
-        sweep_pivots(solver)  # the single sweep itself checks for zero pivots only
-        built.checked = True
     v, _ = solve_tridiag(solver, rhs)
     return v - u
 

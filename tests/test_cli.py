@@ -508,6 +508,27 @@ def test_first_integral_drift_mode(capsys):
     assert "amplitude slope" in err
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_first_integral_rejects_both_n_and_ns(capsys, tmp_path, source):
+    argv = ["first-integral", "--n", "50", "--ns", "25,50"]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 50\nns = 25, 50\n")
+        argv = ["first-integral", "--config", str(cfg)]
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "give n (one run) or ns (several runs), not both" in err
+
+
+@pytest.mark.parametrize("cuts", ["5,5", "10,9+", "5,5,10,9+"])
+def test_cut_rejects_a_repeated_level(capsys, cuts):
+    rc, out, err = run_main(capsys, ["cut", "--solution", "s1", "--ns", "8,16", "--cuts", cuts])
+    assert rc == 2
+    assert out == ""
+    assert "cut levels must be distinct" in err
+
+
 def test_efficiency_command(capsys):
     rc, out, err = run_main(
         capsys, ["efficiency", "--solution", "s1", "--ns", "8,16", "--check"]

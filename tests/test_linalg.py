@@ -192,10 +192,15 @@ def test_stacked_sweep_and_factor_reject_a_relatively_tiny_pivot(row):
     assert str(factored.value) == str(swept.value)
 
 
-def test_single_state_sweep_skips_the_relative_pivot_check():
-    t = tiny_pivot_at(17, 1e-15)
-    x, _ = solve_tridiag(t, np.ones(t.size))
-    assert np.isfinite(x).all()
+@pytest.mark.parametrize("row", [0, 17, 39])
+def test_single_state_sweep_rejects_a_relatively_tiny_pivot_on_every_call(row):
+    t = tiny_pivot_at(row, 1e-15)
+    with pytest.raises(SingularMatrixError) as swept:
+        solve_tridiag(t, np.ones((3, t.size)))
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError) as single:
+            solve_tridiag(t, np.ones(t.size))
+        assert str(single.value) == str(swept.value)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -903,21 +903,9 @@ def test_single_state_sweep_rejects_a_relatively_tiny_pivot():
     mats = dataclasses.replace(assemble_compact(s.problem, grid), _solver=near_singular(21),
                                _built=steppers._Built())
     u = np.asarray(s.problem.initial(grid.x))
-    with pytest.raises(SingularMatrixError, match="pivot .* at row 1 is below 1e-14"):
-        step(mats, u, np.zeros_like(u), np.zeros_like(u), t_new=grid.tau)
-
-
-def test_single_state_sweep_checks_the_pivots_once_per_operator(monkeypatch):
-    calls = []
-    check = steppers.sweep_pivots
-    monkeypatch.setattr(steppers, "sweep_pivots", lambda t: calls.append(t) or check(t))
-    s = sample_solution("s3", a=2.0)
-    grid = with_steps(grid_for(s, 20, 100.0, 1.0), 40)
-    assert steppers._engine(opaque(s.problem), grid) is _march_stepwise
-    run(opaque(s.problem), grid, Compact())
-    run(opaque(s.problem), grid, Compact())  # the kept operator is checked already
-    mats = assemble_compact(s.problem, grid)
-    assert calls == [mats._solver] and mats._built.checked
+    for _ in range(2):  # every step checks, not only an operator's first
+        with pytest.raises(SingularMatrixError, match="pivot .* at row 1 is below 1e-14"):
+            step(mats, u, np.zeros_like(u), np.zeros_like(u), t_new=grid.tau)
 
 
 # ---------------------------------------------------------------------------
