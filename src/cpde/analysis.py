@@ -36,13 +36,15 @@ from .core import (
     ScalarKind,
     TwoModeForcing,
     TwoModeWall,
+    _theta_cos2,
     grid_for,
     grid_nodes,
     make_grid,
     sample_solution,
     theta_grid_max,
 )
-from .linalg import block_eigenvalues, eigenvalues, frobenius, mirror_blocks
+from .linalg import (MAX_EIGEN_SIZE, REVERSIBLE_RTOL, block_eigenvalues, eigenvalues, frobenius,
+                     mirror_blocks)
 from .linalg import solve_dense  # noqa: F401  unused; the benchmark's tracer test patches this binding
 from .steppers import (
     Classic,
@@ -205,9 +207,7 @@ def _zero(t):
     return 0.0
 
 
-def _theta_demo(s):
-    """The coefficient cos^2 x + 1 of the asymmetry and conservation studies."""
-    return np.cos(s) ** 2 + 1.0
+_theta_demo = _theta_cos2  # cos^2 x + 1, the coefficient of the asymmetry and conservation studies
 
 
 def _matrix_problem(theta, boundary, kind=ScalarKind.REAL) -> ProblemSpec:
@@ -279,11 +279,13 @@ def richardson_study(
     ns = check_ns(ns)
     sample = _resolve_sample(solution_id, params, courant)
     base_order = 2 if isinstance(scheme, Classic) else 4
+    # each distinct grid runs once: the 2N of one entry can be the N of another
+    runs = {k: _single_run(sample, k, scheme, courant, t_final)
+            for k in dict.fromkeys(k for n in ns for k in (n, 2 * n))}
 
     def one(n: int) -> RichardsonEntry:
-        grid, report, err = _single_run(sample, n, scheme, courant, t_final)
-        grid2, report2, _ = _single_run(sample, 2 * n, scheme, courant, t_final)
-        extrap = richardson(report.final_state, report2.final_state, base_order)
+        grid, report, err = runs[n]
+        extrap = richardson(report.final_state, runs[2 * n][1].final_state, base_order)
         exact = sample.exact(grid.t_final, grid.x)
         return RichardsonEntry(n, grid.h, err, c_norm_error(extrap, exact))
 
@@ -328,8 +330,8 @@ def transition_matrix(mats: SchemeMatrices) -> np.ndarray:
     """
     m = mats.grid.n + 1
     nodes = range(1, m - 1) if mats.dirichlet is not None else range(m)
-    if len(nodes) > 512:
-        raise ValueError(f"transition matrix of size {len(nodes)} exceeds the 512 cap")
+    if len(nodes) > MAX_EIGEN_SIZE:
+        raise ValueError(f"transition matrix of size {len(nodes)} exceeds the {MAX_EIGEN_SIZE} cap")
     # row j of the probe is the response to unit state j: column j of M
     return _probe(mats, nodes)[:, nodes.start : nodes.stop].T
 
@@ -351,7 +353,7 @@ def _cayley_generator(m: np.ndarray) -> Optional[np.ndarray]:
     part of (I + M) K = -2i (I - M) reads (I + Re M) K = -2 Im M, one
     real solve.  For a reversible M, I + Re M is singular iff I + M is.
 
-    So M must pass two gates: ||M conj(M) - I||_F <= 64 n eps, and the K
+    So M must pass two gates: ||M conj(M) - I||_F <= REVERSIBLE_RTOL n, and the K
     solved for must give M back: R = 2 (M - I) + iK (M + I) must vanish to
     ||R||_F <= n eps ||M||_F (2 + ||K||_F)^2.  The solve's rounding grows
     with the conditioning of I + Re M, which grows with ||K||, hence the
@@ -363,14 +365,14 @@ def _cayley_generator(m: np.ndarray) -> Optional[np.ndarray]:
     work.
     """
     n = m.shape[0]
-    if not np.iscomplexobj(m) or m.shape != (n, n) or not 0 < n <= 512:
+    if not np.iscomplexobj(m) or m.shape != (n, n) or not 0 < n <= MAX_EIGEN_SIZE:
         return None
     # m x m temporaries are updated in place: the route must not raise the peak memory
     eps = np.finfo(float).eps
     diag = np.arange(n), np.arange(n)
     defect = m @ m.conj()
     defect[diag] -= 1.0
-    if not np.linalg.norm(defect) <= 64 * n * eps:
+    if not np.linalg.norm(defect) <= REVERSIBLE_RTOL * n:
         return None
     del defect
     shifted = np.array(m.real)
@@ -445,13 +447,12 @@ def classic_uniform_spectrum(n: int, nu: float) -> np.ndarray:
     return (1.0 - 2.0 * nu * s) / (1.0 + 2.0 * nu * s)
 
 
-def diagonalization_check(m: np.ndarray, cluster_tol: float = 1e-8,
-                          residual_tol: float = 1e-6, vals: Optional[np.ndarray] = None) -> str:
+def diagonalization_check(m: np.ndarray, vals: Optional[np.ndarray] = None) -> str:
     """"ok" when the matrix is verifiably diagonalizable, else "inconclusive".
 
-    Distinct eigenvalues (no cluster within cluster_tol relative to the
-    spectral scale) settle it; with clusters, a small eigendecomposition
-    residual still counts as ok.  vals, when given, are m's eigenvalues
+    Distinct eigenvalues (no two within 1e-8 of the spectral scale)
+    settle it; with clusters, an eigendecomposition residual below 1e-6
+    of ||m||_F still counts as ok.  vals, when given, are m's eigenvalues
     (a ``spectrum_report``'s); the eigenvectors are computed only for a
     cluster.  Never raises: callers are expected to skip rather than
     fail on "inconclusive".
@@ -461,7 +462,7 @@ def diagonalization_check(m: np.ndarray, cluster_tol: float = 1e-8,
     scale = max(float(np.abs(vals).max()), 1e-300)
     sorted_vals = vals[np.lexsort((vals.imag, vals.real))]
     gaps = np.abs(np.diff(sorted_vals))
-    if gaps.size == 0 or gaps.min() > cluster_tol * scale:
+    if gaps.size == 0 or gaps.min() > 1e-8 * scale:
         return "ok"
     vals, vecs = np.linalg.eig(m)
     try:
@@ -469,7 +470,7 @@ def diagonalization_check(m: np.ndarray, cluster_tol: float = 1e-8,
     except np.linalg.LinAlgError:
         return "inconclusive"
     res = frobenius(recon - m) / max(frobenius(m), 1e-300)
-    return "ok" if res < residual_tol else "inconclusive"
+    return "ok" if res < 1e-6 else "inconclusive"
 
 
 # ---------------------------------------------------------------------------

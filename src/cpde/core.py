@@ -132,6 +132,9 @@ class _Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __eq__(self, other):
         return type(other) is type(self) and other._values() == self._values()
 

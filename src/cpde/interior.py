@@ -16,7 +16,8 @@ row) give the other nine (see coefficient_stacks).  assemble_row
 evaluates the stacks; derive_row_oracle re-derives the same row from
 scratch as the null space of a test-function system, which knows none
 of those identities, so the two construction routes can be checked
-against each other.
+against each other.  That system comes from theta_fit.exactness_system,
+which builds the wall oracle's too (neumann.boundary_oracle).
 
 The stacks are elementwise arithmetic, so assemble_row takes the fit of
 one node or the fit of a whole node array (fit_interior on an array of
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import null_space_1d, RankError
-from .theta_fit import ExpFit
+from .theta_fit import ExpFit, exactness_system
 
 # number of tabulated h-powers per coefficient (h^0 .. h^9); cut =
 # CUT_FULL keeps every power, smaller values drop powers >= cut
@@ -153,63 +154,31 @@ def assemble_row(fit: ExpFit, nu: complex, h: float, cut: int = CUT_FULL) -> Com
     return CompactRow(*sol, *frc, *frc)
 
 
-_K1_MAX = 4
-_K2_MAX = 2
+INTERIOR_BASIS = tuple((k1, k2) for k1 in range(5) for k2 in range(3))
 
 
 def derive_row_oracle(fit: ExpFit, nu: complex, h: float, tau: float) -> CompactRow:
     """Re-derive one interior row from the test-function system.
 
-    Substitutes the 15 local solutions u* = y^k1 s^k2 (k1 = 0..4,
-    k2 = 0..2) with their manufactured forcings into the stencil, where
-    the local model coefficient is theta_hat(y) = theta_eff*exp(g(y))
-    with theta_eff = nu*h^2/tau.  The 15x12 system must have rank 11;
-    its one-dimensional null space is the row, normalized so that the
-    p_0 entry equals 60.  Raises RankError on any other rank (degenerate
-    fit or an implementation bug).
+    Substitutes the 15 local solutions u* = y^k1 s^k2 (k1 = 0..4, k2 =
+    0..2: ``INTERIOR_BASIS``) with their manufactured forcings into the
+    stencil, where the local model coefficient is theta_eff*exp(g(y))
+    with theta_eff = nu*h^2/tau, exp(g) from the stored ratios.  The
+    15x12 system must have rank 11; its one-dimensional null space is
+    the row, normalized so that the p_0 entry equals 60.  Raises
+    RankError on any other rank (degenerate fit or an implementation bug).
     """
     if h <= 0.0 or tau <= 0.0:
         raise ValueError(f"h and tau must be positive, got h={h}, tau={tau}")
     theta_eff = nu * h * h / tau
-    ys = (0.0, -h, h)
-    # model values of exp(g(y)) at the three offsets, from the stored ratios
-    eg = (1.0, 1.0 / fit.r_minus, 1.0 / fit.r_plus)
-    ss = (0.0, tau)
-
-    def u_star(k1: int, k2: int, s: float, y: float):
-        return (y**k1 if k1 else 1.0) * (s**k2 if k2 else 1.0)
-
-    def f_star(k1: int, k2: int, s: float, y: float, egy: float):
-        # time derivative minus the flux term of the local model equation
-        ut = k2 * (y**k1 if k1 else 1.0) * (s ** (k2 - 1) if k2 > 1 else 1.0) if k2 else 0.0
-        space = 0.0
-        if k1 > 0:
-            space += k1 * fit.dg(y) * (y ** (k1 - 1) if k1 > 1 else 1.0)
-        if k1 > 1:
-            space += k1 * (k1 - 1) * (y ** (k1 - 2) if k1 > 2 else 1.0)
-        return ut - theta_eff * egy * space * (s**k2 if k2 else 1.0)
-
-    rows = []
-    for k1 in range(_K1_MAX + 1):
-        for k2 in range(_K2_MAX + 1):
-            sol_cols = [u_star(k1, k2, s, y) for s in ss for y in ys]
-            frc_cols = [
-                -tau * f_star(k1, k2, s, ys[i], eg[i])
-                for s in ss
-                for i in range(3)
-            ]
-            rows.append(sol_cols + frc_cols)
-    dtype = complex if np.iscomplexobj(np.asarray(nu)) else float
-    system = np.array(rows, dtype=dtype)
-
+    system = exactness_system(fit, theta_eff, INTERIOR_BASIS, (0.0, -h, h), (0.0, tau),
+                              (1.0, 1.0 / fit.r_minus, 1.0 / fit.r_plus), -tau)
     v = null_space_1d(system, expected_rank=11)
     # column order: (a0, bl0, br0, a1, bl1, br1 | p0, ql0, qr0, p1, ql1, qr1)
     p0 = v[6]
     if abs(p0) < 1e-12 * np.abs(v).max():
         raise RankError("null vector has vanishing p_0 entry; cannot normalize")
     v = v * (60.0 / p0)
-    if dtype is float:
-        v = v.real
     return CompactRow(
         b_l0=v[1],
         a_0=v[0],

@@ -273,18 +273,19 @@ def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(str(exc)) from exc
 
 
-def null_space_1d(a: np.ndarray, expected_rank: int, rtol: float = 1e-10) -> np.ndarray:
+def null_space_1d(a: np.ndarray, expected_rank: int) -> np.ndarray:
     """One-dimensional null space of a (possibly rectangular) matrix.
 
-    Checks that the numerical rank equals ``expected_rank`` and that the
-    nullity of the column space is exactly one; raises RankError
-    otherwise.  The returned vector has unit norm and its
-    largest-magnitude entry is normalized to be positive real.
+    Checks that the numerical rank (singular values above 1e-10 of the
+    largest) equals ``expected_rank`` and that the nullity of the column
+    space is exactly one; raises RankError otherwise.  The returned
+    vector has unit norm and its largest-magnitude entry is normalized to
+    be positive real.
     """
     a = np.asarray(a, dtype=np.result_type(a, float))
     _, s, vh = np.linalg.svd(a)
     cols = a.shape[1]
-    tol = rtol * s[0] if s.size else 0.0
+    tol = 1e-10 * s[0] if s.size else 0.0
     rank = int(np.sum(s > tol))
     if rank != expected_rank:
         raise RankError(f"numerical rank {rank}, expected {expected_rank}")
@@ -298,6 +299,11 @@ def null_space_1d(a: np.ndarray, expected_rank: int, rtol: float = 1e-10) -> np.
     return v
 
 
+MAX_EIGEN_SIZE = 512  # rows of the largest matrix the spectral studies eigensolve
+# the relative tolerance per row of a reversibility gate (a = J a J, M conj(M) = I)
+REVERSIBLE_RTOL = 64 * np.finfo(float).eps
+
+
 def mirror_blocks(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The even and odd blocks of an a that commutes with the exchange J.
 
@@ -305,15 +311,15 @@ def mirror_blocks(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     diag(even, odd): for n = 2k, even = S11 + S13 J and odd = S11 - S13 J
     with S11 = S[:k, :k] and S13 = S[:k, n-k:]; for n = 2k+1 the middle
     row and column, times sqrt 2, join the even block.  The blocks are
-    those of S = (a + J a J)/2 when ||a - J a J||_F <= 64 n eps ||a||_F
-    (``spectrum_report``'s reversibility gate), a change within LAPACK's
-    own backward error.  None for any other a, and for n < 4.
+    those of S = (a + J a J)/2 when ||a - J a J||_F <= REVERSIBLE_RTOL n
+    ||a||_F (``spectrum_report``'s reversibility gate), a change within
+    LAPACK's own backward error.  None for any other a, and for n < 4.
     """
     n = a.shape[0] if a.ndim == 2 else 0
     if a.shape != (n, n) or n < 4:
         return None
     flipped = a[::-1, ::-1]
-    if not np.linalg.norm(a - flipped) <= 64 * n * np.finfo(float).eps * np.linalg.norm(a):
+    if not np.linalg.norm(a - flipped) <= REVERSIBLE_RTOL * n * np.linalg.norm(a):
         return None
     s = 0.5 * (a + flipped)
     k, mid = n // 2, slice(n // 2, n - n // 2)  # mid: the middle node of an odd n
@@ -322,7 +328,7 @@ def mirror_blocks(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return even, s[:k, :k] - corner
 
 
-def block_eigenvalues(blocks, max_size: int = 512) -> np.ndarray:
+def block_eigenvalues(blocks, max_size: int = MAX_EIGEN_SIZE) -> np.ndarray:
     """Eigenvalues of diag(*blocks), sorted by (real, imag): one LAPACK
     Hessenberg-QR eigensolve per block, a convergence failure in any of
     them surfacing as EigenConvergenceError.  The blocks must be square,
@@ -340,7 +346,7 @@ def block_eigenvalues(blocks, max_size: int = 512) -> np.ndarray:
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
-def eigenvalues(a: np.ndarray, max_size: int = 512) -> np.ndarray:
+def eigenvalues(a: np.ndarray, max_size: int = MAX_EIGEN_SIZE) -> np.ndarray:
     """Full eigenvalue set of a dense matrix, sorted by (real, imag).
 
     A mirror-symmetric a (``mirror_blocks``) is eigensolved as its two

@@ -20,9 +20,10 @@ the alphas).  Four variants exist:
 
 The three compact closures are one closed form (``_compact_left``) in
 h*g'(h) and exp(-g(h)) of the wall fit, whose layers differ by four
-times the forcing side.  ``boundary_oracle`` derives a row from its
-test-function system by an SVD null space instead; it is the
-independent cross-check of the closed forms, never used for assembly.
+times the forcing side.  ``boundary_oracle`` derives a row by an SVD
+null space instead, of the test-function system that the interior
+oracle's builder (``theta_fit.exactness_system``) sets up on the wall's
+nodes: the independent cross-check of the closed forms, never used in assembly.
 The right-wall row is the left row of the mirrored fit.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import _Frozen
 from .linalg import null_space_1d, RankError
-from .theta_fit import ExpFit
+from .theta_fit import ExpFit, exactness_system
 
 
 class CompactThreePoint(_Frozen):
@@ -139,8 +140,8 @@ def boundary_oracle(
 ) -> BoundaryRow:
     """Derive a wall row from its test-function system.
 
-    Builds the homogeneous system over `points` wall-side nodes and two
-    layers for the monomials x^k1 t^k2 in `basis`, with the local model
+    Builds (``exactness_system``) the system over `points` wall-side nodes
+    and two layers for the monomials x^k1 t^k2 in `basis`, with the model
     theta_hat(x) = theta_eff*exp(g(x)) and manufactured forcings.
     Forcing columns exist at the first two nodes only (beta_2 is
     structurally zero in the 3-point variant).  The system must have a
@@ -152,58 +153,24 @@ def boundary_oracle(
         raise ValueError(f"wall stencil must use 2 or 3 nodes, got {points}")
     theta_eff = nu0 * h * h / tau
     xs = [k * h for k in range(points)]
-    f_nodes = 2  # beta_2 = 0 structurally in the 3-point variant
-
-    def u_star(k1: int, k2: int, t: float, x: float):
-        return (x**k1 if k1 else 1.0) * (t**k2 if k2 else 1.0)
-
-    def f_star(k1: int, k2: int, t: float, x: float):
-        ut = 0.0
-        if k2:
-            ut = k2 * (x**k1 if k1 else 1.0) * (t ** (k2 - 1) if k2 > 1 else 1.0)
-        space = 0.0
-        if k1 > 0:
-            space += k1 * fit.dg(x) * (x ** (k1 - 1) if k1 > 1 else 1.0)
-        if k1 > 1:
-            space += k1 * (k1 - 1) * (x ** (k1 - 2) if k1 > 2 else 1.0)
-        return ut - theta_eff * math.exp(fit.g(x)) * space * (t**k2 if k2 else 1.0)
-
-    ts = (tau, 0.0)  # new layer first, matching the unknown layout
-    rows = []
-    for k1, k2 in basis:
-        row = []
-        for t in ts:
-            row.extend(u_star(k1, k2, t, x) for x in xs)
-        for t in ts:
-            row.extend(-f_star(k1, k2, t, x) for x in xs[:f_nodes])
-        rows.append(row)
-    n_unknowns = 2 * points + 2 * f_nodes
-    dtype = complex if np.iscomplexobj(np.asarray(nu0)) else float
-    system = np.array(rows, dtype=dtype)
+    weights = [math.exp(fit.g(x)) for x in xs[:2]]  # forcing at the first two nodes
+    system = exactness_system(fit, theta_eff, basis, xs, (tau, 0.0), weights, -1.0)
     # The entries span powers of h and tau, so on fine grids the SVD's
     # relative cut drops real rank.  Equilibrate first: scaling rows keeps
     # the null space, scaling columns is undone on the null vector.
     system /= np.abs(system).max(axis=1, keepdims=True)
     col_scale = np.abs(system).max(axis=0)
-    v = null_space_1d(system / col_scale, expected_rank=n_unknowns - 1) / col_scale
+    v = null_space_1d(system / col_scale, expected_rank=system.shape[1] - 1) / col_scale
 
     # unknown layout: alpha1 (points), alpha0 (points), b1_lit (2), b0_lit (2)
     b1_at_x1 = v[2 * points + 1]
-    anchor = 8.0 * tau * fit.r_plus
     if abs(b1_at_x1) < 1e-12 * np.abs(v).max():
         raise RankError("wall row has vanishing forcing weight at the inner node")
-    v = v * (anchor / b1_at_x1)
-
-    def pad(vec) -> np.ndarray:
-        out = np.zeros(3, dtype=vec.dtype)
-        out[: vec.size] = vec
-        return out
-
-    alpha1 = pad(v[:points])
-    alpha0 = pad(v[points : 2 * points])
-    beta1 = pad(v[2 * points : 2 * points + 2] * nu0)
-    beta0 = pad(v[2 * points + 2 :] * nu0)
-    return BoundaryRow(alpha1, alpha0, beta1, beta0, nu0, tau)
+    v = v * (8.0 * tau * fit.r_plus / b1_at_x1)
+    rows = np.zeros((4, 3), v.dtype)  # alpha1, alpha0, beta1, beta0, zero-padded to 3 nodes
+    rows[:2, :points] = v[: 2 * points].reshape(2, points)
+    rows[2:, :2] = v[2 * points :].reshape(2, 2) * nu0
+    return BoundaryRow(*rows, nu0, tau)
 
 
 def build_left_row(

@@ -13,7 +13,8 @@ and returns an ExpFit of matching shape.  Each fit also takes theta's
 samples at its points (``interior_points``, ``wall_points``) when the
 caller has them.  The coefficient must stay finite and strictly positive
 at every sampled point or the logs are meaningless; violations raise
-CoefficientDomainError with the offending abscissa.
+CoefficientDomainError with the offending abscissa.  ``exactness_system``
+writes out the test-function system of both row oracles under the model.
 """
 
 from __future__ import annotations
@@ -60,6 +61,38 @@ class ExpFit(NamedTuple):
         """The same local model seen through y -> -y."""
         return ExpFit(-self.c1, self.c2, -self.c3, self.c4, self.theta_center,
                       r_minus=self.r_plus, r_plus=self.r_minus)
+
+
+def exactness_system(fit: ExpFit, theta_eff: complex, basis, nodes, times, weights,
+                     scale: float) -> np.ndarray:
+    """The test-function system of a compact row under the local model.
+
+    One row per (k1, k2) of ``basis``: the local solution u* = y^k1 s^k2
+    at every (time, node), then ``scale`` times its manufactured forcing
+
+        f* = u*_s - theta_eff w(y) (k1 g'(y) y^(k1-1) + k1 (k1-1) y^(k1-2)) s^k2
+
+    at every time and at the first len(weights) nodes, where ``weights``
+    holds w(y) = exp(g(y)) there.  The columns run over the nodes within
+    each time, in the order given.  Complex when theta_eff is.
+    """
+    def power(v, k):
+        return v**k if k else 1.0
+
+    rows = []
+    for k1, k2 in basis:
+        row = [power(y, k1) * power(s, k2) for s in times for y in nodes]
+        for s in times:
+            for y, w in zip(nodes, weights):
+                ut = k2 * power(y, k1) * power(s, k2 - 1) if k2 else 0.0
+                space = 0.0
+                if k1 > 0:
+                    space += k1 * fit.dg(y) * power(y, k1 - 1)
+                if k1 > 1:
+                    space += k1 * (k1 - 1) * power(y, k1 - 2)
+                row.append(scale * (ut - theta_eff * w * space * power(s, k2)))
+        rows.append(row)
+    return np.array(rows, dtype=complex if np.iscomplexobj(theta_eff) else float)
 
 
 def sample_theta(theta: Callable[[float], float], x) -> np.ndarray:

@@ -88,6 +88,8 @@ def test_frozen_records_refuse_assignment(cls, fields):
     for name in fields or ("anything",):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0.25)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
     assert tuple(getattr(obj, name) for name in fields) == sample_values(fields)
 
 
