@@ -72,11 +72,11 @@ gives P and the responses to the inputs.
   stepwise march O(steps).
 - The opaque march serves any other problem on grids of at most
   ``_AFFINE_MAX_NODES`` nodes with at least ``_AFFINE_MIN_STEPS_PER_NODE``
-  steps per node (``_march_affine``).  From one probe it builds P's
-  powers up to P^256 in two stacks of 16, in the kind's own arithmetic,
-  and advances by a whole 256-step chunk at a time: one GEMM maps the
-  chunk's inputs, and two more sum them with the state under the
-  powers.  It makes no eigensolve.
+  steps per node, and m^2/30 for the complex kind (``_march_affine``).
+  From one probe it builds two stacks of 16, the input map times P^15..I
+  and P^256, P^240, ..., P^16, in the kind's own arithmetic, and advances
+  a whole 256-step chunk at a time by one GEMM of the chunk's inputs and
+  one GEMV.  It makes no eigensolve.
 - Everything else steps.
 
 The first-integral series reads every state off ``_states``, in blocks
@@ -317,11 +317,11 @@ def _build_walls(problem: ProblemSpec, grid: Grid1D, variant: NeumannVariant, sa
     return left, right
 
 
-# The last assembly, as [(key, theta samples, SchemeMatrices)], or [] when
-# it had more than _AFFINE_MAX_NODES nodes, so what stays alive after
-# ``run`` returns is at most about 9 MB (the opaque march's powers and
-# input maps at m = 128, complex; 4.6 MB real).  Replaced by one slice
-# assignment, so a thread reads one whole entry or none; never rebound, since
+# The last assembly, as [(key, theta samples, SchemeMatrices)], or [] when it
+# had more than _AFFINE_MAX_NODES nodes, so what stays alive after ``run`` is
+# at most the opaque march's powers and input maps at m = 128: 9.0 MB complex,
+# 4.5 MB real, 13.4 MB complex with five-point classic forcing.  Replaced by one
+# slice assignment, so a thread reads one whole entry or none; never rebound, since
 # the benchmark's tests compare the module's bindings before and after a run.
 _last_operator: list = []
 
@@ -528,9 +528,9 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 # the catalogue's cos(omega t) f_c(x) + sin(omega t) f_s(x) does, then
 # costs a few outer products per block (s3 a=2, 257 rows on a 2-core
 # Xeon: about 270 -> 70 us at m = 21 and 510 -> 100 us at m = 41, against
-# the full two-variable expression).  The stepwise and opaque
-# engines consume the blocks chunk by chunk and check the state for
-# finiteness once per chunk.
+# the full two-variable expression; 39 and 51 us with ``TwoModeForcing``'s
+# modes kept).  The engines consume the blocks chunk by chunk, the opaque
+# march as one GEMM each, and check the state for finiteness per chunk.
 _FORCING_CHUNK = 256
 # Dirichlet data come in blocks of 64 chunks: 512 kB at most, and one call
 # per wall for a march of up to 16,384 steps.
@@ -611,7 +611,8 @@ def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
 
     def vector(t):
         rows = np.asarray(problem.forcing(t[:, None], xf[None, :]), dtype=dtype)
-        return np.broadcast_to(rows, (t.size, xf.size))
+        shape = (t.size, xf.size)
+        return rows if rows.shape == shape else np.broadcast_to(rows, shape)
 
     forcing = _sampled(vector, lambda t: _forcing_one(problem, t, xf, dtype), levels(), dtype)
     walls = None if mats.dirichlet is None else _wall_blocks(mats.dirichlet, tau, n_steps, dtype)
@@ -626,23 +627,25 @@ def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
         yield k, f, g
 
 
-# The opaque march probes the step once and builds P's powers (32 m-square
-# products), then costs three GEMMs per 256-step chunk.  Whole runs with
-# assembly, stepwise / powers, best of 9 CPU timings on a 2-core Xeon with
-# one BLAS thread, s3 a=2 at courant 100 (real) and snll at courant i
-# (complex), at 1m / 4m / 8m steps: m = 21, 1.45 / 1.48, 3.46 / 1.54 ms
-# (real) and 1.08 / 1.08, 2.69 / 1.16 (complex); m = 41, 4m 4.59 / 1.33 and
-# 6.40 / 2.08; m = 101, 4m 10.9 / 8.3 and 14.3 / 17.6, 8m 20.8 / 9.9 and
-# 27.0 / 20.9; m = 128, 4m 14.3 / 13.4 and 19.7 / 27.9, 8m 29.8 / 16.1 and
-# 33.8 / 33.5.  4 never loses on the real kind; the complex kind above
-# about 100 nodes needs up to 8, since the first use costs O(m^3).
+# The opaque march probes the step once and builds its two stacks (35
+# products of about m^3), then costs one GEMM and one GEMV per 256-step
+# chunk.  Whole cold runs, stepwise / opaque, medians of 15 interleaved
+# pairs of CPU timings on a 2-core Xeon with one BLAS thread, s3 a=2 at
+# courant 100 (real) and snll at courant i (complex), at 4m / 8m steps:
+# m = 21, 3.6 / 1.1, 6.5 / 1.1 ms (real) and 4.7 / 1.5, 8.7 / 1.6 (complex);
+# m = 41, 8.1 / 1.5, 15.8 / 1.7 and 11.5 / 3.2, 22.4 / 3.5; m = 101,
+# 17.9 / 8.7, 33.8 / 9.8 and 22.1 / 17.8, 42.6 / 19.8; m = 128, 22.7 / 13.5,
+# 43.5 / 15.0 and 29.1 / 28.3, 41.3 / 25.7.  4 never loses on the real kind.
+# The complex kind's march won 9 of 41 pairs at m = 128 with 4m steps, 35
+# with 4.5m (24 at m = 112 with 4m), so it also needs m^2/30 steps.
 _AFFINE_MIN_STEPS_PER_NODE = 4
+_AFFINE_STEPS_PER_NODE_SQUARED = {ScalarKind.REAL: 0.0, ScalarKind.COMPLEX: 1 / 30}
 # ``_march_affine`` sums a chunk as this many blocks of this many steps.
 _POWER_BLOCK = math.isqrt(_FORCING_CHUNK)
-# The dense maps are O(m^2) memory, 9.2 MB at m = 128 (complex; a 11.7 MB
-# peak to build, by tracemalloc).  Without a cap on the operators kept, the
-# m = 201 / 2027-step richardson run of the README commands raised their
-# peak RSS from 38.7 to 41.5 MB; with it, 38.5 MB.
+# The dense maps are O(m^2) memory, 9.0 MB at m = 128 (complex; a 13.1 MB
+# peak over a 600-step run, by tracemalloc).  Without a cap on the operators
+# kept, the m = 201 / 2027-step richardson run of the README commands raised
+# their peak RSS from 38.7 to 41.5 MB; with it, 38.5 MB.
 _AFFINE_MAX_NODES = 128
 # The closed form costs one probe of m + 2 states and floor(log2 n) squarings
 # of an (m + 2)-square matrix; a step costs about 15-80 us.  Break-even, best
@@ -691,7 +694,9 @@ def _engine(problem: ProblemSpec, grid: Grid1D):
         _CLOSED_MIN_STEPS, _CLOSED_STEPS_PER_NODE_SQUARED * m * m
     ):
         return _march_closed
-    if m <= _AFFINE_MAX_NODES and n_steps >= _AFFINE_MIN_STEPS_PER_NODE * m:
+    if m <= _AFFINE_MAX_NODES and n_steps >= m * max(
+        _AFFINE_MIN_STEPS_PER_NODE, _AFFINE_STEPS_PER_NODE_SQUARED[problem.kind] * m
+    ):
         return _march_affine
     return _march_stepwise
 
@@ -750,45 +755,48 @@ def _march_affine(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
 
     States are rows here, so T = P^T.  On the operator's first use one probe
     of the m unit states and the unit inputs (``_probe``) gives T, Q0, Q1 and
-    W, and 32 m-square products give R = Q0 + Q1 T, S1 = [T^15; ...; T; I]
-    and S2 = [T^256; T^240; ...; T^16; I], kept with the operator.  Then
-    v = u - f^n Q1 steps as v <- v T + f^n R + g^{n+1} W, so after a chunk
-    of c steps with inputs e_j = f^j R + g^(j+1) W, v is v T^c + sum_j
-    e_j T^(c-1-j): the sum of the rows of x = [0; v; e_0; ...; e_(c-1)]
-    times the powers of T from T^(16b - 1) down to I, with x front-padded
-    by zero rows to b = c // 16 + 1 blocks of 16.  Each block of x times S1
-    is one row, and those rows times the last b blocks of S2 are the new v:
-    two products, in the kind's own arithmetic.
+    W.  With M = [Q0 + Q1 T; W], 35 products give MS = [M T^15; ...; M T; M]
+    and S2 = [T^256; T^240; ...; T^16], kept with the operator beside T and
+    Q1.  Then v = u - f^n Q1 steps as v <- v T + z_n M, z_n = [f^n,
+    g^{n+1}], so after a chunk of c = 16 q + r steps v is v T^c + sum_j z_j
+    M T^(c-1-j).  The zero-padded rows [0; z_0; ...; z_(c-1)], in q + 1
+    blocks of 16, times MS give one row per block, the first one plus
+    v T^r; the new v is the last row plus the others times the last q
+    blocks of S2.  A chunk is one GEMM and one GEMV in the kind's own
+    arithmetic, and only a last chunk of r > 0 steps adds r matrix-vector
+    products.
     """
-    built, m = mats._built, u.size
+    built, m, b = mats._built, u.size, _POWER_BLOCK
     if built.powers is None:
         mf = _forcing_grid(mats).size
         unit = np.eye(2 * mf + 2, dtype=mats.kind.dtype)
         cols = _probe(mats, range(m), unit[:, :mf], unit[:, mf : 2 * mf], unit[:, 2 * mf :])
-        t, b = cols[:m], _POWER_BLOCK
-        s1, s2 = np.empty((b * m, m), t.dtype), np.empty(((b + 1) * m, m), t.dtype)
-        low, high = s1.reshape(b, m, m), s2.reshape(b + 1, m, m)  # written in place
-        low[-1] = high[-1] = np.eye(m)
+        t, (q0, q1, w) = cols[:m], np.split(cols[m:], [mf, 2 * mf])
+        ms, s2 = np.empty((b, mf + 2, m), t.dtype), np.empty((b, m, m), t.dtype)
+        ms[-1], s2[-1] = np.concatenate((q0 + q1 @ t, w)), t
         for i in range(b - 1, 0, -1):
-            np.matmul(low[i], t, out=low[i - 1])
-        np.matmul(low[0], t, out=high[-2])
+            np.matmul(ms[i], t, out=ms[i - 1])
+        for _ in range(b.bit_length() - 1):  # T^16 by squarings: b is a power of 2
+            s2[-1] = s2[-1] @ s2[-1]
         for i in range(b - 1, 0, -1):
-            np.matmul(high[i], high[-2], out=high[i - 1])
-        q0, q1, w = np.split(cols[m:], [mf, 2 * mf])
-        built.powers = s1, s2, (q0 + q1 @ t, q1.copy(), w.copy())
-    s1, s2, (r, q1, w) = built.powers
-    x = np.empty((_FORCING_CHUNK + _POWER_BLOCK, m), u.dtype)  # refilled by each chunk
+            np.matmul(s2[i], s2[-1], out=s2[i - 1])
+        built.powers = ms.reshape(-1, m), s2.reshape(-1, m), t.copy(), q1.copy()
+    ms, s2, t, q1 = built.powers
+    z = np.zeros((_FORCING_CHUNK + b, q1.shape[0] + 2), u.dtype)  # refilled by each chunk
     for k, f, g in _chunks(problem, mats, n_steps):
         if k == 0:
             v = u - f[0] @ q1
         c = f.shape[0] - 1
-        b = c // _POWER_BLOCK + 1
-        x[: -c - 1] = 0.0
-        x[-c - 1] = v
-        np.matmul(f[:-1], r, out=x[-c:])
+        q, r = divmod(c, b)
+        z[-(q + 1) * b : -c] = 0.0
+        z[-c:, : f.shape[1]] = f[:-1]
         if g is not None:
-            x[-c:] += g @ w
-        v = (x[-b * _POWER_BLOCK :].reshape(b, _POWER_BLOCK * m) @ s1).reshape(-1) @ s2[-b * m :]
+            z[-c:, f.shape[1] :] = g
+        y = z[-(q + 1) * b :].reshape(q + 1, -1) @ ms
+        for _ in range(r):
+            v = v @ t
+        y[0] += v
+        v = y[:-1].reshape(-1) @ s2[(b - q) * m :] + y[-1]
         u = v + f[-1] @ q1
         _check_finite(u, k, k + c)
     return u

@@ -22,7 +22,7 @@ from cpde.core import (
     sample_solution,
     theta_grid_max,
 )
-from cpde.steppers import _FORCING_CHUNK, Compact, run
+from cpde.steppers import _FORCING_CHUNK, Compact, _engine, _march_affine, run
 from cpde.theta_fit import CoefficientDomainError, TWO_PI
 
 rng = np.random.default_rng(3203)
@@ -195,6 +195,70 @@ def test_run_evaluates_sample_forcings_in_blocks(name, params):
         run(dataclasses.replace(sample.problem, forcing=spy), grid, Compact())
         assert len(time_dims) == math.ceil(grid.n_steps / _FORCING_CHUNK) + 1
         assert time_dims.count(0) == 1
+
+
+def counting(forcing):
+    """A copy of the two-mode ``forcing`` whose modes count their calls."""
+    calls = {"f_c": 0, "f_s": 0}
+
+    def counted(name):
+        def mode(x):
+            calls[name] += 1
+            return getattr(forcing, name)(x)
+
+        return mode
+
+    return TwoModeForcing(forcing.omega, counted("f_c"), counted("f_s")), calls
+
+
+def plain(forcing, t, x):
+    """The two-mode formula, with f_c and f_s evaluated on every call."""
+    return np.cos(forcing.omega * t) * forcing.f_c(x) + np.sin(forcing.omega * t) * forcing.f_s(x)
+
+
+@pytest.mark.parametrize("kind", list(ScalarKind))
+def test_opaque_march_evaluates_the_modes_once_per_node_row(kind):
+    """A three-chunk opaque march calls f_c and f_s once for its (1, m) block
+    row and once for the (m,) row of its scalar-time check, and ends bitwise
+    where the plain formula does."""
+    s = sample_solution("s3", a=2.0, kind=kind)
+    forcing, calls = counting(s.problem.forcing)
+    grid = make_grid(10, 1.0, 600 * (TWO_PI / 10) ** 2, 1.0)
+    problem = dataclasses.replace(s.problem, forcing=lambda t, x: forcing(t, x))
+    assert grid.n_steps > 2 * _FORCING_CHUNK and _engine(problem, grid) is _march_affine
+    got = run(problem, grid, Compact()).final_state
+    assert calls == {"f_c": 2, "f_s": 2}
+    formula = dataclasses.replace(s.problem, forcing=lambda t, x: plain(s.problem.forcing, t, x))
+    assert np.array_equal(got, run(formula, grid, Compact()).final_state)
+
+
+@pytest.mark.parametrize("kind", list(ScalarKind))
+def test_kept_modes_serve_only_an_equal_node_row(kind):
+    """Kept modes give bitwise the plain formula for a column-by-row call and a
+    scalar-time call.  A new row of the same shape is evaluated again, and so
+    are the same array refilled in place and a replaced mode."""
+    s = sample_solution("s1", kind=kind)
+    forcing, calls = counting(s.problem.forcing)
+    times, x = np.linspace(0.0, 3.0, 9)[:, None], rng.uniform(0.0, TWO_PI, size=(1, 33))
+
+    def check(t, row):
+        assert np.array_equal(forcing(t, row), plain(s.problem.forcing, t, row))
+
+    for _ in range(3):
+        check(times, x)
+        check(0.7, x[0])
+    assert calls == {"f_c": 2, "f_s": 2}
+    y = x + 0.5
+    check(times, y)
+    assert calls == {"f_c": 3, "f_s": 3}
+    y[:] = rng.uniform(0.0, TWO_PI, size=y.shape)
+    check(times, y)
+    check(0.7, y)
+    assert calls == {"f_c": 4, "f_s": 4}
+    forcing.f_s = np.zeros_like  # a replaced mode is read anew
+    assert np.array_equal(forcing(0.7, y), plain(TwoModeForcing(forcing.omega, forcing.f_c,
+                                                                np.zeros_like), 0.7, y))
+    assert calls == {"f_c": 6, "f_s": 4}
 
 
 def central_difference(f, x, h, order):

@@ -442,13 +442,15 @@ ENGINE_CASES = [
 @pytest.mark.parametrize(
     "name,kind,scheme,n_steps",
     [pytest.param(*p.values, 300, id=p.id) for p in ENGINE_CASES]
-    + [pytest.param(*p.values, n, id=f"{p.id}-{n}-steps") for n in (2075, 261)
+    + [pytest.param(*p.values, n, id=f"{p.id}-{n}-steps") for n in (2075, 261, 288, 271)
        for p in ENGINE_CASES],
 )
 def test_affine_engine_matches_stepwise(name, kind, scheme, n_steps):
     """300 steps cross one forcing-chunk boundary.  2075 (the benchmark's
     stiff part) end in a 27-step chunk and 261 in a 5-step one: partial
-    chunks of more and of fewer steps than one block of powers."""
+    chunks of more and of fewer steps than one block of powers.  288 end in
+    a chunk of two whole blocks, with no leftover steps for the state's
+    own powers, and 271 in one of 15 leftover steps, the most there are."""
     s = sample_solution(name, kind=kind)
     grid = with_steps(grid_for(s, 16, 1.0, 1.0), n_steps)
     assert engine_deviation(s.problem, grid, scheme) <= 1e-12
@@ -536,18 +538,18 @@ def solve_calls(monkeypatch):
     return calls
 
 
-def test_modal_engine_matches_stepwise_over_the_stiff_march():
+def test_opaque_and_closed_marches_match_stepwise_over_the_stiff_march():
     """All 29,054 steps of the s3 a=2 courant-100 march at N=20, for the opaque
-    march and the closed form (measured 1.7e-13 and 2.4e-13)."""
+    march and the closed form (measured 1.5e-13 and 2.4e-13)."""
     s = sample_solution("s3", a=2.0)
     grid = grid_for(s, 20, 100.0, 1.0)
     assert grid.n_steps == 29054
     assert engine_deviation(s.problem, grid, Compact(), _march_affine, _march_closed) <= 1e-12
 
 
-def test_modal_engine_matches_stepwise_over_100k_complex_steps():
+def test_opaque_and_closed_marches_match_stepwise_over_100k_complex_steps():
     """snll at courant i, where max|lambda| is 1 + O(eps): 100,000 steps, for the
-    opaque march and the closed form (measured 1.4e-13 and 2.9e-12)."""
+    opaque march and the closed form (measured 1.3e-13 and 2.9e-12)."""
     s = sample_solution("snll")
     grid = with_steps(grid_for(s, 20, 1j, 1.0), 100_000)
     assert engine_deviation(s.problem, grid, Compact(), _march_affine, _march_closed) <= 1e-11
@@ -605,26 +607,38 @@ def test_closed_form_flush_moves_no_result(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "declared,n,n_steps,solves",
+    "declared,n,n_steps,solves,kind",
     [
-        (False, 20, 2048, 1),
-        (False, 20, 40, 40),
-        (False, 200, 2048, 2048),
-        (True, 20, 16, 1),
-        (True, 20, 15, 15),
-        (True, 200, 2048, 1),
-        (True, 200, 600, 600),
-        (True, 400, 2600, 1),
-        (True, 400, 2400, 2400),
+        pytest.param(*case, ScalarKind.REAL, id="-".join(map(str, case)))
+        for case in [
+            (False, 20, 2048, 1),
+            (False, 20, 40, 40),
+            (False, 200, 2048, 2048),
+            (True, 20, 16, 1),
+            (True, 20, 15, 15),
+            (True, 200, 2048, 1),
+            (True, 200, 600, 600),
+            (True, 400, 2600, 1),
+            (True, 400, 2400, 2400),
+            (False, 127, 512, 1),
+        ]
+    ]
+    + [
+        pytest.param(False, n, n_steps, solves, ScalarKind.COMPLEX,
+                     id=f"complex-{n}-{n_steps}-{solves}")
+        for n, n_steps, solves in [(100, 404, 1), (100, 403, 403), (127, 512, 512),
+                                   (127, 546, 546), (127, 547, 1)]
     ],
 )
-def test_run_picks_engine_by_grid_and_step_count(solve_calls, declared, n, n_steps, solves):
+def test_run_picks_engine_by_grid_and_step_count(solve_calls, declared, n, n_steps, solves,
+                                                  kind):
     """The opaque and closed-form engines solve only in their one batched
     probe, the stepwise one once per step.  A problem that declares its modes
     is advanced in closed form from max(16, m^2 / 64) steps, on any grid; an
     opaque one marches by chunks on grids of at most 128 nodes with 4 steps
-    per node."""
-    s = sample_solution("s3", a=2.0)
+    per node, and of the complex kind with m^2 / 30 steps too, which bites
+    above 120 nodes."""
+    s = sample_solution("s3", a=2.0, kind=kind)
     grid = with_steps(grid_for(s, n, 100.0, 1.0), n_steps)
     run(s.problem if declared else opaque(s.problem), grid, Compact())
     assert len(solve_calls) == solves
