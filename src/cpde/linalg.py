@@ -9,6 +9,7 @@ than wall time.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Optional, Union
 
 import numpy as np
@@ -99,33 +100,82 @@ class TridiagLU:
     ``diag`` holds the pivots of the double sweep.  With r_b the rows of
     the right-hand side in block b, the solution's rows there are
 
-        x_b = maps[b, :16] r_b + fwd_in[b] y_(b-1) + back_in[b] x_(b+1),
+        maps[b, :16] r_b + fwd_in[b] y_(b-1) + back_in[b] x_(b+1),
 
-    where y_(b-1) is the forward sweep's value at the last row of block
-    b-1 and x_(b+1) the solution at the first row of block b+1: the two
-    values carried between blocks.  ``maps[b, 16]`` r_b is the forward
-    sweep's value at the last row of block b with nothing carried in.
-    ``loop_weights`` are the scalars of the solve's two loops over the
-    blocks: the weight of y_(b-1) in y_b, and the first columns of
-    ``fwd_in`` and ``back_in`` in reverse block order.  The last block is
-    padded with identity rows.  The maps hold products of up to 16 sweep
+    where y_b is the forward sweep's value at the last row of block b and
+    x_b the solution at its first row: the values carried between blocks.
+    With e_b = maps[b, 16] r_b, y_b's value with nothing carried in, they
+    obey y_b = e_b + g_b y_(b-1), g_b the weight of the y carried in, and
+    x_b = maps[b, 0] r_b + fwd_in[b, 0] y_(b-1) + back_in[b, 0] x_(b+1).
+    ``carries`` holds the triangular maps that solve the two recurrences
+    (``_carry_maps``), the back one in reverse block order.  The last
+    block is padded with identity rows.  The maps hold products of sweep
     coefficients, which stay small for the diagonally dominant A_new of
     both schemes.
     """
 
-    __slots__ = ("diag", "maps", "fwd_in", "back_in", "loop_weights")
+    __slots__ = ("diag", "maps", "fwd_in", "back_in", "carries")
 
     def __init__(self, diag: np.ndarray, maps: np.ndarray, fwd_in: np.ndarray,
-                 back_in: np.ndarray, loop_weights: tuple):
+                 back_in: np.ndarray, carries: tuple):
         self.diag = diag
         self.maps = maps  # (nb, 17, 16)
         self.fwd_in = fwd_in  # (nb, 16)
         self.back_in = back_in  # (nb, 16)
-        self.loop_weights = loop_weights  # three lists of nb scalars
+        self.carries = carries  # (forward, back): each a tuple of _carry_maps levels
 
     @property
     def size(self) -> int:
         return self.diag.size
+
+
+# A carry map spans at most _GROUP block ends: one map for the fine grid's 126.
+# Its weights below _CARRY_FLUSH are zeroed, which moves no result by more than
+# that share of its inputs: a GEMV over subnormal weights runs 70 times slower.
+_GROUP = 128
+_CARRY_FLUSH = 1e-150
+
+
+def _carry_maps(gains: np.ndarray) -> tuple:
+    """Levels of maps that solve y_b = e_b + g_b y_(b-1) for all b (``_carry``).
+
+    The n ends form the fewest groups of k <= ``_GROUP``.  A group's map takes
+    the y carried in and its k values e to its k values y_(b-1) and its last y:
+    entry (i, j) is the product of the gains of inputs j..i-1, those over 2s
+    inputs made from those over s.  The groups' last values recur one level up.
+    """
+    levels = []
+    while not levels or levels[-1].shape[0] > 1:
+        ng = -(-gains.size // _GROUP)
+        k = -(-gains.size // ng)
+        q = np.zeros((ng, k + 1, k + 2), gains.dtype)  # q[., j, d]: inputs j..j+d-1
+        q[..., 0] = 1.0
+        q[:, :k, 1].flat[: gains.size] = gains
+        s = 1
+        while s < k:
+            c = min(2 * s, k)
+            q[:, : k - s, s + 1 : c + 1] = q[:, : k - s, s, None] * q[:, s:k, 1 : c - s + 1]
+            s *= 2
+        parts = q.view(q.real.dtype)  # both parts of a complex weight
+        parts *= np.abs(parts) >= _CARRY_FLUSH
+        # q is zero where j + d > k, so row j of q moved right by j is column j
+        levels.append(q.reshape(ng, -1)[:, : (k + 1) ** 2].reshape(ng, k + 1, k + 1).transpose(0, 2, 1))
+        gains = levels[-1][:, -1, 0]
+    return tuple(levels)
+
+
+def _carry(levels: tuple, e: np.ndarray) -> np.ndarray:
+    """y_(b-1) for every b of y_b = e_b + g_b y_(b-1), y_(-1) = 0: one
+    matrix-vector product per level of ``_carry_maps``."""
+    maps = levels[0]
+    ng, k = maps.shape[0], maps.shape[1] - 1
+    if ng == 1:
+        return maps[0, :-1, 1:] @ e
+    z = np.zeros(ng * k, np.result_type(maps, e))
+    z[: e.size] = e
+    local = np.matmul(maps[..., 1:], z.reshape(ng, k, 1))[..., 0]
+    into = _carry(levels[1:], local[:, -1])
+    return (local[:, :-1] + maps[:, :-1, 0] * into[:, None]).reshape(-1)[: e.size]
 
 
 def factor_tridiag(t: Tridiag) -> TridiagLU:
@@ -133,49 +183,45 @@ def factor_tridiag(t: Tridiag) -> TridiagLU:
 
     Raises SingularMatrixError as the sweep does, naming the row of a
     pivot that is zero or below ``PIVOT_RTOL`` of the largest band entry.
-    The maps are built one row at a time across all blocks.
+    The block maps are built one row at a time across all blocks, the
+    carry maps by ``_carry_maps``.
     """
-    lower, upper, d = t.lower.tolist(), t.upper.tolist(), t.diag.tolist()
-    m = len(d)
-    w = [0.0] * m
-    for i in range(1, m):
-        piv = d[i - 1]
-        if piv == 0.0:
-            raise SingularMatrixError(f"zero pivot in forward sweep at row {i - 1}")
-        w[i] = lower[i - 1] / piv
-        d[i] = d[i] - w[i] * upper[i - 1]
-    if d[m - 1] == 0.0:
-        raise SingularMatrixError(f"zero pivot in forward sweep at row {m - 1}")
-    _check_pivots(t, d)
-    dtype = np.result_type(t.lower, t.diag, t.upper)
+    diag = t.diag.tolist()
+    last, pivots = diag[0], [diag[0]]
+    with suppress(ZeroDivisionError):  # the sweep's pivot recurrence, to a zero pivot
+        for low, up, d in zip(t.lower.tolist(), t.upper.tolist(), diag[1:]):
+            last = d - low / last * up
+            pivots.append(last)
+    if pivots[-1] == 0.0:
+        raise SingularMatrixError(f"zero pivot in forward sweep at row {len(pivots) - 1}")
+    _check_pivots(t, pivots)
+    m, dtype = t.size, np.result_type(t.lower, t.diag, t.upper)
     nb = -(-m // _BLOCK)
     piv = np.ones(nb * _BLOCK, dtype)
-    piv[:m] = d
-    neg_w = np.zeros(nb * _BLOCK, dtype)
-    neg_w[:m] = w
-    neg_w = -neg_w.reshape(nb, _BLOCK)  # y_i = r_i - w_i y_(i-1)
-    inv_d = (1.0 / piv).reshape(nb, _BLOCK)
-    gain = np.zeros(nb * _BLOCK, dtype)  # x_i = y_i / d_i + gain_i x_(i+1)
+    piv[:m] = pivots
+    # row i of every block first: y_i = r_i - w_i y_(i-1), x_i = y_i / d_i + gain_i x_(i+1)
+    neg_w, gain = np.zeros((2, nb * _BLOCK), dtype)
+    neg_w[1:m] = -t.lower / piv[: m - 1]
     gain[: m - 1] = -t.upper / piv[: m - 1]
-    gain = gain.reshape(nb, _BLOCK)
-    # The two sweeps within a block: fwd[b, i, j] is the weight of r_(j-1)
-    # in y_i (column 0: of the y carried in), back[b, i, j] that of y_j in
-    # x_i (column 16: of the x carried in).  A sweep step scales the
-    # previous row and sets the new diagonal entry, in every block at once.
-    fwd, back = np.zeros((2, nb, _BLOCK, _BLOCK + 1), dtype)
-    fwd[:, 0, 0], fwd[:, 0, 1] = neg_w[:, 0], 1.0
-    back[:, -1, -1], back[:, -1, -2] = gain[:, -1], inv_d[:, -1]
+    neg_w, gain, inv_d = (a.reshape(nb, _BLOCK).T.copy() for a in (neg_w, gain, 1.0 / piv))
+    # fwd[i, b, j]: the weight of r_(j-1) in y_i of block b (column 0: of the
+    # y carried in); both[i, b]: x_i's weights of the same.  A sweep step
+    # scales the previous row and adds the new entry, in every block at once.
+    fwd = np.zeros((_BLOCK, nb, _BLOCK + 1), dtype)
+    fwd[0, :, 0], fwd[0, :, 1] = neg_w[0], 1.0
     for i in range(1, _BLOCK):
-        fwd[:, i] = neg_w[:, i, None] * fwd[:, i - 1]
-        fwd[:, i, i + 1] = 1.0
-        j = _BLOCK - 1 - i
-        back[:, j] = gain[:, j, None] * back[:, j + 1]
-        back[:, j, j] = inv_d[:, j]
-    both = np.matmul(back[..., :-1], fwd)  # x_i in terms of (y carried in, r)
-    maps = np.concatenate((both[..., 1:], fwd[:, -1:, 1:]), axis=1)
-    fwd_in, back_in = both[..., 0].copy(), back[..., -1].copy()
-    loops = (fwd[:, -1, 0].tolist(), fwd_in[::-1, 0].tolist(), back_in[::-1, 0].tolist())
-    return TridiagLU(piv[:m], maps, fwd_in, back_in, loops)
+        fwd[i] = neg_w[i, :, None] * fwd[i - 1]
+        fwd[i, :, i + 1] = 1.0
+    maps = np.empty((nb, _BLOCK + 1, _BLOCK), dtype)
+    maps[:, -1], fwd_gain = fwd[-1, :, 1:], fwd[-1, :, 0].copy()
+    both = fwd  # scaled in place: x_i = y_i / d_i, then the back substitution
+    both *= inv_d[..., None]
+    for i in range(_BLOCK - 2, -1, -1):
+        both[i] += gain[i, :, None] * both[i + 1]
+    maps[:, :-1] = both[..., 1:].transpose(1, 0, 2)
+    back_in = np.cumprod(gain[::-1], axis=0)[::-1].T  # the weight of the x carried in
+    carries = (_carry_maps(fwd_gain), _carry_maps(back_in[::-1, 0]))
+    return TridiagLU(piv[:m], maps, both[..., 0].T.copy(), back_in.copy(), carries)
 
 
 def _solve_factored(lu: TridiagLU, rhs: np.ndarray) -> np.ndarray:
@@ -185,17 +231,12 @@ def _solve_factored(lu: TridiagLU, rhs: np.ndarray) -> np.ndarray:
     r = np.zeros(nb * _BLOCK, np.result_type(lu.diag, rhs))
     r[: lu.size] = rhs
     local = np.matmul(lu.maps, r.reshape(nb, _BLOCK, 1))[..., 0]
-    fwd_gain, fwd_first, back_first = lu.loop_weights
-    y_in, y = [], 0.0  # the forward sweep over the block ends
-    for end, g in zip(local[:, -1].tolist(), fwd_gain):
-        y_in.append(y)
-        y = end + g * y
-    x_in, x = [], 0.0  # the back substitution over the block starts, last first
-    for start, a, y_carried, g in zip(local[::-1, 0].tolist(), fwd_first, y_in[::-1], back_first):
-        x_in.append(x)
-        x = start + a * y_carried + g * x
-    x_in.reverse()
-    x = local[:, :-1] + lu.fwd_in * np.array(y_in)[:, None] + lu.back_in * np.array(x_in)[:, None]
+    fwd, back = lu.carries
+    y_in = _carry(fwd, local[:, -1])
+    x_in = _carry(back, (local[:, 0] + lu.fwd_in[:, 0] * y_in)[::-1])[::-1]
+    x = lu.fwd_in * y_in[:, None]
+    x += lu.back_in * x_in[:, None]
+    x += local[:, :-1]
     return x.reshape(-1)[: lu.size]
 
 
@@ -215,12 +256,13 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
     largest band entry, the bound ``solve_dense``'s rank check applies.
 
     A ``TridiagLU`` (``factor_tridiag``, which makes the pivot check)
-    takes one right-hand side and solves it block by block: one batched
-    ``matmul`` over the blocks, one Python loop over the m/16 block ends
-    for each sweep, and one broadcast fix-up.  Its rounding differs from
-    the sweep's in the last digits.  It is the faster path on about 64 or
-    more nodes; the sweep is faster on small systems and on stacks.  The
-    count reported is the sweep's either way.
+    takes one right-hand side and solves it block by block with no Python
+    loop: one pad, one batched ``matmul`` over the blocks, one
+    matrix-vector product per sweep for the values carried between blocks
+    (per level of carry groups past 128 blocks), and one broadcast fix-up.
+    Its rounding differs from the sweep's in the last digits.  It is the
+    faster path on about 64 or more nodes; the sweep is faster on small
+    systems and on stacks.  The count reported is the sweep's either way.
     """
     rhs = np.asarray(rhs)
     if isinstance(t, TridiagLU):

@@ -50,9 +50,10 @@ about).
 The solve is the Python double sweep on small grids and on stacks of
 states.  A single state on a grid of at least ``_BLOCKED_MIN_NODES``
 nodes is solved with A_new factored once per assembly
-(``linalg.factor_tridiag``) and swept in 16-row blocks; the factor is
-built by the first such ``_step``, so an assembly that is never stepped
-does not build it.
+(``linalg.factor_tridiag``), in 16-row blocks with no Python loop: one
+batched product over the blocks and one matrix-vector product per sweep
+for the values carried between them.  The factor is built by the first
+such ``_step``, so an assembly that is never stepped does not build it.
 
 ``run`` marches with one of three engines.  The stepwise one takes the
 step above per time level.  theta does not depend on time, so the step
@@ -71,8 +72,8 @@ gives P and the responses to the inputs.
   ``_CLOSED_STEPS_PER_NODE_SQUARED``: a squaring costs O(m^3), the
   stepwise march O(steps).
 - The opaque march serves any other problem on grids of at most
-  ``_AFFINE_MAX_NODES`` nodes with at least ``_AFFINE_MIN_STEPS_PER_NODE``
-  steps per node, and m^2/30 for the complex kind (``_march_affine``).
+  ``_AFFINE_MAX_NODES`` nodes with at least m steps, and m^2/50 for the
+  real kind, m^2/30 for the complex one (``_march_affine``).
   From one probe it builds two stacks of 16, the input map times P^15..I
   and P^256, P^240, ..., P^16, in the kind's own arithmetic, and advances
   a whole 256-step chunk at a time by one GEMM of the chunk's inputs and
@@ -458,15 +459,15 @@ def _apply_wall_fixup(rhs, fx: _WallFixup, idx, u, f0n, f1n):
 
 # A single state on a grid of at least this many nodes is solved with the
 # factored A_new (``linalg.factor_tridiag``, built by the first such step)
-# rather than the sweep; stacks of states, such as a probe, always
-# sweep.  One compact ``_step``, sweep / factored, best of 7 alternating
-# runs, on a 2-core Xeon with one BLAS thread, s3 a=2 at courant 100 (real)
-# and snll at courant i (complex): m = 11, 26 / 34 us (real) and
-# 20 / 25 us (complex); m = 21, 30 / 35 and 25 / 26; m = 41, 24 / 23 and
-# 36 / 26; m = 65, 33 / 24 and 49 / 29; m = 201, 107 / 43 and 127 / 38;
-# m = 2001, 772 / 88 and 1198 / 135.  The factor costs 0.2-0.3 ms below
-# m = 201, the saving of a dozen steps or more near the crossover at
-# m = 33-41, so the threshold keeps a margin above it.
+# rather than the sweep; stacks of states, such as a probe, always sweep.
+# One compact ``_step`` with the factor built, sweep / factored in us, best
+# of 7 alternating runs on a 2-core Xeon with one BLAS thread, s3 a=2 at
+# courant 100 (real) and snll at courant i (complex): m = 11, 14 / 16 (real)
+# and 18 / 19 (complex); m = 21, 17 / 17 and 23 / 20; m = 33, 20 / 17 and
+# 28 / 20; m = 41, 23 / 18 and 33 / 20; m = 65, 29 / 18 and 43 / 21; m = 201,
+# 70 / 20 and 103 / 24; m = 2001, 658 / 53 and 990 / 89.  The factor costs
+# 0.1-0.14 ms up to m = 65, which about 30 steps repay near the crossover at
+# m = 21-33 and a dozen at m = 64, so the threshold keeps its margin.
 _BLOCKED_MIN_NODES = 64
 
 
@@ -629,17 +630,21 @@ def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
 
 # The opaque march probes the step once and builds its two stacks (35
 # products of about m^3), then costs one GEMM and one GEMV per 256-step
-# chunk.  Whole cold runs, stepwise / opaque, medians of 15 interleaved
-# pairs of CPU timings on a 2-core Xeon with one BLAS thread, s3 a=2 at
-# courant 100 (real) and snll at courant i (complex), at 4m / 8m steps:
-# m = 21, 3.6 / 1.1, 6.5 / 1.1 ms (real) and 4.7 / 1.5, 8.7 / 1.6 (complex);
-# m = 41, 8.1 / 1.5, 15.8 / 1.7 and 11.5 / 3.2, 22.4 / 3.5; m = 101,
-# 17.9 / 8.7, 33.8 / 9.8 and 22.1 / 17.8, 42.6 / 19.8; m = 128, 22.7 / 13.5,
-# 43.5 / 15.0 and 29.1 / 28.3, 41.3 / 25.7.  4 never loses on the real kind.
-# The complex kind's march won 9 of 41 pairs at m = 128 with 4m steps, 35
-# with 4.5m (24 at m = 112 with 4m), so it also needs m^2/30 steps.
-_AFFINE_MIN_STEPS_PER_NODE = 4
-_AFFINE_STEPS_PER_NODE_SQUARED = {ScalarKind.REAL: 0.0, ScalarKind.COMPLEX: 1 / 30}
+# chunk: it wins from about m^2/50 steps (real) or m^2/30 (complex), and
+# from about m on small grids, where its set-up takes about 0.5 ms.  Whole
+# cold runs, stepwise / opaque in ms, medians of 15 interleaved pairs of CPU
+# timings on a 2-core Xeon with one BLAS thread, s3 a=2 at courant 100
+# (real) and snll at courant i (complex), the march's wins of 15 in brackets
+# where it lost any: real, m = 11, 1m 0.52 / 0.52 (8), 2m 0.67 / 0.50;
+# m = 21, 0.5m 0.58 / 0.62 (1), 1m 0.79 / 0.59; m = 41, 0.5m 1.04 / 1.04
+# (11), 1m 1.43 / 0.80; m = 64, 1m 1.99 / 1.64; m = 101, 2m 4.81 / 4.56,
+# 2.5m 5.97 / 4.77; m = 128, 2m 6.68 / 8.09 (1), 2.5m 7.70 / 7.48 (14), 3m
+# 9.15 / 7.71.  Complex, m = 11, 1m 0.61 / 0.61 (8); m = 21, 1m 1.73 / 1.48;
+# m = 41, 1m 3.30 / 2.75; m = 64, 1.5m 3.13 / 3.79 (0), 2m 3.80 / 3.55;
+# m = 101, 3m 9.06 / 10.74 (0), 4m 11.76 / 11.02 (14); m = 128, 4m 13.93 /
+# 16.27 (0), where 4.5m won 35 of 41 pairs in an earlier measurement.
+_AFFINE_MIN_STEPS_PER_NODE = 1
+_AFFINE_STEPS_PER_NODE_SQUARED = {ScalarKind.REAL: 1 / 50, ScalarKind.COMPLEX: 1 / 30}
 # ``_march_affine`` sums a chunk as this many blocks of this many steps.
 _POWER_BLOCK = math.isqrt(_FORCING_CHUNK)
 # The dense maps are O(m^2) memory, 9.0 MB at m = 128 (complex; a 13.1 MB

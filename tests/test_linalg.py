@@ -12,6 +12,8 @@ from cpde.linalg import (
     SingularMatrixError,
     Tridiag,
     TridiagLU,
+    _GROUP,
+    _carry_maps,
     eigenvalues,
     factor_tridiag,
     frobenius,
@@ -150,6 +152,63 @@ def test_factored_solve_promotes_mixed_dtypes(band_dtype, rhs_dtype):
     assert relative_gap(x, solve_tridiag(t, b)[0]) <= 1e-13
 
 
+def laplacian_like(m, dtype=float):
+    """A band whose sweep coefficients are about 0.5 in modulus: each block end
+    carries about 2e-5 of its value into the next block, across carry groups too."""
+
+    def noise(size):
+        v = rng.uniform(-0.1, 0.1, size=size)
+        return v + 1j * rng.uniform(-0.1, 0.1, size=size) if dtype is complex else v
+
+    return Tridiag(noise(m - 1) - 1.0, noise(m) + 2.5, noise(m - 1) - 1.0)
+
+
+@pytest.mark.parametrize(
+    "m,groups",
+    [(16 * (_GROUP - 1), [1]), (16 * _GROUP - 5, [1]), (16 * _GROUP + 1, [2, 1]), (8001, [4, 1])],
+    ids=["G-1-blocks", "G-blocks", "G+1-blocks", "501-blocks"],
+)
+@pytest.mark.parametrize("band_dtype,rhs_dtype", [(float, float), (complex, complex),
+                                                  (float, complex), (complex, float)])
+def test_factored_solve_matches_the_sweep_across_carry_groups(m, groups, band_dtype, rhs_dtype):
+    """G - 1 and G block ends make one carry group, G + 1 two, and 501 (m =
+    8001) four, whose last values are carried one level up."""
+    t = laplacian_like(m, band_dtype)
+    lu = factor_tridiag(t)
+    assert [level.shape[0] for carry in lu.carries for level in carry] == groups * 2
+    b = rng.normal(size=m) + (1j * rng.normal(size=m) if rhs_dtype is complex else 0)
+    ref, _ = solve_tridiag(t, b)
+    got, _ = solve_tridiag(lu, b)
+    assert got.dtype == ref.dtype
+    assert relative_gap(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_carry_maps_hold_no_subnormal_weights(dtype):
+    """A gain of 1e-8 per block end makes products below 1e-308 within 39
+    ends; weights below 1e-150 are zeroed, so no solve multiplies a subnormal."""
+    (maps,) = _carry_maps(np.full(126, 1e-8 * (1j if dtype is complex else 1.0)))
+    parts = np.abs(np.concatenate((maps.real.ravel(), maps.imag.ravel())))
+    assert not ((parts > 0.0) & (parts < 1e-150)).any()
+    i, j = np.tril_indices(127)
+    kept = i - j <= 18  # 1e-8 ** 18 = 1e-144
+    assert np.allclose(np.abs(maps[0, i[kept], j[kept]]), 1e-8 ** (i - j)[kept], rtol=1e-13, atol=0)
+    assert not maps[0, i[~kept], j[~kept]].any()
+
+
+@pytest.mark.parametrize("m", [2001, 32001])
+def test_factor_holds_o_m_entries(m):
+    """About 20 m entries in the block maps, pivots and carry-in vectors, and
+    at most 2 G nb in the carry maps: no map spans more than one group."""
+    lu = factor_tridiag(laplacian_like(m))
+    nb = -(-m // 16)
+    arrays = [lu.diag, lu.maps, lu.fwd_in, lu.back_in, *lu.carries[0], *lu.carries[1]]
+    entries = sum((a if a.base is None else a.base).size for a in arrays)
+    group = 128  # the largest group the design allows, not whatever _GROUP is
+    assert entries <= 1.05 * (20 * m + 2 * group * nb)
+    assert max(level.shape[-1] for carry in lu.carries for level in carry) <= group + 1
+
+
 def zero_pivot_at(row, m=40):
     """A matrix whose sweep meets an exactly zero pivot at ``row``."""
     t = Tridiag(np.full(m - 1, 1.0), np.full(m, 2.5), np.full(m - 1, 0.7))
@@ -169,6 +228,23 @@ def test_factor_names_the_same_zero_pivot_row_as_the_sweep(row):
     t = zero_pivot_at(row)
     with pytest.raises(SingularMatrixError) as swept:
         solve_tridiag(t, np.ones(t.size))
+    with pytest.raises(SingularMatrixError) as factored:
+        factor_tridiag(t)
+    assert str(factored.value) == str(swept.value) == f"zero pivot in forward sweep at row {row}"
+
+
+@pytest.mark.parametrize("row", [0, 17, 39])
+def test_complex_factor_names_the_same_zero_pivot_row_as_the_sweep(row, m=40):
+    lower, diag, upper = [0.3 + 1.0j] * (m - 1), [2.5 - 0.5j] * m, [0.7j] * (m - 1)
+    d = diag[0] = 0.0 if row == 0 else diag[0]
+    for i in range(1, row + 1):
+        w = lower[i - 1] / d
+        if i == row:
+            diag[i] = w * upper[i - 1]  # the sweep's own pivot update gives 0
+        d = diag[i] - w * upper[i - 1]
+    t = Tridiag(*(np.array(band) for band in (lower, diag, upper)))
+    with pytest.raises(SingularMatrixError) as swept:
+        solve_tridiag(t, np.ones(m))
     with pytest.raises(SingularMatrixError) as factored:
         factor_tridiag(t)
     assert str(factored.value) == str(swept.value) == f"zero pivot in forward sweep at row {row}"

@@ -56,7 +56,7 @@ FROZEN = [
 ]
 MUTABLE = [
     (Tridiag, ("lower", "diag", "upper")),
-    (TridiagLU, ("diag", "maps", "fwd_in", "back_in", "loop_weights")),
+    (TridiagLU, ("diag", "maps", "fwd_in", "back_in", "carries")),
     (StepReport, ("final_state", "muls_per_step", "steps")),
 ]
 FIELDLESS = [Neumann, CompactThreePoint, ReducedTwoPoint, MainTerms]

@@ -612,7 +612,8 @@ def test_closed_form_flush_moves_no_result(monkeypatch):
         pytest.param(*case, ScalarKind.REAL, id="-".join(map(str, case)))
         for case in [
             (False, 20, 2048, 1),
-            (False, 20, 40, 40),
+            (False, 20, 20, 20),
+            (False, 20, 21, 1),
             (False, 200, 2048, 2048),
             (True, 20, 16, 1),
             (True, 20, 15, 15),
@@ -621,13 +622,17 @@ def test_closed_form_flush_moves_no_result(monkeypatch):
             (True, 400, 2600, 1),
             (True, 400, 2400, 2400),
             (False, 127, 512, 1),
+            (False, 100, 204, 204),
+            (False, 100, 205, 1),
+            (False, 127, 327, 327),
+            (False, 127, 328, 1),
         ]
     ]
     + [
         pytest.param(False, n, n_steps, solves, ScalarKind.COMPLEX,
                      id=f"complex-{n}-{n_steps}-{solves}")
-        for n, n_steps, solves in [(100, 404, 1), (100, 403, 403), (127, 512, 512),
-                                   (127, 546, 546), (127, 547, 1)]
+        for n, n_steps, solves in [(20, 20, 20), (20, 21, 1), (100, 404, 1), (100, 340, 340),
+                                   (100, 341, 1), (127, 512, 512), (127, 546, 546), (127, 547, 1)]
     ],
 )
 def test_run_picks_engine_by_grid_and_step_count(solve_calls, declared, n, n_steps, solves,
@@ -635,9 +640,9 @@ def test_run_picks_engine_by_grid_and_step_count(solve_calls, declared, n, n_ste
     """The opaque and closed-form engines solve only in their one batched
     probe, the stepwise one once per step.  A problem that declares its modes
     is advanced in closed form from max(16, m^2 / 64) steps, on any grid; an
-    opaque one marches by chunks on grids of at most 128 nodes with 4 steps
-    per node, and of the complex kind with m^2 / 30 steps too, which bites
-    above 120 nodes."""
+    opaque one marches by chunks on grids of at most 128 nodes with m steps,
+    and m^2 / 50 of the real kind, m^2 / 30 of the complex one, which bite
+    above 50 and 30 nodes."""
     s = sample_solution("s3", a=2.0, kind=kind)
     grid = with_steps(grid_for(s, n, 100.0, 1.0), n_steps)
     run(s.problem if declared else opaque(s.problem), grid, Compact())
@@ -897,10 +902,10 @@ def test_step_hands_single_states_the_factor_and_stacks_the_sweep(solve_calls):
 @pytest.mark.parametrize("n,solver", [(20, Tridiag), (200, TridiagLU)])
 def test_stepwise_march_picks_the_solver_by_node_count(solve_calls, n, solver):
     s = sample_solution("s3", a=2.0)
-    grid = with_steps(grid_for(s, n, 100.0, 1.0), 40)
+    grid = with_steps(grid_for(s, n, 100.0, 1.0), 20)
     assert steppers._engine(opaque(s.problem), grid) is _march_stepwise
     run(opaque(s.problem), grid, Compact())
-    assert solve_calls == [solver] * 40
+    assert solve_calls == [solver] * 20
 
 
 def near_singular(m):
