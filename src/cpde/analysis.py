@@ -306,6 +306,8 @@ def cut_study(
     cuts: Sequence[int] = (5, 6, 7, 8, 9, 10),
 ) -> dict:
     """Convergence of the compact scheme with truncated coefficient powers."""
+    if not cuts:
+        raise ValueError("need at least one cut level")
     if len(set(cuts)) != len(cuts):
         raise ValueError(f"cut levels must be distinct, got {list(cuts)}")
     return {
@@ -648,6 +650,8 @@ def first_integral_drift(
     if any(int(n) != n for n in ns):
         raise ValueError(f"grid sizes must be integers, got {list(ns)!r}")
     ns_sorted = tuple(sorted(int(n) for n in ns))
+    if not ns_sorted:
+        raise ValueError("need at least one grid size")
     if len(set(ns_sorted)) != len(ns_sorted) or ns_sorted[0] < 4:
         raise ValueError("grid sizes must be distinct integers >= 4")
     if quadrature == "simpson" and any(n % 2 != 0 for n in ns_sorted):

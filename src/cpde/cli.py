@@ -154,12 +154,6 @@ _NEUMANN_TOKENS = {
     "main": MainTerms,
 }
 
-_CLASSIC_RHS = {
-    "pointwise": ClassicRhsVariant.POINTWISE,
-    "threepoint": ClassicRhsVariant.THREE_POINT,
-    "fivepoint": ClassicRhsVariant.FIVE_POINT,
-}
-
 
 def parse_scheme(text: Optional[str]):
     """Scheme literal: `compact[:cut=7][,neumann=reduced]` or
@@ -193,27 +187,27 @@ def parse_scheme(text: Optional[str]):
         rhs_name = flags[0] if flags else options.pop("rhs", "pointwise")
         if len(flags) > 1:
             raise ConfigError(f"unknown classic option {flags[1]!r}")
-        if rhs_name not in _CLASSIC_RHS:
-            raise ConfigError(f"unknown classic right-hand side {rhs_name!r}")
+        try:
+            rhs = ClassicRhsVariant(rhs_name)
+        except ValueError:
+            raise ConfigError(f"unknown classic right-hand side {rhs_name!r}") from None
         eps = float(options.pop("eps", "0.5"))
         if options:
             raise ConfigError(f"unknown classic option {sorted(options)[0]!r}")
-        return Classic(rhs=_CLASSIC_RHS[rhs_name], neumann=ClassicNeumann(eps))
+        return Classic(rhs=rhs, neumann=ClassicNeumann(eps))
     raise ConfigError(f"unknown scheme {text!r}")
 
 
 def scheme_label(scheme) -> str:
     if isinstance(scheme, Compact):
-        opts = []
-        if scheme.cut != CUT_FULL:
-            opts.append(f"cut={scheme.cut}")
-        if not isinstance(scheme.neumann, CompactThreePoint):
-            if isinstance(scheme.neumann, ReducedTwoPoint):
-                opts.append("neumann=reduced")
-            elif isinstance(scheme.neumann, MainTerms):
-                opts.append("neumann=main")
-            else:
-                opts.append(f"neumann=classic,eps={scheme.neumann.epsilon:g}")
+        opts = [f"cut={scheme.cut}"] if scheme.cut != CUT_FULL else []
+        wall = scheme.neumann
+        if isinstance(wall, ClassicNeumann):
+            opts.append(f"neumann=classic,eps={wall.epsilon:g}")
+        elif not isinstance(wall, CompactThreePoint):
+            # the first token that parses to this wall names it
+            name = next(k for k, v in _NEUMANN_TOKENS.items() if isinstance(wall, v))
+            opts.append(f"neumann={name}")
         return "compact" + (":" + ",".join(opts) if opts else "")
     rhs = scheme.rhs.value
     eps = scheme.neumann.epsilon if isinstance(scheme.neumann, ClassicNeumann) else 0.5
@@ -291,41 +285,72 @@ def _band(label: str, value: float, gate: str, failures: list):
 # settings and output
 
 
-def _settings(args: argparse.Namespace) -> dict:
-    """Config-file values overlaid by every flag given on the command line,
-    keyed by flag name without the leading dashes."""
-    settings = {}
-    flags = _COMMON_FLAGS + _COMMANDS[args.command][2]
+def _parse_solution(text: str) -> str:
+    name = text.strip().lower()
+    return {"neumann-demo": "snll"}.get(name, name)
+
+
+def _parse_cuts(text: str) -> list:
+    """(token, level) pairs; the token labels the level's rows."""
+    return [(tok, parse_cut(tok)) for tok in (t.strip() for t in text.split(",")) if tok]
+
+
+_REQUIRED = object()
+
+# value flag -> (parser, default); a default string goes through the parser
+# as a given value does, and a None default stays None
+_VALUES = {
+    "output": (str, None),
+    "solution": (_parse_solution, "s1"),
+    "params": (parse_params, ""),
+    "scheme": (parse_scheme, "compact"),
+    "ns": (parse_ns, _REQUIRED),
+    "n": (int, _REQUIRED),
+    "node": (int, None),  # derive-row takes max(1, n // 2)
+    "courant": (parse_courant, "1"),
+    "t-final": (float, "1"),
+    "cuts": (_parse_cuts, "5,6,7,8,9,9+"),
+    "quadrature": (str, "trapezoid"),
+    "classic-rhs": (lambda rhs: (f"classic:{rhs}", parse_scheme(f"classic:{rhs}")), "pointwise"),
+}
+
+# (subcommand, flag) -> default, where a subcommand's default differs
+_DEFAULTS = {
+    ("spectrum", "solution"): "neumann-demo",
+    ("first-integral", "courant"): "i",
+    ("first-integral", "n"): None,  # one of n and ns is required
+    ("first-integral", "ns"): None,
+    ("asymmetry", "t-final"): None,
+}
+
+
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """check, and every value flag of the subcommand parsed once: the
+    command-line value, else the config-file value, else the default.
+    A flag's attribute has underscores for dashes (t_final)."""
+    raw = {}
+    flags = ("output",) + _COMMANDS[args.command][2]
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            settings.update(parse_config(fh.read()))
-        for key in settings:
+            raw = parse_config(fh.read())
+        for key in raw:
             if key in _COMMAND_LINE_ONLY:
                 raise ConfigError(f"config key {key!r} can only be given on the command line")
             if key not in flags:
                 if any(key in spec[2] for spec in _COMMANDS.values()):
                     raise ConfigError(f"config key {key!r} is not a setting of {args.command}")
                 print(f"warning: config key {key!r} ignored", file=sys.stderr)
+    settings = argparse.Namespace(check=args.check)
     for flag in flags:
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            settings[flag] = value
+        name = flag.replace("-", "_")
+        parser, default = _VALUES[flag]
+        value = getattr(args, name)
+        if value is None:
+            value = raw.get(flag, _DEFAULTS.get((args.command, flag), default))
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required setting {flag!r}")
+        setattr(settings, name, None if value is None else parser(value))
     return settings
-
-
-def _require(settings: dict, key: str):
-    val = settings.get(key)
-    if val is None:
-        raise ConfigError(f"missing required setting {key!r}")
-    return val
-
-
-_ALIASES = {"neumann-demo": "snll"}
-
-
-def _solution_id(settings: dict, default: str = "s1") -> str:
-    name = str(settings.get("solution", default)).strip().lower()
-    return _ALIASES.get(name, name)
 
 
 def _emit(csv_text: str, summary_lines: list, output: Optional[str]):
@@ -344,19 +369,13 @@ def _emit(csv_text: str, summary_lines: list, output: Optional[str]):
 # subcommands
 
 
-def _cmd_convergence(settings: dict) -> tuple:
-    solution = _solution_id(settings)
-    params = parse_params(settings.get("params"))
-    scheme = parse_scheme(settings.get("scheme"))
-    ns = parse_ns(_require(settings, "ns"))
-    courant = parse_courant(settings.get("courant", "1"))
-    t_final = float(settings.get("t-final", "1"))
-    rep = convergence_study(solution, params, scheme, ns, courant, t_final)
+def _cmd_convergence(s: argparse.Namespace) -> tuple:
+    rep = convergence_study(s.solution, s.params, s.scheme, s.ns, s.courant, s.t_final)
     rows = [
         (e.n, e.h, e.tau, e.steps, e.error, e.muls_per_step) for e in rep.entries
     ]
     csv_text = make_csv(["N", "h", "tau", "steps", "error_cnorm", "muls_per_step"], rows)
-    summary = [f"convergence: {solution} {scheme_label(scheme)} courant={format_courant(courant)}"]
+    summary = [f"convergence: {s.solution} {scheme_label(s.scheme)} courant={format_courant(s.courant)}"]
     for e in rep.entries:
         summary.append(
             f"  N={e.n:<4d} error={g17(e.error)} ({mantissa_style(e.error)}) muls/step={e.muls_per_step}"
@@ -365,21 +384,21 @@ def _cmd_convergence(settings: dict) -> tuple:
         f"  estimated order = {rep.estimated_order:.2f} (least squares {rep.lsq_order:.2f})"
     )
     failures = []
-    if settings["check"]:
-        if isinstance(scheme, Compact) and scheme.cut == CUT_FULL:
+    if s.check:
+        if isinstance(s.scheme, Compact) and s.scheme.cut == CUT_FULL:
             _band("compact order", rep.estimated_order, "compact order", failures)
-        elif isinstance(scheme, Classic):
+        elif isinstance(s.scheme, Classic):
             # an asymptotic rate: the coarse grids of a complex run are pre-asymptotic
             order = finest_pair_order([e.n for e in rep.entries], [e.error for e in rep.entries])
             _band("classic order (finest pair)", order, "classic order", failures)
         else:
             _band("truncated compact order", rep.estimated_order, "compact order", failures)
         if (
-            solution == "s1"
-            and isinstance(scheme, Compact)
-            and scheme.cut == CUT_FULL
-            and courant == 1.0
-            and tuple(sorted(ns)) == (10, 20, 50, 100)
+            s.solution == "s1"
+            and isinstance(s.scheme, Compact)
+            and s.scheme.cut == CUT_FULL
+            and s.courant == 1.0
+            and tuple(sorted(s.ns)) == (10, 20, 50, 100)
         ):
             _band("order (reference row)", rep.estimated_order, "s1 reference order", failures)
             fac = GATES["s1 reference error factor"]
@@ -391,17 +410,11 @@ def _cmd_convergence(settings: dict) -> tuple:
     return csv_text, summary, failures
 
 
-def _cmd_richardson(settings: dict) -> tuple:
-    solution = _solution_id(settings)
-    params = parse_params(settings.get("params"))
-    scheme = parse_scheme(settings.get("scheme"))
-    ns = parse_ns(_require(settings, "ns"))
-    courant = parse_courant(settings.get("courant", "1"))
-    t_final = float(settings.get("t-final", "1"))
-    rep = richardson_study(solution, params, scheme, ns, courant, t_final)
+def _cmd_richardson(s: argparse.Namespace) -> tuple:
+    rep = richardson_study(s.solution, s.params, s.scheme, s.ns, s.courant, s.t_final)
     rows = [(e.n, e.h, e.error_h, e.error_extrapolated) for e in rep.entries]
     csv_text = make_csv(["N", "h", "error_h", "error_extrapolated"], rows)
-    summary = [f"richardson: {solution} {scheme_label(scheme)}"]
+    summary = [f"richardson: {s.solution} {scheme_label(s.scheme)}"]
     for e in rep.entries:
         summary.append(
             f"  N={e.n:<4d} error={mantissa_style(e.error_h)} extrapolated={mantissa_style(e.error_extrapolated)}"
@@ -410,10 +423,10 @@ def _cmd_richardson(settings: dict) -> tuple:
         f"  orders: plain = {rep.order_h:.2f}, extrapolated = {rep.order_extrapolated:.2f}"
     )
     failures = []
-    if settings["check"]:
+    if s.check:
         order = finest_pair_order([e.n for e in rep.entries],
                                   [e.error_extrapolated for e in rep.entries])
-        if isinstance(scheme, Classic):
+        if isinstance(s.scheme, Classic):
             _band("extrapolated classic order (finest pair)", order,
                   "extrapolated classic order", failures)
         else:
@@ -422,41 +435,28 @@ def _cmd_richardson(settings: dict) -> tuple:
     return csv_text, summary, failures
 
 
-def _cmd_cut(settings: dict) -> tuple:
-    solution = _solution_id(settings)
-    params = parse_params(settings.get("params"))
-    ns = parse_ns(_require(settings, "ns"))
-    courant = parse_courant(settings.get("courant", "1"))
-    t_final = float(settings.get("t-final", "1"))
-    tokens = [t.strip() for t in str(settings.get("cuts", "5,6,7,8,9,9+")).split(",") if t.strip()]
-    cuts = [parse_cut(t) for t in tokens]
-    reports = cut_study(solution, params, ns, courant, t_final, cuts)
+def _cmd_cut(s: argparse.Namespace) -> tuple:
+    levels = [cut for _, cut in s.cuts]
+    reports = cut_study(s.solution, s.params, s.ns, s.courant, s.t_final, levels)
     rows = []
-    for token, cut in zip(tokens, cuts):
-        rep = reports[cut]
-        for e in rep.entries:
-            rows.append((token, e.n, e.h, e.tau, e.steps, e.error, e.muls_per_step))
-    csv_text = make_csv(["cut", "N", "h", "tau", "steps", "error_cnorm", "muls_per_step"], rows)
-    summary = [f"cut study: {solution}"]
+    summary = [f"cut study: {s.solution}"]
     failures = []
-    for token, cut in zip(tokens, cuts):
+    for token, cut in s.cuts:
         rep = reports[cut]
+        rows += [(token, e.n, e.h, e.tau, e.steps, e.error, e.muls_per_step) for e in rep.entries]
         errs = " ".join(mantissa_style(e.error) for e in rep.entries)
         summary.append(f"  cut={token:<3} order={rep.estimated_order:.2f} errors: {errs}")
-        if settings["check"] and cut >= 5:
+        if s.check and cut >= 5:
             order = finest_pair_order([e.n for e in rep.entries], [e.error for e in rep.entries])
             floor = GATES["cut order"]
             if order < floor:
                 failures.append(f"cut={token} finest-pair order {order:.2f} < {floor}")
+    csv_text = make_csv(["cut", "N", "h", "tau", "steps", "error_cnorm", "muls_per_step"], rows)
     return csv_text, summary, failures
 
 
-def _cmd_asymmetry(settings: dict) -> tuple:
-    ns = parse_ns(_require(settings, "ns"))
-    courant = parse_courant(settings.get("courant", "1"))
-    t_raw = settings.get("t-final")
-    t_final = float(t_raw) if t_raw is not None else None
-    rep = asymmetry_study(ns, courant, t_final=t_final)
+def _cmd_asymmetry(s: argparse.Namespace) -> tuple:
+    rep = asymmetry_study(s.ns, s.courant, t_final=s.t_final)
     rows = [(e.n, e.h, e.tau, e.s_transition, e.s_forcing) for e in rep.entries]
     csv_text = make_csv(["N", "h", "tau", "s_transition", "s_forcing"], rows)
     summary = ["asymmetry decay (Dirichlet interior, compact scheme)"]
@@ -468,20 +468,16 @@ def _cmd_asymmetry(settings: dict) -> tuple:
         f"  orders: transition = {rep.order_transition:.2f}, forcing = {rep.order_forcing:.2f}"
     )
     failures = []
-    if settings["check"]:
+    if s.check:
         _band("transition asymmetry order", rep.order_transition,
               "transition asymmetry order", failures)
         _band("forcing asymmetry order", rep.order_forcing, "forcing asymmetry order", failures)
     return csv_text, summary, failures
 
 
-def _cmd_spectrum(settings: dict) -> tuple:
-    solution = _solution_id(settings, default="neumann-demo")
-    params = parse_params(settings.get("params"))
-    n = int(_require(settings, "n"))
-    courant = parse_courant(settings.get("courant", "1"))
-    sample = analysis._resolve_sample(solution, params, courant)
-    grid = analysis._matrix_grid(n, courant, sample.problem.theta)
+def _cmd_spectrum(s: argparse.Namespace) -> tuple:
+    sample = analysis._resolve_sample(s.solution, s.params, s.courant)
+    grid = analysis._matrix_grid(s.n, s.courant, sample.problem.theta)
     mats = assemble_compact(sample.problem, grid)
     m = transition_matrix(mats)
     rep = spectrum_report(m)
@@ -491,7 +487,7 @@ def _cmd_spectrum(settings: dict) -> tuple:
     csv_text = make_csv(["index", "re", "im", "modulus"], rows)
     is_ll = sample.problem.kind is ScalarKind.COMPLEX
     summary = [
-        f"spectrum: {solution} N={n} courant={format_courant(courant)} size={len(rep.eigenvalues)}",
+        f"spectrum: {s.solution} N={s.n} courant={format_courant(s.courant)} size={len(rep.eigenvalues)}",
         f"  max |lambda| = {g17(rep.max_modulus)}",
         f"  max |Im lambda| = {g17(rep.max_imag_abs)}",
         f"  negativity criterion (A_new^-1 A_old): {'yes' if rep.all_negative else 'no'}",
@@ -503,7 +499,7 @@ def _cmd_spectrum(settings: dict) -> tuple:
         summary.append("  max |Im mu| (real generator) = "
                        + ("n/a (no real generator)" if defect is None else g17(defect)))
     failures = []
-    if settings["check"]:
+    if s.check:
         if is_ll:
             dev = float(np.abs(np.abs(rep.eigenvalues) - 1.0).max())
             if dev > GATES["unimodularity"]:
@@ -516,64 +512,51 @@ def _cmd_spectrum(settings: dict) -> tuple:
     return csv_text, summary, failures
 
 
-def _cmd_first_integral(settings: dict) -> tuple:
-    quadrature = settings.get("quadrature", "trapezoid")
-    courant = parse_courant(settings.get("courant", "i"))
-    t_final = float(settings.get("t-final", "1"))
-    ns_raw = settings.get("ns")
-    if ns_raw is not None and settings.get("n") is not None:
+def _cmd_first_integral(s: argparse.Namespace) -> tuple:
+    if s.ns is not None and s.n is not None:
         raise ConfigError("give n (one run) or ns (several runs), not both")
     failures = []
-    if ns_raw is not None:
-        ns = parse_ns(ns_raw)
-        rep = first_integral_drift(ns, courant, t_final, quadrature)
+    if s.ns is not None:
+        rep = first_integral_drift(s.ns, s.courant, s.t_final, s.quadrature)
         rows = [(e.n, e.h, e.baseline, e.amplitude) for e in rep.entries]
         csv_text = make_csv(["N", "h", "integral_t0", "amplitude"], rows)
-        summary = [f"first-integral drift ({quadrature})"]
+        summary = [f"first-integral drift ({s.quadrature})"]
         for e in rep.entries:
             summary.append(f"  N={e.n:<4d} amplitude={mantissa_style(e.amplitude)}")
         summary.append(f"  amplitude slope = {rep.slope:.2f}")
-        if settings["check"]:
+        if s.check:
             _band("amplitude slope", rep.slope, "drift slope", failures)
+    elif s.n is None:
+        raise ConfigError("missing required setting 'n'")
     else:
-        n = int(_require(settings, "n"))
-        series = first_integral_series(n, courant, t_final, quadrature)
+        series = first_integral_series(s.n, s.courant, s.t_final, s.quadrature)
         csv_text = make_csv(["step", "t", "integral"], series)
         vals = [v for _, _, v in series]
         spread = max(vals) - min(vals)
         summary = [
-            f"first-integral history ({quadrature}) N={n} steps={len(series) - 1}",
+            f"first-integral history ({s.quadrature}) N={s.n} steps={len(series) - 1}",
             f"  I(0) = {g17(vals[0])}",
             f"  spread = {g17(spread)} ({mantissa_style(spread) if spread else '0'})",
         ]
     return csv_text, summary, failures
 
 
-def _cmd_efficiency(settings: dict) -> tuple:
-    solution = _solution_id(settings)
-    params = parse_params(settings.get("params"))
-    ns = parse_ns(_require(settings, "ns"))
-    courant = parse_courant(settings.get("courant", "1"))
-    t_final = float(settings.get("t-final", "1"))
-    rhs_name = settings.get("classic-rhs", "pointwise")
-    schemes = [
-        ("compact", Compact()),
-        (f"classic:{rhs_name}", parse_scheme(f"classic:{rhs_name}")),
-    ]
-    results = efficiency_curve(solution, params, schemes, ns, courant, t_final)
+def _cmd_efficiency(s: argparse.Namespace) -> tuple:
+    schemes = [("compact", Compact()), s.classic_rhs]
+    results = efficiency_curve(s.solution, s.params, schemes, s.ns, s.courant, s.t_final)
     rows = []
     for label, rep in results:
         for e in rep.entries:
             rows.append((label, e.n, e.h, e.muls_per_step, e.error))
     csv_text = make_csv(["scheme", "N", "h", "muls_per_step", "error_cnorm"], rows)
-    summary = [f"efficiency: {solution}"]
+    summary = [f"efficiency: {s.solution}"]
     for label, rep in results:
         pts = " ".join(
             f"({e.muls_per_step}, {mantissa_style(e.error)})" for e in rep.entries
         )
         summary.append(f"  {label}: {pts}")
     failures = []
-    if settings["check"]:
+    if s.check:
         (_, compact_rep), (_, classic_rep) = results
         for ce in compact_rep.entries:
             if ce.n < 20:
@@ -588,17 +571,12 @@ def _cmd_efficiency(settings: dict) -> tuple:
     return csv_text, summary, failures
 
 
-def _cmd_derive_row(settings: dict) -> tuple:
-    solution = _solution_id(settings)
-    params = parse_params(settings.get("params"))
-    n = int(_require(settings, "n"))
-    courant = parse_courant(settings.get("courant", "1"))
-    t_final = float(settings.get("t-final", "1"))
-    sample = analysis._resolve_sample(solution, params, courant)
-    grid = grid_for(sample, n, courant, t_final)
-    node = int(settings.get("node", str(max(1, n // 2))))
-    if not (1 <= node <= n - 1):
-        raise ConfigError(f"node must be an interior index in 1..{n - 1}, got {node}")
+def _cmd_derive_row(s: argparse.Namespace) -> tuple:
+    sample = analysis._resolve_sample(s.solution, s.params, s.courant)
+    grid = grid_for(sample, s.n, s.courant, s.t_final)
+    node = max(1, s.n // 2) if s.node is None else s.node
+    if not (1 <= node <= s.n - 1):
+        raise ConfigError(f"node must be an interior index in 1..{s.n - 1}, got {node}")
     x_j = float(grid.x[node])
     fit = fit_interior(sample.problem.theta, x_j, grid.h)
     kappa = sample.problem.kind.kappa
@@ -615,12 +593,12 @@ def _cmd_derive_row(settings: dict) -> tuple:
         ["coefficient", "assembled_re", "assembled_im", "derived_re", "derived_im"], rows
     )
     summary = [
-        f"derive-row: {solution} N={n} node={node} x={g17(x_j)}",
+        f"derive-row: {s.solution} N={s.n} node={node} x={g17(x_j)}",
         f"  proportionality factor = {g17(scale.real)} + {g17(scale.imag)}j",
         f"  max relative deviation = {mantissa_style(residual)}",
     ]
     failures = []
-    if settings["check"] and residual > GATES["row deviation"]:
+    if s.check and residual > GATES["row deviation"]:
         failures.append(f"row deviation {residual:.3e} > {GATES['row deviation']:g}")
     return csv_text, summary, failures
 
@@ -687,7 +665,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         settings = _settings(args)
         csv_text, summary, failures = _COMMANDS[args.command][0](settings)
-        _emit(csv_text, summary, settings.get("output"))
+        _emit(csv_text, summary, settings.output)
         for msg in failures:
             print(f"CHECK FAILED: {msg}", file=sys.stderr)
         return 4 if failures else 0

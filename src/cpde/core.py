@@ -63,7 +63,9 @@ class Grid1D:
 
 def grid_nodes(n: int) -> np.ndarray:
     """The nodes j h, h = 2 pi / n, of n intervals; at least 4 are needed."""
-    if not isinstance(n, (int, np.integer)) or n < 4:
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"the interval count must be an integer, got {n!r}")
+    if n < 4:
         raise ValueError(f"need at least 4 intervals, got {n!r}")
     return np.arange(n + 1) * (TWO_PI / n)
 

@@ -12,6 +12,7 @@ from cpde.analysis import (
     classic_uniform_spectrum,
     conservation_problem,
     convergence_study,
+    cut_study,
     diagonalization_check,
     efficiency_curve,
     endpoint_order,
@@ -719,6 +720,16 @@ def test_drift_report_validation():
         first_integral_drift((2, 8))
     with pytest.raises(ValueError, match="even"):
         first_integral_drift((9, 16, 25, 36), quadrature="simpson")
+
+
+def test_drift_rejects_an_empty_grid_list():
+    with pytest.raises(ValueError, match="need at least one grid size"):
+        first_integral_drift(())
+
+
+def test_cut_study_rejects_an_empty_cut_list():
+    with pytest.raises(ValueError, match="need at least one cut level"):
+        cut_study("s1", None, (8, 16), 1.0, cuts=())
 
 
 def test_drift_rejects_non_integral_grid_sizes():

@@ -330,6 +330,45 @@ def test_exit_2_on_missing_required_setting(capsys):
     assert "missing required setting" in err
 
 
+# one (text, typed value) per value flag; config lines are stripped, so
+# none of these texts has surrounding blanks
+FLAG_VALUES = {
+    "output": ("out.csv", "out.csv"),
+    "solution": ("Neumann-Demo", "snll"),
+    "params": ("k:3,a:2.5", {"k": 3, "a": 2.5}),
+    "scheme": ("compact:cut=7", Compact(cut=7)),
+    "ns": ("10, 20", [10, 20]),
+    "n": ("12", 12),
+    "node": ("3", 3),
+    "courant": ("2i", 2j),
+    "t-final": ("0.5", 0.5),
+    "cuts": ("5, 9+", [("5", 5), ("9+", CUT_FULL)]),
+    "quadrature": ("simpson", "simpson"),
+    "classic-rhs": ("threepoint",
+                    ("classic:threepoint", Classic(rhs=ClassicRhsVariant.THREE_POINT))),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_value_flag_parses_alike_from_config_and_command_line(tmp_path, capsys, command):
+    flags = ("output",) + cli._COMMANDS[command][2]
+    required = "n" if "n" in flags else "ns"
+    rc, out, err = run_main(capsys, [command])
+    assert rc == 2 and out == ""
+    assert err == f"configuration error: missing required setting {required!r}\n"
+    parser = cli._build_parser()
+    for flag in flags:
+        text, typed = FLAG_VALUES[flag]
+        base = [command] if flag == required else [command, "--" + required, FLAG_VALUES[required][0]]
+        cfg = tmp_path / f"{flag}.cfg"
+        cfg.write_text(f"{flag} = {text}\n")
+        name = flag.replace("-", "_")
+        from_argv = getattr(cli._settings(parser.parse_args(base + ["--" + flag, text])), name)
+        from_file = getattr(cli._settings(parser.parse_args(base + ["--config", str(cfg)])), name)
+        assert from_argv == from_file == typed, flag
+        assert type(from_argv) is type(from_file) is type(typed), flag
+
+
 def test_exit_2_on_missing_config_file(capsys):
     rc, _, err = run_main(
         capsys, ["convergence", "--config", "/nonexistent/exp.cfg", "--ns", "8"]
@@ -527,6 +566,17 @@ def test_cut_rejects_a_repeated_level(capsys, cuts):
     assert rc == 2
     assert out == ""
     assert "cut levels must be distinct" in err
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["first-integral", "--ns", ",", "--courant", "i"], "grid size"),
+    (["cut", "--cuts", ",", "--ns", "10,20", "--courant", "1"], "cut level"),
+])
+def test_exit_2_on_an_empty_list(capsys, argv, what):
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"configuration error: need at least one {what}\n"
 
 
 def test_efficiency_command(capsys):

@@ -18,6 +18,7 @@ from cpde.core import (
     TwoModeForcing,
     TwoModeWall,
     grid_for,
+    grid_nodes,
     make_grid,
     sample_solution,
     theta_grid_max,
@@ -82,6 +83,14 @@ def test_make_grid_validation():
     for courant in (-1.0, -1j, complex(-1.0, 1.0), complex(1.0, -1.0)):
         with pytest.raises(ValueError, match="negative"):
             make_grid(10, courant, 1.0, 1.0)
+
+
+def test_a_non_integer_interval_count_is_named_as_such():
+    for n in (10.0, "10"):
+        with pytest.raises(ValueError, match=f"the interval count must be an integer, got {n!r}"):
+            make_grid(n, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="need at least 4 intervals, got 3"):
+        grid_nodes(3)
 
 
 def test_theta_grid_max():
