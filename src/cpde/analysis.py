@@ -436,19 +436,6 @@ def spectrum_report(m: np.ndarray) -> SpectrumReport:
     )
 
 
-def classic_uniform_spectrum(n: int, nu: float) -> np.ndarray:
-    """Closed-form Dirichlet spectrum of the classic scheme at theta = 1.
-
-    The interior modes on the period are sin(k x / 2), k = 1..n-1, and
-    the second difference maps each to -4 sin^2(k pi / (2n)) times
-    itself.  That gives lambda_k = (1 - 2 nu s)/(1 + 2 nu s) with
-    s = sin^2(k pi / (2n)) and nu = tau theta / h^2.
-    """
-    k = np.arange(1, n)
-    s = np.sin(0.5 * np.pi * k / n) ** 2
-    return (1.0 - 2.0 * nu * s) / (1.0 + 2.0 * nu * s)
-
-
 def diagonalization_check(m: np.ndarray, vals: Optional[np.ndarray] = None) -> str:
     """"ok" when the matrix is verifiably diagonalizable, else "inconclusive".
 

@@ -290,6 +290,16 @@ def _parse_solution(text: str) -> str:
     return {"neumann-demo": "snll"}.get(name, name)
 
 
+def _parse_classic_rhs(text: str) -> tuple:
+    """(row label, Classic scheme) for a ClassicRhsVariant name, folded to
+    lower case as ``parse_scheme`` folds it."""
+    try:
+        scheme = Classic(rhs=ClassicRhsVariant(text.strip().lower()))
+    except ValueError:
+        raise ConfigError(f"unknown classic right-hand side {text!r}") from None
+    return scheme_label(scheme), scheme
+
+
 def _parse_cuts(text: str) -> list:
     """(token, level) pairs; the token labels the level's rows."""
     return [(tok, parse_cut(tok)) for tok in (t.strip() for t in text.split(",")) if tok]
@@ -311,7 +321,7 @@ _VALUES = {
     "t-final": (float, "1"),
     "cuts": (_parse_cuts, "5,6,7,8,9,9+"),
     "quadrature": (str, "trapezoid"),
-    "classic-rhs": (lambda rhs: (f"classic:{rhs}", parse_scheme(f"classic:{rhs}")), "pointwise"),
+    "classic-rhs": (_parse_classic_rhs, "pointwise"),
 }
 
 # (subcommand, flag) -> default, where a subcommand's default differs
@@ -626,14 +636,15 @@ _COMMANDS = {
                    ("solution", "params", "n", "node", "courant", "t-final")),
 }
 
-# help texts by flag, or by (subcommand, flag) where one subcommand differs
+# help texts by flag, or by (subcommand, flag) where one subcommand differs;
+# _build_parser adds each flag's default from _VALUES and _DEFAULTS
 _HELP = {
     "config": "key = value settings file",
-    "output": "CSV destination (default stdout)",
+    "output": "CSV destination; stdout when not given",
     "check": "fail (exit 4) on threshold violations",
     "cuts": "comma list of distinct levels from 4..10; 9+ is 10, the full row",
-    "quadrature": "trapezoid (default) or simpson",
-    "classic-rhs": "pointwise (default), threepoint, or fivepoint",
+    "quadrature": "trapezoid or simpson",
+    "classic-rhs": ", ".join(v.value for v in ClassicRhsVariant),
     ("asymmetry", "t-final"): "optional horizon; omit for the raw one-step tau",
     ("first-integral", "n"): "single run: per-step history",
     ("first-integral", "ns"): "several runs: drift amplitudes",
@@ -648,6 +659,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         for flag in _COMMON_FLAGS + flags:
             text = _HELP.get((name, flag), _HELP.get(flag))
+            default = _DEFAULTS.get((name, flag), _VALUES.get(flag, (None, None))[1])
+            if isinstance(default, str) and default:
+                text = f"{text} (default {default})" if text else f"default {default}"
             if flag == "check":
                 p.add_argument("--check", action="store_true", help=text)
             else:

@@ -193,21 +193,3 @@ def derive_row_oracle(fit: ExpFit, nu: complex, h: float, tau: float) -> Compact
         p_1=v[9],
         q_r1=v[11],
     )
-
-
-def stationary_reduction(row: CompactRow):
-    """Layer-summed row of the steady problem -(theta u')' = f.
-
-    When u and f do not depend on time the two layers collapse; the
-    summed coefficients give an ordinary three-point difference equation
-    (the classic fourth-order compact scheme after dividing by nu).
-    Returns (b_L, a, b_R, q_L, p, q_R).
-    """
-    return (
-        row.b_l0 + row.b_l1,
-        row.a_0 + row.a_1,
-        row.b_r0 + row.b_r1,
-        row.q_l0 + row.q_l1,
-        row.p_0 + row.p_1,
-        row.q_r0 + row.q_r1,
-    )

@@ -63,22 +63,13 @@ class Tridiag:
         out[..., :-1] += self.upper * v[..., 1:]
         return out, 3 * self.size - 2
 
-    def dense(self) -> np.ndarray:
-        m = self.size
-        dtype = np.result_type(self.lower, self.diag, self.upper)
-        a = np.zeros((m, m), dtype=dtype)
-        a[np.arange(m), np.arange(m)] = self.diag
-        a[np.arange(1, m), np.arange(m - 1)] = self.lower
-        a[np.arange(m - 1), np.arange(1, m)] = self.upper
-        return a
-
     def copy(self) -> "Tridiag":
         return Tridiag(self.lower.copy(), self.diag.copy(), self.upper.copy())
 
 
 _BLOCK = 16  # rows per block of the factored solve
-# A pivot below this share of the largest band entry marks the matrix as
-# numerically singular, the bound ``solve_dense``'s rank check applies.
+# A pivot below 1e-14 of the largest band entry, about 45 units in the last
+# place of a double, marks the matrix as numerically singular.
 PIVOT_RTOL = 1e-14
 
 
@@ -226,7 +217,8 @@ def factor_tridiag(t: Tridiag) -> TridiagLU:
 
 def _solve_factored(lu: TridiagLU, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape != (lu.size,):
-        raise ValueError(f"a factored solve takes one right-hand side of length {lu.size}")
+        raise ValueError(f"a factored solve takes one right-hand side of length {lu.size}, "
+                         f"got shape {rhs.shape}")
     nb = lu.maps.shape[0]
     r = np.zeros(nb * _BLOCK, np.result_type(lu.diag, rhs))
     r[: lu.size] = rhs
@@ -245,6 +237,7 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
 
     ``rhs`` is one right-hand side of length m, or a stack of them with
     the node axis last, shape (k, m); one sweep solves the whole stack.
+    Any other shape raises ValueError.
     Returns (x, mul count) with x shaped like ``rhs``.  The count is 5m-4
     per right-hand side for a system of size m: 3(m-1) in the forward
     sweep, one division, 2(m-1) in the back substitution.
@@ -252,8 +245,8 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
     For a ``Tridiag`` the sweeps run on Python scalars from ``tolist()``
     (on numpy node columns for a stack): indexing the numpy arrays entry
     by entry takes over three times as long.  Raises SingularMatrixError
-    naming the row of a pivot that is zero or below ``PIVOT_RTOL`` of the
-    largest band entry, the bound ``solve_dense``'s rank check applies.
+    naming the row of a pivot that is zero or below ``PIVOT_RTOL`` (1e-14)
+    of the largest band entry.
 
     A ``TridiagLU`` (``factor_tridiag``, which makes the pivot check)
     takes one right-hand side and solves it block by block with no Python
@@ -267,6 +260,9 @@ def solve_tridiag(t: Union[Tridiag, TridiagLU], rhs: np.ndarray) -> tuple[np.nda
     rhs = np.asarray(rhs)
     if isinstance(t, TridiagLU):
         return _solve_factored(t, rhs), 5 * t.size - 4
+    if rhs.ndim not in (1, 2) or rhs.shape[-1] != t.size:
+        raise ValueError(f"a sweep takes right-hand sides of length {t.size} (one, or a stack "
+                         f"with the node axis last), got shape {rhs.shape}")
     lower, upper = t.lower.tolist(), t.upper.tolist()
     d, r = t.diag.tolist(), list(rhs.T) if rhs.ndim == 2 else rhs.tolist()
     m = len(d)
@@ -370,17 +366,17 @@ def mirror_blocks(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return even, s[:k, :k] - corner
 
 
-def block_eigenvalues(blocks, max_size: int = MAX_EIGEN_SIZE) -> np.ndarray:
+def block_eigenvalues(blocks) -> np.ndarray:
     """Eigenvalues of diag(*blocks), sorted by (real, imag): one LAPACK
     Hessenberg-QR eigensolve per block, a convergence failure in any of
     them surfacing as EigenConvergenceError.  The blocks must be square,
-    and the size guard applies to their total size.
+    and their total size may not pass ``MAX_EIGEN_SIZE``.
     """
     n = sum(b.shape[0] for b in blocks)
     if any(b.shape != (b.shape[0],) * 2 for b in blocks):
         raise ValueError(f"matrix must be square, got {blocks[0].shape}")
-    if n > max_size:
-        raise ValueError(f"matrix of size {n} exceeds limit {max_size}")
+    if n > MAX_EIGEN_SIZE:
+        raise ValueError(f"matrix of size {n} exceeds limit {MAX_EIGEN_SIZE}")
     try:
         vals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
@@ -388,7 +384,7 @@ def block_eigenvalues(blocks, max_size: int = MAX_EIGEN_SIZE) -> np.ndarray:
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
-def eigenvalues(a: np.ndarray, max_size: int = MAX_EIGEN_SIZE) -> np.ndarray:
+def eigenvalues(a: np.ndarray) -> np.ndarray:
     """Full eigenvalue set of a dense matrix, sorted by (real, imag).
 
     A mirror-symmetric a (``mirror_blocks``) is eigensolved as its two
@@ -397,7 +393,7 @@ def eigenvalues(a: np.ndarray, max_size: int = MAX_EIGEN_SIZE) -> np.ndarray:
     spectral experiments honest about their intended scale.
     """
     a = np.asarray(a)
-    return block_eigenvalues(mirror_blocks(a) or (a,), max_size)
+    return block_eigenvalues(mirror_blocks(a) or (a,))
 
 
 def frobenius(a: np.ndarray) -> float:

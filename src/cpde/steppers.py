@@ -915,36 +915,3 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
 def c_norm_error(state: np.ndarray, reference: np.ndarray) -> float:
     """Maximum nodal deviation (complex modulus for the complex kind)."""
     return float(np.max(np.abs(np.asarray(state) - np.asarray(reference))))
-
-
-def _dense_layers(mats: SchemeMatrices):
-    """Dense (A_new, A_old) with the wall corners filled in.
-
-    Every assembly has this form, five-point classic ones included.
-    """
-    a_new = mats.a_new.dense()
-    a_old = mats.a_old.dense()
-    a_new[0, 2], a_new[-1, -3] = mats.corner_new
-    a_old[0, 2], a_old[-1, -3] = mats.corner_old
-    return a_new, a_old
-
-
-def dense_operators(mats: SchemeMatrices):
-    """Dense (A_new, A_old, B_new, B_old) with wall corners filled in.
-
-    B is in scaled units (multiply by tau for the literal forcing
-    operator).  Five-point classic right-hand sides have no node-local
-    matrix representation and raise.
-    """
-    if mats.b_new is None:
-        raise ValueError("five-point forcing has no nodal matrix form")
-    a_new, a_old = _dense_layers(mats)
-    b_new = mats.b_new.dense()
-    b_old = mats.b_old.dense()
-    if mats._fix_left is not None:
-        b_new[0, :3] = mats._fix_left.b_new_lit / mats.grid.tau
-        b_old[0, :3] = mats._fix_left.b_old_lit / mats.grid.tau
-    if mats._fix_right is not None:
-        b_new[-1, -3:] = mats._fix_right.b_new_lit[::-1] / mats.grid.tau
-        b_old[-1, -3:] = mats._fix_right.b_old_lit[::-1] / mats.grid.tau
-    return a_new, a_old, b_new, b_old

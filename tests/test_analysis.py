@@ -9,7 +9,6 @@ from cpde.analysis import (
     asymmetry,
     asymmetry_study,
     check_ns,
-    classic_uniform_spectrum,
     conservation_problem,
     convergence_study,
     cut_study,
@@ -35,12 +34,11 @@ from cpde.steppers import (
     Classic,
     ClassicRhsVariant,
     Compact,
-    _dense_layers,
     assemble_classic,
     assemble_compact,
-    dense_operators,
 )
 from cpde.theta_fit import TWO_PI
+from reference import classic_uniform_spectrum, dense_layers, dense_operators
 from test_linalg import eigvals_sorted, mirror_basis
 
 rng = np.random.default_rng(60601)
@@ -161,17 +159,6 @@ def test_convergence_entries_report_cost():
 
 # ---------------------------------------------------------------------------
 # spectra
-
-
-def test_classic_uniform_spectrum_closed_form():
-    n, nu = 12, 0.3
-    ks = np.arange(1, n)
-    # interior modes sin(k x / 2): second difference eigenvalue
-    # -4 sin^2(k pi / (2 n)) on the period grid
-    s = np.sin(0.5 * math.pi * ks / n) ** 2
-    want = (1.0 - 2.0 * nu * s) / (1.0 + 2.0 * nu * s)
-    got = classic_uniform_spectrum(n, nu)
-    assert np.allclose(np.sort(got), np.sort(want), atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [12, 40, 41])
@@ -472,7 +459,7 @@ def assemble(problem, grid, scheme):
 
 def dense_transition(mats):
     """-A_new^{-1} A_old by the dense LU, on the interior block for Dirichlet walls."""
-    a_new, a_old = _dense_layers(mats)
+    a_new, a_old = dense_layers(mats)
     if mats.dirichlet is not None:
         a_new, a_old = a_new[1:-1, 1:-1], a_old[1:-1, 1:-1]
     return -solve_dense(a_new, a_old)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import shlex
@@ -589,12 +590,22 @@ def test_efficiency_command(capsys):
 
 
 def test_efficiency_rejects_unknown_classic_rhs(capsys):
-    rc, _, err = run_main(
-        capsys,
-        ["efficiency", "--solution", "s1", "--ns", "8,16", "--classic-rhs", "sixpoint"],
-    )
-    assert rc == 2
-    assert "unknown classic right-hand side 'sixpoint'" in err
+    # only a right-hand side name: a scheme option would add a field to the row label
+    for rhs in ("sixpoint", "threepoint,eps=0.8", "classic:threepoint"):
+        rc, out, err = run_main(
+            capsys,
+            ["efficiency", "--solution", "s1", "--ns", "8,16", "--classic-rhs", rhs],
+        )
+        assert (rc, out) == (2, ""), rhs
+        assert f"unknown classic right-hand side {rhs!r}" in err
+
+
+def test_efficiency_folds_the_case_of_classic_rhs(capsys):
+    argv = ["efficiency", "--solution", "s1", "--ns", "8,16", "--classic-rhs"]
+    rc, out, err = run_main(capsys, argv + ["THREEPOINT"])
+    assert rc == 0
+    assert (rc, out, err) == run_main(capsys, argv + ["threepoint"])
+    assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"compact", "classic:threepoint"}
 
 
 def test_asymmetry_command(capsys):
@@ -688,6 +699,21 @@ def test_subcommand_flag_sets(capsys):
         assert set(re.findall(r"--[a-z-]+", out)) == common | flags, sub
 
 
+def test_help_takes_each_default_from_the_value_table():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for sub, parser in subparsers.choices.items():
+        for action in parser._actions:
+            flag = action.option_strings[-1][2:]
+            default = cli._DEFAULTS.get((sub, flag), cli._VALUES.get(flag, (None, None))[1])
+            text = action.help or ""
+            if isinstance(default, str) and default:
+                assert text.count("default") == 1, (sub, flag, text)
+                assert text.endswith(f"default {default})") or text == f"default {default}"
+            else:
+                assert "default" not in text, (sub, flag, text)
+
+
 def test_parser_is_built_once_per_process(capsys):
     cli._build_parser.cache_clear()
     texts = []
@@ -720,6 +746,24 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         rc, _, err = run_main(capsys, argv)
         assert rc == 0, (argv, err)
+
+
+def test_readme_library_blocks_run(capsys):
+    """Each python block of README runs, and the values its comments state hold."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        names = {}
+        exec(compile(block, "README.md", "exec"), names)
+        stated = re.search(r"print\(rep\.estimated_order\)\s*# ~(\S+)", block)
+        if stated:  # the first printed line, to the digits the comment shows
+            digits = len(stated.group(1).split(".")[1])
+            printed = float(capsys.readouterr().out.splitlines()[0])
+            assert f"{printed:.{digits}f}" == stated.group(1)
+        steps = re.search(r"# (\d+) steps", block)
+        if steps:
+            assert names["rep"].steps == int(steps.group(1))
 
 
 @pytest.mark.skipif(shutil.which("cpde") is None, reason="script not installed")

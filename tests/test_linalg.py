@@ -8,6 +8,7 @@ import pytest
 import cpde
 from cpde.linalg import (
     EigenConvergenceError,
+    MAX_EIGEN_SIZE,
     RankError,
     SingularMatrixError,
     Tridiag,
@@ -22,6 +23,7 @@ from cpde.linalg import (
     solve_dense,
     solve_tridiag,
 )
+from reference import dense
 
 rng = np.random.default_rng(20240517)
 
@@ -42,7 +44,7 @@ def test_thomas_matches_dense_real():
         t = random_tridiag(m)
         b = rng.normal(size=m)
         x, _ = solve_tridiag(t, b)
-        ref = solve_dense(t.dense(), b)
+        ref = solve_dense(dense(t), b)
         assert np.allclose(x, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -50,7 +52,7 @@ def test_thomas_matches_dense_complex():
     t = random_tridiag(25, dtype=complex)
     b = rng.normal(size=25) + 1j * rng.normal(size=25)
     x, _ = solve_tridiag(t, b)
-    assert np.allclose(t.dense() @ x, b, rtol=1e-11, atol=1e-11)
+    assert np.allclose(dense(t) @ x, b, rtol=1e-11, atol=1e-11)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -89,7 +91,7 @@ def test_matvec_count_and_value():
         v = rng.normal(size=m)
         out, muls = t.apply(v)
         assert muls == 3 * m - 2
-        assert np.allclose(out, t.dense() @ v, rtol=1e-13, atol=1e-14)
+        assert np.allclose(out, dense(t) @ v, rtol=1e-13, atol=1e-14)
 
 
 def test_matvec_mixed_dtype_falls_back():
@@ -97,7 +99,7 @@ def test_matvec_mixed_dtype_falls_back():
     t = random_tridiag(12)
     v = rng.normal(size=12) + 1j * rng.normal(size=12)
     out, _ = t.apply(v)
-    assert np.allclose(out, t.dense() @ v)
+    assert np.allclose(out, dense(t) @ v)
     assert np.iscomplexobj(out)
 
 
@@ -109,7 +111,7 @@ def test_thomas_mixed_dtypes_promote_to_complex(band_dtype, rhs_dtype):
         b = b + 1j * rng.normal(size=30)
     x, _ = solve_tridiag(t, b)
     assert x.dtype == np.complex128
-    assert np.abs(t.dense() @ x - b).max() <= 1e-12
+    assert np.abs(dense(t) @ x - b).max() <= 1e-12
 
 
 def test_zero_pivot_names_row():
@@ -141,6 +143,12 @@ def test_factored_solve_matches_the_sweep(m, dtype):
 def test_factored_solve_takes_one_right_hand_side_of_its_size(shape):
     with pytest.raises(ValueError, match="one right-hand side of length 20"):
         solve_tridiag(factor_tridiag(random_tridiag(20)), np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(7,), (3,), (2, 7), (2, 3), (2, 2, 5)])
+def test_sweep_rejects_right_hand_sides_of_another_length(shape):
+    with pytest.raises(ValueError, match=rf"length 5 .*got shape \({shape[0]},"):
+        solve_tridiag(Tridiag(np.full(4, -1.0), np.full(5, 4.0), np.full(4, -1.0)), np.ones(shape))
 
 
 @pytest.mark.parametrize("band_dtype, rhs_dtype", [(float, complex), (complex, float)])
@@ -400,9 +408,12 @@ def test_eigenvalues_rotation_pair():
     assert np.allclose(vals, [-1j, 1j])
 
 
-def test_eigenvalues_size_guard():
-    with pytest.raises(ValueError, match="exceeds"):
-        eigenvalues(np.eye(20), max_size=8)
+def test_eigenvalues_size_guard(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda b: pytest.fail("eigensolve before the guard"))
+    a = np.diag(np.arange(MAX_EIGEN_SIZE + 1.0))  # not mirror-symmetric: one block
+    assert mirror_blocks(a) is None
+    with pytest.raises(ValueError, match=f"size {MAX_EIGEN_SIZE + 1} exceeds limit {MAX_EIGEN_SIZE}"):
+        eigenvalues(a)
 
 
 def mirror_basis(n):
@@ -495,9 +506,12 @@ def test_eigenvalues_of_a_mirror_matrix_solve_two_blocks(monkeypatch, n, dtype):
     assert np.array_equal(np.lexsort((vals.imag, vals.real)), np.arange(n))
 
 
-def test_eigenvalues_size_guard_counts_both_blocks():
-    with pytest.raises(ValueError, match="size 20 exceeds limit 19"):
-        eigenvalues(random_mirror(20), max_size=19)
+def test_eigenvalues_size_guard_counts_both_blocks(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda b: pytest.fail("eigensolve before the guard"))
+    a = np.eye(MAX_EIGEN_SIZE + 1)  # two blocks, each within the limit
+    assert all(b.shape[0] <= MAX_EIGEN_SIZE for b in mirror_blocks(a))
+    with pytest.raises(ValueError, match=f"size {MAX_EIGEN_SIZE + 1} exceeds limit {MAX_EIGEN_SIZE}"):
+        eigenvalues(a)
 
 
 @pytest.mark.parametrize("failing_call", [0, 1])

@@ -50,11 +50,11 @@ from cpde.steppers import (
     assemble_classic,
     assemble_compact,
     c_norm_error,
-    dense_operators,
     run,
     step,
 )
 from cpde.theta_fit import TWO_PI, CoefficientDomainError, fit_interior
+from reference import dense_operators
 
 rng = np.random.default_rng(777)
 
@@ -329,13 +329,6 @@ def test_scalar_wall_callables_match_vectorized():
     a = run(opaque(base), grid, Compact())
     b = run(awkward, grid, Compact())
     assert np.abs(a.final_state - b.final_state).max() < 1e-14
-
-
-def test_five_point_dense_form_raises():
-    grid = make_grid(10, 1.0, 1.0, 2.0)
-    mats = assemble_classic(dirichlet_problem(), grid, rhs=ClassicRhsVariant.FIVE_POINT)
-    with pytest.raises(ValueError, match="five-point"):
-        dense_operators(mats)
 
 
 def test_five_point_march_runs():
