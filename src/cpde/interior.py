@@ -62,10 +62,6 @@ class CompactRow(NamedTuple):
     def as_array(self) -> np.ndarray:
         return np.array(self)
 
-    @property
-    def solution_side_sum(self) -> complex:
-        return self.b_l0 + self.a_0 + self.b_r0 + self.b_l1 + self.a_1 + self.b_r1
-
 
 FIELD_NAMES = CompactRow._fields
 

@@ -2,22 +2,27 @@
 
 Both schemes are advanced through the same two-layer matrix form
 
-    A_new u^{n+1} + A_old u^n = tau * (B_old f^n + B_new f^{n+1})
+    A_new u^{n+1} + A_old u^n = tau * B (f^n + f^{n+1})
 
-(Dirichlet data injected on the side).  Because the layer difference
-A_new - A_old equals 4*B for the compact scheme (and the identity for
-the classic one, whose B is I/4), one step reduces to a single banded
-apply plus one double-sweep:
+with one forcing operator B for both layers (Dirichlet data injected on
+the side).  Because the layer difference A_new - A_old equals 4*B for
+the compact scheme (and the identity for the classic one, whose B is
+I/4), one step reduces to a single banded apply plus one double-sweep:
 
     solve  A_new v = B4 (u^n + tau (f^n + f^{n+1})/4),   u^{n+1} = v - u^n,
 
 where B4 = 4B.  This is what keeps the compact step at 8N + O(1)
-multiplications against 5N + O(1) for the classic scheme.  Every
-compact Neumann closure meets that identity by construction, so its wall
-rows ride inside the B4 apply.  The classic step has no such apply, and
-the ``ClassicNeumann`` closure's layers need not differ by 4B, so a wall
-of either is patched into the right-hand side explicitly, at O(1) cost.
-The scheme and closure types decide this, never the rows' values.
+multiplications against 5N + O(1) for the classic scheme.
+
+A Neumann wall is one ``neumann.BoundaryRow`` (``SchemeMatrices.walls``).
+Every compact closure meets the identity by construction, so its rows
+ride inside the layers and B.  The classic step has no B apply, and the
+``ClassicNeumann`` closure's layers need not differ by 4B, so a wall of
+either is patched into the right-hand side from its row, at O(1) cost;
+the scheme and closure types decide this, never the rows' values.  A
+row's third solution entry, a corner outside the bands, is eliminated
+into the solver.  One loop takes both walls, the right one through
+reversed band views, wall-inward like its row.
 
 Assembly samples theta once (``theta_fit.sample_theta``, in one array
 call when theta takes arrays) and builds the interior rows of every band
@@ -106,7 +111,6 @@ from .core import Dirichlet, Grid1D, ProblemSpec, ScalarKind, TwoModeForcing, Tw
 from .interior import CUT_FULL, assemble_row
 from .linalg import SingularMatrixError, Tridiag, factor_tridiag, solve_tridiag
 from .neumann import (
-    BoundaryRow,
     ClassicNeumann,
     CompactThreePoint,
     NeumannVariant,
@@ -152,16 +156,6 @@ class StepReport:
         self.final_state, self.muls_per_step, self.steps = final_state, muls_per_step, steps
 
 
-class _WallFixup:
-    """Right-hand-side patch that applies a wall row outside the B4 apply."""
-
-    __slots__ = ("d", "b_new_lit", "b_old_lit", "muls")
-
-    def __init__(self, d: np.ndarray, b_new_lit: np.ndarray, b_old_lit: np.ndarray, muls: int):
-        self.d = d  # alpha_new - alpha_old
-        self.b_new_lit, self.b_old_lit, self.muls = b_new_lit, b_old_lit, muls
-
-
 class _Built:
     """The pieces of an operator built on first use."""
 
@@ -176,69 +170,59 @@ class _Built:
 class SchemeMatrices:
     """Assembled operators plus everything one step needs.
 
-    a_*/b_* rows 0 and N hold the boundary rows (b in scaled units:
-    the literal forcing operator is tau*b).  corner_* are the third
-    entries of 3-point wall rows (column 2 and column N-2); the forcing
-    side has no corners since beta_2 = 0 in every variant.  ``grid`` and
-    ``dirichlet`` are the caller's; every other field, and ``_built``,
-    is shared by all assemblies that reuse the operator.
+    a_new, a_old and b are the two layers and the forcing operator B
+    (scaled: the literal forcing operator is tau*b), rows 0 and N the
+    wall rows.  The layers share B, and for the compact scheme they differ
+    by 4B; five-point classic forcing has no B (None).  ``walls`` is the
+    (left, right) pair of Neumann ``BoundaryRow``s, entries wall-inward,
+    or None for Dirichlet walls: their alpha_2 are the corners outside
+    the bands (column 2 and column N-2), and beta_2 = 0 in every closure.
+    ``grid`` and ``dirichlet`` are the caller's; every other field, and
+    ``_built``, is shared by all assemblies that reuse the operator.
     """
 
     grid: Grid1D
     kind: ScalarKind
     a_new: Tridiag
     a_old: Tridiag
-    b_new: Optional[Tridiag]
-    b_old: Optional[Tridiag]
-    corner_new: tuple
-    corner_old: tuple
+    b: Optional[Tridiag]
     dirichlet: Optional[Dirichlet]
     classic_rhs: Optional[ClassicRhsVariant]
+    walls: Optional[tuple] = None
     muls_per_step: int = 0
     _b4: Optional[Tridiag] = None
     _solver: Optional[Tridiag] = None
     _built: _Built = field(default_factory=_Built)
-    _k_left: complex = 0.0
-    _k_right: complex = 0.0
-    _fix_left: Optional[_WallFixup] = None
-    _fix_right: Optional[_WallFixup] = None
+    # (wall row, the row inside it, multiplier) of each eliminated corner
+    _corners: tuple = ()
+    # each wall's right-hand-side patch (alpha_new - alpha_old, literal
+    # beta_new, literal beta_old), read off ``walls``; () when unpatched
+    _patch: tuple = ()
 
 
-def _nnz(v: np.ndarray) -> int:
-    return int(np.count_nonzero(v))
+# each wall's name, row, the row inside it and its three nodes, wall-inward
+_SIDES = (("left", 0, 1, slice(0, 3)), ("right", -1, -2, slice(-1, -4, -1)))
 
 
-def _wall_fixup(row: BoundaryRow) -> _WallFixup:
-    """The right-hand-side patch that applies ``row`` outside the B4 apply.
-
-    ``_assemble`` patches by type alone: every wall of the classic scheme,
-    whose step has no B apply, and every ``ClassicNeumann`` wall, whose
-    layers need not differ by 4B.  The patch algebra is exact for any row.
-    """
-    d = row.alpha_new - row.alpha_old
-    bn = row.beta_new_literal
-    bo = row.beta_old_literal
-    return _WallFixup(d, bn, bo, _nnz(d) + _nnz(bn) + _nnz(bo))
+def _wall_bands(t: Tridiag):
+    """(diagonal, inward, outward) band views of ``t`` at each wall, indexed
+    wall-inward like ``BoundaryRow``: inward[i] is row i's entry one node
+    further in, outward[i] row i+1's entry one node nearer the wall."""
+    return (t.diag, t.upper, t.lower), (t.diag[::-1], t.lower[::-1], t.upper[::-1])
 
 
-def _mount_boundary(mats: SchemeMatrices, left: BoundaryRow, right: BoundaryRow, patched: bool):
-    """Write the wall rows into the layers, and into B or a patch."""
-    n = mats.grid.n
-    a_new, a_old = mats.a_new, mats.a_old
-    a_new.diag[0], a_new.upper[0] = left.alpha_new[0], left.alpha_new[1]
-    a_old.diag[0], a_old.upper[0] = left.alpha_old[0], left.alpha_old[1]
-    a_new.diag[n], a_new.lower[n - 1] = right.alpha_new[0], right.alpha_new[1]
-    a_old.diag[n], a_old.lower[n - 1] = right.alpha_old[0], right.alpha_old[1]
-    mats.corner_new = (left.alpha_new[2], right.alpha_new[2])
-    mats.corner_old = (left.alpha_old[2], right.alpha_old[2])
+def _mount_boundary(mats: SchemeMatrices, patched: bool):
+    """Write the wall rows into the layers, and into B or the patch."""
     if patched:
-        mats._fix_left, mats._fix_right = _wall_fixup(left), _wall_fixup(right)
-        return
-    for b, attr in ((mats.b_new, "beta_new"), (mats.b_old, "beta_old")):
-        bl = getattr(left, attr) / (left.nu0 * left.tau)
-        br = getattr(right, attr) / (right.nu0 * right.tau)
-        b.diag[0], b.upper[0] = bl[0], bl[1]
-        b.diag[n], b.lower[n - 1] = br[0], br[1]
+        mats._patch = tuple((w.alpha_new - w.alpha_old, w.beta_new_literal, w.beta_old_literal)
+                            for w in mats.walls)
+    for side, w in enumerate(mats.walls):
+        rows = [(mats.a_new, w.alpha_new), (mats.a_old, w.alpha_old)]
+        if not patched:
+            rows.append((mats.b, w.beta_new / (w.nu0 * w.tau)))
+        for t, row in rows:
+            diag, inward, _ = _wall_bands(t)[side]
+            diag[0], inward[0] = row[0], row[1]
 
 
 def _finalize(mats: SchemeMatrices):
@@ -246,8 +230,9 @@ def _finalize(mats: SchemeMatrices):
 
     The cost adds the counts of the operations ``_step`` performs: the
     solve (5m-4), one multiplication per eliminated corner, the B4 apply
-    of the compact step (3m-2) and the wall patches.  It is what ``run``
-    reports as ``muls_per_step``, whichever way the solve runs.
+    of the compact step (3m-2) and the wall patches' nonzero entries.  It
+    is what ``run`` reports as ``muls_per_step``, whichever way the solve
+    runs.
 
     The solver's blocked factor is left to the first ``_step`` that
     needs it: assemblies used only for their matrices, as in the
@@ -258,38 +243,28 @@ def _finalize(mats: SchemeMatrices):
     m = mats.grid.n + 1
     a = mats.a_new
     solver = a.copy()
-    cl, cr = mats.corner_new
-    corner_muls = 0
-    if cl != 0.0:
-        if a.upper[1] == 0.0:
-            raise SingularMatrixError("cannot eliminate left corner: zero pivot")
-        k = cl / a.upper[1]
-        solver.diag[0] = a.diag[0] - k * a.lower[0]
-        solver.upper[0] = a.upper[0] - k * a.diag[1]
-        mats._k_left = k
-        corner_muls += 1
-    if cr != 0.0:
-        if a.lower[m - 3] == 0.0:
-            raise SingularMatrixError("cannot eliminate right corner: zero pivot")
-        k = cr / a.lower[m - 3]
-        solver.diag[m - 1] = a.diag[m - 1] - k * a.upper[m - 2]
-        solver.lower[m - 2] = a.lower[m - 2] - k * a.diag[m - 2]
-        mats._k_right = k
-        corner_muls += 1
+    corners = []
+    for (side, i, j, _), w, (diag, inward, outward), (s_diag, s_inward, _) in zip(
+        _SIDES, mats.walls or (), _wall_bands(a), _wall_bands(solver)
+    ):
+        c = w.alpha_new[2]
+        if c != 0.0:
+            if inward[1] == 0.0:
+                raise SingularMatrixError(f"cannot eliminate {side} corner: zero pivot")
+            k = c / inward[1]
+            s_diag[0] = diag[0] - k * outward[0]
+            s_inward[0] = inward[0] - k * diag[1]
+            corners.append((i, j, k))
+    mats._corners = tuple(corners)
     mats._solver = solver
-    muls = 5 * m - 4 + corner_muls
+    muls = 5 * m - 4 + len(corners)
     if mats.classic_rhs is None:
-        b4 = mats.b_new.copy()
-        b4.lower *= 4.0
-        b4.diag *= 4.0
-        b4.upper *= 4.0
-        mats._b4 = b4
+        b = mats.b
+        mats._b4 = Tridiag(*(4.0 * band for band in (b.lower, b.diag, b.upper)))
         muls += 3 * m - 2
-    for fx in (mats._fix_left, mats._fix_right):
-        if fx is not None:
-            muls += fx.muls
+    muls += sum(np.count_nonzero(terms) for patch in mats._patch for terms in patch)
     mats.muls_per_step = muls
-    for t in (mats.a_new, mats.a_old, mats.b_new, mats.b_old, mats._b4, solver):
+    for t in (mats.a_new, mats.a_old, mats.b, mats._b4, solver):
         if t is not None:
             for band in (t.lower, t.diag, t.upper):
                 band.flags.writeable = False
@@ -337,27 +312,26 @@ def _assemble(problem: ProblemSpec, grid: Grid1D, scheme, points, fill) -> Schem
     one replaces it: ``fill(mats, samples at points)`` sets the interior
     rows, and the walls and ``_finalize`` follow.
     """
-    walls = problem.boundary if isinstance(problem.boundary, Dirichlet) else None
-    key = (grid.n, grid.h, grid.tau, problem.kind, walls is None, scheme)
+    dirichlet = problem.boundary if isinstance(problem.boundary, Dirichlet) else None
+    key = (grid.n, grid.h, grid.tau, problem.kind, dirichlet is None, scheme)
     samples = [sample_theta(problem.theta, points)]
-    if walls is None:
+    if dirichlet is None:
         samples.append(sample_theta(problem.theta, wall_points(grid.h)))
     for last_key, last_samples, last in _last_operator:
         if last_key == key and all(map(np.array_equal, last_samples, samples)):
-            return replace(last, grid=grid, dirichlet=walls)
+            return replace(last, grid=grid, dirichlet=dirichlet)
     m, dtype = grid.n + 1, problem.kind.dtype
     classic_rhs = scheme.rhs if isinstance(scheme, Classic) else None
-    b = [None if classic_rhs is ClassicRhsVariant.FIVE_POINT else Tridiag.zeros(m, dtype)
-         for _ in range(2)]
+    b = None if classic_rhs is ClassicRhsVariant.FIVE_POINT else Tridiag.zeros(m, dtype)
     mats = SchemeMatrices(grid, problem.kind, Tridiag.zeros(m, dtype), Tridiag.zeros(m, dtype),
-                          *b, (0.0, 0.0), (0.0, 0.0), walls, classic_rhs)
+                          b, dirichlet, classic_rhs)
     fill(mats, samples[0])
-    if walls is not None:
+    if dirichlet is not None:
         mats.a_new.diag[0] = mats.a_new.diag[m - 1] = 1.0
     else:
-        left, right = _build_walls(problem, grid, scheme.neumann, samples[1])
+        mats.walls = _build_walls(problem, grid, scheme.neumann, samples[1])
         patched = classic_rhs is not None or isinstance(scheme.neumann, ClassicNeumann)
-        _mount_boundary(mats, left, right, patched)
+        _mount_boundary(mats, patched)
     _finalize(mats)
     _last_operator[:] = [(key, samples, mats)] if m <= _AFFINE_MAX_NODES else []
     return mats
@@ -382,8 +356,7 @@ def assemble_compact(
         row = assemble_row(fit, _interior_nu(problem.kind, fit.theta_center, tau, h), h, cut)
         _fill_interior(mats.a_new, row.b_l1, row.a_1, row.b_r1)
         _fill_interior(mats.a_old, row.b_l0, row.a_0, row.b_r0)
-        _fill_interior(mats.b_new, row.q_l1, row.p_1, row.q_r1)
-        _fill_interior(mats.b_old, row.q_l0, row.p_0, row.q_r0)
+        _fill_interior(mats.b, row.q_l1, row.p_1, row.q_r1)  # the layers share q_l, p, q_r
 
     scheme = Compact(cut, neumann_variant)
     return _assemble(problem, grid, scheme, interior_points(grid.x[1:n], h), fill)
@@ -411,13 +384,12 @@ def assemble_classic(
         lower, diag, upper = -sig * thm, sig * (thm + thp), -sig * thp
         _fill_interior(mats.a_new, lower, 0.5 + diag, upper)
         _fill_interior(mats.a_old, lower, -0.5 + diag, upper)
-        if mats.b_new is not None:
+        if mats.b is not None:
             if rhs is ClassicRhsVariant.POINTWISE:
                 weights = (0.0, 0.25, 0.0)
             else:  # three-point average (f_{j-1} + 2 f_j + f_{j+1})/4, halved twice
                 weights = (1.0 / 16.0, 2.0 / 16.0, 1.0 / 16.0)
-            for b in (mats.b_new, mats.b_old):
-                _fill_interior(b, *weights)
+            _fill_interior(mats.b, *weights)
 
     halves = grid.x[1:n, None] + np.array([-0.5 * h, 0.5 * h])
     return _assemble(problem, grid, Classic(rhs, neumann_variant), halves, fill)
@@ -446,15 +418,6 @@ def _classic_average(variant: ClassicRhsVariant, f: np.ndarray, m: int) -> np.nd
     f1, f2, f3 = f[..., 1:-3:2], f[..., 2:-2:2], f[..., 3:-1:2]
     out[..., 1:-1] = (f[..., :-4:2] + 2.0 * f1 + 2.0 * f2 + 2.0 * f3 + f[..., 4::2]) / 8.0
     return out
-
-
-def _apply_wall_fixup(rhs, fx: _WallFixup, idx, u, f0n, f1n):
-    sl = slice(0, 3) if idx == 0 else slice(-1, -4, -1)
-    # an elementwise sum: np.dot rounds a state's row differently with its
-    # place in a stack, and a probe must give each state the same bits
-    rhs[..., idx] = (
-        fx.d * u[..., sl] + fx.b_new_lit * f1n[..., sl] + fx.b_old_lit * f0n[..., sl]
-    ).sum(-1)
 
 
 # A single state on a grid of at least this many nodes is solved with the
@@ -489,18 +452,15 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
             bc_vals = (mats.dirichlet.left(t_new), mats.dirichlet.right(t_new))
         rhs[..., 0] = u[..., 0] + bc_vals[0]
         rhs[..., m - 1] = u[..., m - 1] + bc_vals[1]
-    else:
-        if mats._fix_left is not None or mats._fix_right is not None:
-            f0n = _node_values(f_n, m)
-            f1n = _node_values(f_np1, m)
-            if mats._fix_left is not None:
-                _apply_wall_fixup(rhs, mats._fix_left, 0, u, f0n, f1n)
-            if mats._fix_right is not None:
-                _apply_wall_fixup(rhs, mats._fix_right, m - 1, u, f0n, f1n)
-    if mats._k_left != 0.0:
-        rhs[..., 0] -= mats._k_left * rhs[..., 1]
-    if mats._k_right != 0.0:
-        rhs[..., m - 1] -= mats._k_right * rhs[..., m - 2]
+    elif mats._patch:
+        f0n = _node_values(f_n, m)
+        f1n = _node_values(f_np1, m)
+        for (_, i, _, nodes), (d, bn, bo) in zip(_SIDES, mats._patch):
+            # an elementwise sum: np.dot rounds a state's row differently with
+            # its place in a stack, and a probe must give each state the same bits
+            rhs[..., i] = (d * u[..., nodes] + bn * f1n[..., nodes] + bo * f0n[..., nodes]).sum(-1)
+    for i, j, k in mats._corners:
+        rhs[..., i] -= k * rhs[..., j]
     solver, built = mats._solver, mats._built
     if rhs.ndim == 1 and m >= _BLOCKED_MIN_NODES:
         if built.factored is None:
@@ -895,11 +855,12 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
     Forcing and Dirichlet wall callables are evaluated in vectorized
     blocks over time when they broadcast numpy-style; anything else
     falls back to pointwise evaluation automatically.  The engine is
-    chosen as the module docstring says; a non-finite state raises
-    FloatingPointError.  A run on the operator of the previous assembly
-    (same theta samples, grid, kind, wall type and scheme) skips its
-    assembly, and on the opaque march its probe and powers, and gives
-    bitwise the same state.
+    chosen as the module docstring says.  A non-finite state raises
+    FloatingPointError; numpy's overflow and invalid-value warnings are
+    held back while the march runs.  A run on the operator of the
+    previous assembly (same theta samples, grid, kind, wall type and
+    scheme) skips its assembly, and on the opaque march its probe and
+    powers, and gives bitwise the same state.
     """
     if isinstance(scheme, Compact):
         mats = assemble_compact(problem, grid, scheme.cut, scheme.neumann)
@@ -908,7 +869,9 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
     else:
         raise TypeError(f"unknown scheme descriptor {scheme!r}")
     u = np.asarray(problem.initial(grid.x), dtype=mats.kind.dtype).copy()
-    u = _engine(problem, grid)(mats, u, problem, grid.n_steps)
+    # a blow-up is reported by the march's finiteness check, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _engine(problem, grid)(mats, u, problem, grid.n_steps)
     return StepReport(final_state=u, muls_per_step=mats.muls_per_step, steps=grid.n_steps)
 
 

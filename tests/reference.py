@@ -20,35 +20,33 @@ def dense(t) -> np.ndarray:
 
 
 def dense_layers(mats):
-    """Dense (A_new, A_old) with the wall corners filled in.
+    """Dense (A_new, A_old) with the wall corners (alpha_2) filled in.
 
     Every assembly has this form, five-point classic ones included.
     """
     a_new = dense(mats.a_new)
     a_old = dense(mats.a_old)
-    a_new[0, 2], a_new[-1, -3] = mats.corner_new
-    a_old[0, 2], a_old[-1, -3] = mats.corner_old
+    for (row, corner), wall in zip(((0, 2), (-1, -3)), mats.walls or ()):
+        a_new[row, corner], a_old[row, corner] = wall.alpha_new[2], wall.alpha_old[2]
     return a_new, a_old
 
 
 def dense_operators(mats):
-    """Dense (A_new, A_old, B_new, B_old) with wall corners filled in.
+    """Dense (A_new, A_old, B_new, B_old) with the wall rows filled in.
 
     B is in scaled units (multiply by tau for the literal forcing
-    operator).  Five-point classic right-hand sides have no node-local
-    matrix representation and raise.
+    operator).  The two B layers differ only in a patched wall's row,
+    which is taken from its ``BoundaryRow``.  Five-point classic
+    right-hand sides have no node-local matrix representation and raise.
     """
-    if mats.b_new is None:
+    if mats.b is None:
         raise ValueError("five-point forcing has no nodal matrix form")
     a_new, a_old = dense_layers(mats)
-    b_new = dense(mats.b_new)
-    b_old = dense(mats.b_old)
-    if mats._fix_left is not None:
-        b_new[0, :3] = mats._fix_left.b_new_lit / mats.grid.tau
-        b_old[0, :3] = mats._fix_left.b_old_lit / mats.grid.tau
-    if mats._fix_right is not None:
-        b_new[-1, -3:] = mats._fix_right.b_new_lit[::-1] / mats.grid.tau
-        b_old[-1, -3:] = mats._fix_right.b_old_lit[::-1] / mats.grid.tau
+    b_new, b_old = dense(mats.b), dense(mats.b)
+    patched = mats.walls if mats._patch else ()
+    for (row, cols), wall in zip(((0, slice(0, 3)), (-1, slice(-1, -4, -1))), patched):
+        b_new[row, cols] = wall.beta_new_literal / mats.grid.tau
+        b_old[row, cols] = wall.beta_old_literal / mats.grid.tau
     return a_new, a_old, b_new, b_old
 
 

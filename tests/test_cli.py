@@ -432,6 +432,17 @@ def test_exit_3_on_numerical_failure(capsys):
     assert "not finite" in err
 
 
+def test_blow_up_exits_3_with_one_line_and_no_numpy_warning(capsys):
+    """The classic scheme with an eps = 0.3 Neumann wall grows without bound
+    on the closed form's powers of G: the march reports it as a numerical
+    failure, and numpy's overflow warnings (errors here) stay out."""
+    rc, _, err = run_main(capsys, ["convergence", "--solution", "sn", "--scheme",
+                                   "classic:pointwise,eps=0.3", "--ns", "10,160", "--courant", "1"])
+    assert rc == 3
+    assert err.splitlines() == [
+        "numerical failure: state became non-finite between steps 1 and 1297"]
+
+
 def test_exit_4_on_check_violation(capsys):
     # N=4 and 8 are far from asymptotic: the extrapolated order is 2.63
     # under either estimator

@@ -153,20 +153,22 @@ def layer_gap(mats):
     (B has none: beta_2 = 0), without the Dirichlet wall rows.  Read off
     the bands, since the dense layers at N = 2000 take hundreds of MB."""
     lower, diag, upper = (
-        getattr(mats.a_new, band) - getattr(mats.a_old, band) - 4.0 * getattr(mats.b_new, band)
+        getattr(mats.a_new, band) - getattr(mats.a_old, band) - 4.0 * getattr(mats.b, band)
         for band in BANDS
     )
     if mats.dirichlet is not None:
         lower, diag, upper = lower[:-1], diag[1:-1], upper[1:]
-    return np.concatenate((lower, diag, upper, np.subtract(mats.corner_new, mats.corner_old)))
+    corners = [w.alpha_new[2] - w.alpha_old[2] for w in mats.walls or ()]
+    return np.concatenate((lower, diag, upper, corners))
 
 
 @pytest.mark.parametrize("kind", [ScalarKind.REAL, ScalarKind.COMPLEX])
 def test_layer_difference_identity_compact(kind):
     """A_new - A_old equals 4B on every row for compact assemblies.
 
-    Every compact wall row is one closed form, so the two forcing layers
-    coincide bitwise and the layers meet the identity to rounding.
+    Every compact wall row is one closed form whose two forcing layers
+    coincide bitwise, so B holds one beta per wall, and the layers meet
+    the identity to rounding.
     """
     cases = [(dirichlet_problem(kind), CompactThreePoint())] + [
         (neumann_problem(kind), variant)
@@ -175,11 +177,12 @@ def test_layer_difference_identity_compact(kind):
     for problem, variant in cases:
         for n in (14, 200, 2000):
             mats = assemble_compact(problem, make_grid(n, 1.0, 1.0, 2.0), neumann_variant=variant)
+            walls = mats.walls or ()
             scale = max(np.abs(np.concatenate([getattr(mats.a_new, b) for b in BANDS])).max(),
-                        np.abs(mats.corner_new).max())
+                        max((abs(w.alpha_new[2]) for w in walls), default=0.0))
             assert np.abs(layer_gap(mats)).max() <= 1e-13 * scale, (variant, n)
-            for band in BANDS:
-                assert np.array_equal(getattr(mats.b_new, band), getattr(mats.b_old, band)), band
+            for w in walls:
+                assert np.array_equal(w.beta_new, w.beta_old), (variant, n)
 
 
 def test_compact_walls_make_no_svd(monkeypatch):
@@ -223,10 +226,9 @@ def test_mul_counts():
         # on the compact step a classic closure is always patched: the
         # epsilon = 1/2 patch has no nonzero entry, the skewed one two per wall
         half = assemble_compact(problem_n, grid, neumann_variant=ClassicNeumann(0.5))
-        assert half._fix_left is not None and half.muls_per_step == 8 * n + 2
+        assert half._patch and half.muls_per_step == 8 * n + 2
         skew = assemble_compact(problem_n, grid, neumann_variant=ClassicNeumann(0.8))
-        patch = skew._fix_left.muls + skew._fix_right.muls
-        assert patch == 4 and skew.muls_per_step == 8 * n + 2 + patch
+        assert skew.muls_per_step == 8 * n + 2 + 4
     # the two-point closure rides inside the B4 apply at every grid size
     for n in (10, 50, 100, 200):
         grid = analysis._matrix_grid(n, 100.0, problem_n.theta)
@@ -720,6 +722,20 @@ def test_non_finite_state_raises(march):
         march_with(march, problem, grid, Compact())
 
 
+@pytest.mark.parametrize("n,march", [(200, _march_closed), (200, _march_stepwise),
+                                     (100, _march_affine)])
+def test_a_blow_up_raises_without_numpy_warnings(n, march):
+    """Classic steps with an eps = 0.3 Neumann wall grow without bound over
+    2027 steps.  ``run`` reports that as FloatingPointError on every engine,
+    and numpy's overflow warnings, errors in this suite, stay out."""
+    s = sample_solution("sn")
+    grid = with_steps(grid_for(s, n, 1.0, 1.0), 2027)
+    problem = s.problem if march is _march_closed else opaque(s.problem)
+    assert steppers._engine(problem, grid) is march
+    with pytest.raises(FloatingPointError, match="non-finite between steps"):
+        run(problem, grid, Classic(neumann=ClassicNeumann(0.3)))
+
+
 def test_forcing_reading_only_the_first_block_time_falls_back():
     """A closure that broadcasts f(times[0]) over a block must not corrupt the run."""
     s = sample_solution("s1")
@@ -1031,8 +1047,37 @@ def test_run_marches_the_conservation_demo_in_closed_form():
 def test_corner_eliminated_neumann_solver_factors(name):
     s = sample_solution(name)
     mats = assemble_compact(s.problem, grid_for(s, 200, 1.0, 1.0))
-    assert mats._k_left != 0.0 and mats._k_right != 0.0
+    assert [(i, j) for i, j, k in mats._corners if k != 0.0] == [(0, 1), (-1, -2)]
     assert factor_tridiag(mats._solver).size == 201
+
+
+MIRROR_SCHEMES = {
+    "compact-3pt": Compact(),
+    "compact-reduced": Compact(neumann=ReducedTwoPoint()),
+    "compact-main": Compact(neumann=MainTerms()),
+    "compact-classic": Compact(neumann=ClassicNeumann(0.8)),
+    **{f"classic-{v.value}": Classic(v, ClassicNeumann(0.8)) for v in ClassicRhsVariant},
+}
+
+
+@pytest.mark.parametrize("n", [16, 40])
+@pytest.mark.parametrize("kind", list(ScalarKind))
+@pytest.mark.parametrize("label", MIRROR_SCHEMES)
+def test_the_right_wall_is_the_mirror_of_the_left(label, kind, n):
+    """A Neumann problem reflected through x -> 2 pi - x marches to the
+    original's final state reversed.  theta is not symmetric about pi, so a
+    wall row, corner or patch read in the wrong orientation shows."""
+    scale = 1.0 + 0.5j if kind is ScalarKind.COMPLEX else 1.0
+    theta = lambda x: 1.5 + np.sin(x - 0.3)
+    forcing = lambda t, x: scale * np.cos(2.0 * t) * np.exp(np.cos(x - 1.0))
+    initial = lambda x: scale * np.exp(np.sin(x + 0.7))
+    grid = make_grid(n, 1.0, 1.0, 2.5)
+    finals = []
+    for reflect in (lambda x: x, lambda x: TWO_PI - x):
+        problem = ProblemSpec(lambda x: theta(reflect(x)), lambda t, x: forcing(t, reflect(x)),
+                              lambda x: initial(reflect(x)), Neumann(), kind)
+        finals.append(run(problem, grid, MIRROR_SCHEMES[label]).final_state)
+    assert relative_gap(finals[1][::-1], finals[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1057,8 +1102,8 @@ def test_assembled_bands_match_the_scalar_row_at_every_node(name, params, kind, 
         for band, (lo, d, up) in (
             (mats.a_new, ("b_l1", "a_1", "b_r1")),
             (mats.a_old, ("b_l0", "a_0", "b_r0")),
-            (mats.b_new, ("q_l1", "p_1", "q_r1")),
-            (mats.b_old, ("q_l0", "p_0", "q_r0")),
+            (mats.b, ("q_l1", "p_1", "q_r1")),
+            (mats.b, ("q_l0", "p_0", "q_r0")),
         ):
             for got, field in ((band.lower[: n - 1], lo), (band.diag[1:n], d),
                                (band.upper[1:n], up)):
@@ -1103,9 +1148,9 @@ def test_classic_assembly_rejects_a_bad_half_node_value(bad):
 @pytest.mark.parametrize("label,problem,assemble", CASES, ids=[c[0] for c in CASES])
 def test_assembled_bands_are_read_only(label, problem, assemble):
     mats = assemble(problem, make_grid(12, 1.0, 1.0, 2.0))
-    tridiags = [t for t in (mats.a_new, mats.a_old, mats.b_new, mats.b_old, mats._b4,
-                            mats._solver) if t is not None]
-    assert len(tridiags) == (6 if mats.classic_rhs is None else 5)
+    tridiags = [t for t in (mats.a_new, mats.a_old, mats.b, mats._b4, mats._solver)
+                if t is not None]
+    assert len(tridiags) == (5 if mats.classic_rhs is None else 4)
     for t in tridiags:
         for band in (t.lower, t.diag, t.upper):
             with pytest.raises(ValueError, match="read-only"):
