@@ -192,12 +192,19 @@ class SampleSolution(NamedTuple):
 class TwoModeForcing:
     """The forcing cos(omega t) * f_c(x) + sin(omega t) * f_s(x), modes declared.
 
-    f_c and f_s see x alone, so a (k, 1) time column against a (1, m)
-    node row costs two outer products and one sum, and they are evaluated
-    once per node row: the modes of the last two rows (a march's block row
-    and its scalar-time row), matched by value, shape, dtype and f_c and
-    f_s, are kept as copies in one tuple, which a concurrent call reads whole.
-    ``steppers.run`` reads omega, f_c and f_s to march in closed form.
+    It takes the two call forms a march makes: a scalar time t with a node
+    array gives an array of the nodes' shape, and a (k, 1) time column with
+    a (1, m) node row gives k rows.  Any other pairing raises ValueError.
+    Both forms are one ``np.einsum`` sum of products of the phases
+    (cos omega t, sin omega t), a row per time, with the stacked (2, m)
+    modes, complex modes taken as their real view.  A row is the same in
+    either form and has the plain formula's bits for finite modes, but for
+    the sign of a zero (the sum starts from +0).  f_c and f_s see x alone
+    and are evaluated once per node row: the modes of the last two rows (a
+    march's block row and its scalar-time row), matched by value, shape,
+    dtype and f_c and f_s, are kept with a copy of the row in one tuple,
+    which a concurrent call reads whole.  ``steppers.run`` reads omega, f_c
+    and f_s to march in closed form.
     """
 
     __slots__ = ("omega", "f_c", "f_s", "_modes")
@@ -206,15 +213,31 @@ class TwoModeForcing:
         self.omega, self.f_c, self.f_s, self._modes = omega, f_c, f_s, ()
 
     def __call__(self, t, x):
-        row = np.asarray(x)
+        row, wt = np.asarray(x), self.omega * np.asarray(t)
+        if wt.ndim == 0:
+            phases = np.array(((np.cos(wt), np.sin(wt)),))
+        elif wt.ndim == 2 and wt.shape[1] == 1 and row.ndim == 2 and row.shape[0] == 1:
+            phases = np.concatenate((np.cos(wt), np.sin(wt)), axis=1)
+        else:
+            raise ValueError(f"a two-mode forcing takes a scalar time with any node array "
+                             f"or a (k, 1) time column with a (1, m) node row, not times of "
+                             f"shape {np.shape(t)} with nodes of shape {row.shape}")
         key = (row.shape, row.dtype, self.f_c, self.f_s)
         for kept in self._modes:
             if kept[0] == key and np.array_equal(kept[1], row):
                 break
         else:
-            kept = (key, row.copy(), np.array(self.f_c(x)), np.array(self.f_s(x)))
+            modes = np.stack([np.broadcast_to(mode(x), row.shape).reshape(-1)
+                              for mode in (self.f_c, self.f_s)])
+            kept = (key, row.copy(), modes)
             self._modes = (kept, *self._modes[:1])
-        return np.cos(self.omega * t) * kept[2] + np.sin(self.omega * t) * kept[3]
+        modes = kept[2]
+        # complex modes with real phases as their real view: the bits of the
+        # complex sum of products for finite modes, at a third of its cost
+        split = modes.dtype == np.complex128 and phases.dtype == np.float64
+        rows = np.einsum("ki,im->km", phases, modes.view(np.float64) if split else modes)
+        rows = rows.view(np.complex128) if split else rows
+        return rows if wt.ndim else rows.reshape(row.shape)
 
 
 class TwoModeWall:

@@ -92,14 +92,18 @@ O(n m^2) work at BLAS speed against O(n m) stepping.  At n = m^2/64 steps
 the demo's series takes, blocked / stepwise, 1.3 / 2.5 ms at m = 51, 4.3 /
 7.1 at 101, 18 / 29 at 201, 37 / 51 at 257, 61 / 68 at 301, 106 / 106 at 351.
 
-No engine holds an array that grows with the step count: times, forcing
-and wall data are made block by block.  ``muls_per_step`` is the
-analytic cost of the banded step whichever engine runs, not the work
-executed.
+The stepwise and opaque marches take the forcing and wall data by
+256-step chunks, views into blocks of whole chunks that one rule sizes
+for both streams (``_block_steps``: at most 2^16 entries, and never less
+than one chunk); each block is one call of the forcing and one of each
+wall.  No engine holds an array that grows with the step count.
+``muls_per_step`` is the analytic cost of the banded step whichever
+engine runs, not the work executed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -483,23 +487,52 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 
 
 # Forcing can easily dominate the march when theta is large (stiff tau,
-# hundreds of thousands of steps).  The forcing is called once per chunk
-# with a (k, 1) time column and a (1, m) node row, which amortizes the
-# per-call overhead; a closure that keeps its t and x factors apart, as
-# the catalogue's cos(omega t) f_c(x) + sin(omega t) f_s(x) does, then
-# costs a few outer products per block (s3 a=2, 257 rows on a 2-core
-# Xeon: about 270 -> 70 us at m = 21 and 510 -> 100 us at m = 41, against
-# the full two-variable expression; 39 and 51 us with ``TwoModeForcing``'s
-# modes kept).  The engines consume the blocks chunk by chunk, the opaque
-# march as one GEMM each, and check the state for finiteness per chunk.
+# hundreds of thousands of steps).  The engines consume the inputs chunk by
+# chunk, the opaque march as one GEMM each, and check the state for
+# finiteness per chunk.  Each input stream is evaluated once per block of
+# whole chunks, as one call with a (k, 1) time column and a (1, m) node row
+# for the forcing and a (k,) time array for each wall, which amortizes the
+# per-call overhead.  ``_block_steps`` sizes the blocks of both streams: the
+# most whole chunks whose rows hold at most ``_BLOCK_ENTRIES`` entries, and
+# never less than one chunk.  ``TwoModeForcing`` evaluates a block as one
+# sum of products of its phases with its kept modes.  s3 a=2 at m = 21 and
+# 41 then takes up to 3073 and 1537 rows a call, and ``stiff_march``'s 71
+# restarts make 128 block calls a pass where one call per chunk made 582.  One
+# ``TwoModeForcing`` call on k rows of m nodes, that sum / the formula
+# cos(wt) f_c + sin(wt) f_s, in us, best of 9 on a 2-core Xeon: k = 257,
+# m = 21, 15 / 23; 3073 and 21, 101 / 381; 257 and 41, 17 / 32; 1537 and
+# 41, 76 / 357; 65 and 2001, 92 / 774.  A block of 2^16 entries is 512 kB
+# real, 1 MB complex.
 _FORCING_CHUNK = 256
-# Dirichlet data come in blocks of 64 chunks: 512 kB at most, and one call
-# per wall for a march of up to 16,384 steps.
-_WALL_BLOCK = 64 * _FORCING_CHUNK
+_BLOCK_ENTRIES = 2**16
+
+
+def _block_steps(width: int) -> int:
+    """Steps per input block for rows of ``width`` entries: the most whole
+    chunks whose rows, with the row of the level before them, hold at most
+    ``_BLOCK_ENTRIES`` entries; never less than one chunk."""
+    return _FORCING_CHUNK * max(1, (_BLOCK_ENTRIES // width - 1) // _FORCING_CHUNK)
+
+
+def _levels(n_steps: int, block: int, tau: float, first: int):
+    """The times of levels k + 1..k + b of each block [k, k + b) of ``block``
+    steps, the first block's from level ``first`` (0 or 1) on."""
+    for k in range(0, n_steps, block):
+        yield (k + np.arange(1 if k else first, min(block, n_steps - k) + 1)) * tau
+
+
+def _cast(value, dtype, what: str) -> np.ndarray:
+    """``value`` as an array of the kind's ``dtype``.  A complex value on the
+    real kind raises ValueError naming ``what``, since the cast would drop its
+    imaginary part."""
+    a = np.asarray(value)
+    if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise ValueError(f"the {what} is complex, but the problem is of the real kind")
+    return a.astype(dtype, copy=False)
 
 
 def _forcing_one(problem: ProblemSpec, t: float, xf: np.ndarray, dtype) -> np.ndarray:
-    f = np.asarray(problem.forcing(t, xf), dtype=dtype)
+    f = _cast(problem.forcing(t, xf), dtype, "forcing")
     if f.shape != xf.shape:
         f = np.broadcast_to(f, xf.shape).astype(dtype)
     return f
@@ -523,9 +556,10 @@ def _sampled(vector, scalar, time_blocks, dtype):
                 rows = None
             if rows is not None and i == 0:
                 ref = scalar(float(times[-1]))
-                # np.allclose(rtol=1e-12, atol=1e-12 max|ref|) at a fifth of its cost
+                # np.allclose(rtol=1e-12, atol=1e-12 max|ref|) at a fifth of its cost;
+                # like it, equal infinities match
                 tol = 1e-12 * (np.abs(ref) + np.abs(ref).max())
-                if not (np.abs(rows[-1] - ref) <= tol).all():
+                if not ((rows[-1] == ref) | (np.abs(rows[-1] - ref) <= tol)).all():
                     rows = None
             vector_ok = rows is not None
         if rows is None:
@@ -533,59 +567,64 @@ def _sampled(vector, scalar, time_blocks, dtype):
         yield rows
 
 
-def _wall_blocks(bc: Dirichlet, tau: float, n_steps: int, dtype):
+def _wall_blocks(bc: Dirichlet, tau: float, n_steps: int, block: int, dtype):
     """Yield the (left, right) Dirichlet data at levels k+1..k+b as a (b, 2)
-    array for each block [k, k + b) of ``_WALL_BLOCK`` steps."""
-
-    def levels():
-        for k in range(0, n_steps, _WALL_BLOCK):
-            yield (k + np.arange(1, min(_WALL_BLOCK, n_steps - k) + 1)) * tau
-
+    array for each block [k, k + b) of ``block`` steps."""
     left, right = (
         _sampled(
-            lambda t, g=g: np.broadcast_to(np.asarray(g(t), dtype=dtype), t.shape),
-            lambda t, g=g: np.asarray(g(t), dtype=dtype),
-            levels(),
+            lambda t, g=g, what=what: np.broadcast_to(_cast(g(t), dtype, what), t.shape),
+            lambda t, g=g, what=what: _cast(g(t), dtype, what),
+            _levels(n_steps, block, tau, 1),
             dtype,
         )
-        for g in (bc.left, bc.right)
+        for what, g in (("left wall", bc.left), ("right wall", bc.right))
     )
     return (np.column_stack(pair) for pair in zip(left, right))
 
 
-def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
-    """Yield (k, f, g) for each chunk [k, k + c) of the march.
+def _views(blocks, block: int, n_steps: int, first: int):
+    """For each chunk [k, k + c), its rows of levels k + first..k + c, from the
+    blocks of ``block`` steps that ``_levels`` times with this ``first``.  A
+    chunk's rows are a view into the block that holds them; only a level
+    before its block (first = 0, a block's first chunk after the first
+    block) comes from the block before, carried as one row and copied in
+    front of that chunk."""
+    for k in range(0, n_steps, _FORCING_CHUNK):
+        at = k % block
+        if at == 0:  # rows[i] is level k + shift + i
+            before, rows, shift = (rows[-1:], next(blocks), 1) if k else (None, next(blocks), first)
+        start, end = at + first - shift, at + min(_FORCING_CHUNK, n_steps - k) + 1 - shift
+        yield rows[start:end] if start >= 0 else np.concatenate((before, rows[:end]))
 
-    f holds the forcing at time levels k..k+c; consecutive chunks share
-    their boundary row, which is evaluated once.  g holds the (left,
-    right) Dirichlet data at levels k+1..k+c as a (c, 2) array, or is
-    None for Neumann walls.  Level i is at time i * tau, and no array
-    grows with the step count.
+
+def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
+    """The (k, f, g) of each chunk [k, k + c) of the march, in order.
+
+    f holds the forcing at time levels k..k+c, and g the (left, right)
+    Dirichlet data at levels k+1..k+c as a (c, 2) array, or is None for
+    Neumann walls.  Both come from blocks of whole chunks, each stream's
+    block evaluated once (``_block_steps``); consecutive forcing blocks
+    share their boundary row, which is evaluated once and carried
+    (``_views``).  Level i is at time i * tau, and no array grows with the
+    step count.
     """
     tau, dtype = mats.grid.tau, mats.kind.dtype
     xf = _forcing_grid(mats)
-    starts = range(0, n_steps, _FORCING_CHUNK)
-
-    def levels():
-        for k in starts:
-            yield (k + np.arange(1 if k else 0, min(_FORCING_CHUNK, n_steps - k) + 1)) * tau
 
     def vector(t):
-        rows = np.asarray(problem.forcing(t[:, None], xf[None, :]), dtype=dtype)
+        rows = _cast(problem.forcing(t[:, None], xf[None, :]), dtype, "forcing")
         shape = (t.size, xf.size)
         return rows if rows.shape == shape else np.broadcast_to(rows, shape)
 
-    forcing = _sampled(vector, lambda t: _forcing_one(problem, t, xf, dtype), levels(), dtype)
-    walls = None if mats.dirichlet is None else _wall_blocks(mats.dirichlet, tau, n_steps, dtype)
-    f = g = None
-    for k, rows in zip(starts, forcing):
-        f = rows if f is None else np.concatenate((f[-1:], rows))
-        if walls is not None:
-            at = k % _WALL_BLOCK
-            if at == 0:
-                block = next(walls)
-            g = block[at : at + f.shape[0] - 1]
-        yield k, f, g
+    block = _block_steps(xf.size)
+    forcing = _sampled(vector, lambda t: _forcing_one(problem, t, xf, dtype),
+                       _levels(n_steps, block, tau, 0), dtype)
+    f = _views(forcing, block, n_steps, 0)
+    g = itertools.repeat(None)
+    if mats.dirichlet is not None:
+        block = _block_steps(2)
+        g = _views(_wall_blocks(mats.dirichlet, tau, n_steps, block, dtype), block, n_steps, 1)
+    return zip(range(0, n_steps, _FORCING_CHUNK), f, g)
 
 
 # The opaque march probes the step once and builds its two stacks (35
@@ -779,12 +818,12 @@ def _closed_map(mats: SchemeMatrices, problem: ProblemSpec, dtype) -> np.ndarray
     theta = forcing.omega * mats.grid.tau
     cb, sb = math.cos(theta), math.sin(theta)
     xf = _forcing_grid(mats)
-    f_c, f_s = (np.broadcast_to(np.asarray(mode(xf), dtype), xf.shape)
+    f_c, f_s = (np.broadcast_to(_cast(mode(xf), dtype, "forcing"), xf.shape)
                 for mode in (forcing.f_c, forcing.f_s))
     g = None
     if walls:
         g_c, g_s = np.array([w.c for w in walls]), np.array([w.s for w in walls])
-        g = np.stack((cb * g_c + sb * g_s, cb * g_s - sb * g_c))
+        g = _cast(np.stack((cb * g_c + sb * g_s, cb * g_s - sb * g_c)), dtype, "wall data")
     f1 = np.stack((cb * f_c + sb * f_s, cb * f_s - sb * f_c))
     m = mats.grid.n + 1
     cols = _probe(mats, range(m), np.stack((f_c, f_s)), f1, g)
@@ -868,7 +907,7 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
         mats = assemble_classic(problem, grid, scheme.rhs, scheme.neumann)
     else:
         raise TypeError(f"unknown scheme descriptor {scheme!r}")
-    u = np.asarray(problem.initial(grid.x), dtype=mats.kind.dtype).copy()
+    u = _cast(problem.initial(grid.x), mats.kind.dtype, "initial state").copy()
     # a blow-up is reported by the march's finiteness check, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         u = _engine(problem, grid)(mats, u, problem, grid.n_steps)

@@ -23,7 +23,7 @@ from cpde.core import (
     sample_solution,
     theta_grid_max,
 )
-from cpde.steppers import _FORCING_CHUNK, Compact, _engine, _march_affine, run
+from cpde.steppers import _FORCING_CHUNK, Compact, _block_steps, _engine, _march_affine, run
 from cpde.theta_fit import CoefficientDomainError, TWO_PI
 
 rng = np.random.default_rng(3203)
@@ -178,20 +178,33 @@ def both_kinds(name, params):
 
 @pytest.mark.parametrize("name,params", ALL_SAMPLES)
 def test_forcing_block_rows_match_scalar_calls(name, params):
-    """A (k, 1) time column against a (1, m) node row gives the k scalar rows."""
+    """A (k, 1) time column against a (1, m) node row gives the k scalar rows,
+    bit for bit."""
     times = np.linspace(0.0, 3.0, 9)
     x = rng.uniform(0.0, TWO_PI, size=33)
     for sample in both_kinds(name, params):
         block = sample.problem.forcing(times[:, None], x[None, :])
         assert block.shape == (times.size, x.size)
         for k, t in enumerate(times):
-            row = sample.problem.forcing(t, x)
-            assert np.abs(block[k] - row).max() <= 1e-13 * np.abs(row).max()
+            assert np.array_equal(block[k], sample.problem.forcing(t, x))
+
+
+@pytest.mark.parametrize("t_shape,x_shape", [
+    ((9,), (33,)), ((9,), (1, 33)), ((9, 1), (33,)), ((9, 1), (2, 33)), ((1, 9), (1, 33)),
+    ((9, 2), (1, 33)), ((9, 1, 1), (1, 33)), ((9, 1), (1, 1, 33))])
+def test_two_mode_forcing_refuses_other_call_forms(t_shape, x_shape):
+    """Only a scalar time, or a (k, 1) time column with a (1, m) node row."""
+    forcing = sample_solution("s1").problem.forcing
+    with pytest.raises(ValueError, match="two-mode forcing takes"):
+        forcing(np.zeros(t_shape), np.zeros(x_shape))
+    assert forcing(np.zeros(t_shape[:1] + (1,)), np.zeros((1, 33))).shape == (t_shape[0], 33)
+    assert forcing(0.5, np.zeros(x_shape)).shape == x_shape
 
 
 @pytest.mark.parametrize("name,params", ALL_SAMPLES)
 def test_run_evaluates_sample_forcings_in_blocks(name, params):
-    """One forcing call per 256-step chunk plus one scalar check, never one per step."""
+    """One forcing call per input block plus one scalar check, never one per
+    step or per chunk."""
     grid = make_grid(10, 1.0, 600 * (TWO_PI / 10) ** 2, 1.0)
     assert grid.n_steps == 600
     for sample in both_kinds(name, params):
@@ -202,7 +215,7 @@ def test_run_evaluates_sample_forcings_in_blocks(name, params):
             return forcing(t, x)
 
         run(dataclasses.replace(sample.problem, forcing=spy), grid, Compact())
-        assert len(time_dims) == math.ceil(grid.n_steps / _FORCING_CHUNK) + 1
+        assert len(time_dims) == math.ceil(grid.n_steps / _block_steps(grid.n + 1)) + 1
         assert time_dims.count(0) == 1
 
 

@@ -722,6 +722,24 @@ def test_non_finite_state_raises(march):
         march_with(march, problem, grid, Compact())
 
 
+def test_a_forcing_infinite_at_the_first_block_end_stays_vectorized():
+    """The scalar check at the first block's last time matches equal
+    infinities, as np.allclose does, so a forcing that is infinite there
+    keeps its block calls and the march still stops at the first bad chunk."""
+    s = sample_solution("s1")
+    grid = with_steps(grid_for(s, 10, 1.0, 1.0), 600)
+    t_bad, calls = 300.5 * grid.tau, []
+
+    def blows_up(t, x):
+        calls.append(np.ndim(t))
+        return np.where(np.asarray(t) > t_bad, np.inf, s.problem.forcing(t, x))
+
+    assert steppers._block_steps(grid.n + 1) >= grid.n_steps
+    with pytest.raises(FloatingPointError, match="between steps 257 and 512"):
+        run(dataclasses.replace(s.problem, forcing=blows_up), grid, Compact())
+    assert calls == [2, 0]
+
+
 @pytest.mark.parametrize("n,march", [(200, _march_closed), (200, _march_stepwise),
                                      (100, _march_affine)])
 def test_a_blow_up_raises_without_numpy_warnings(n, march):
@@ -734,6 +752,36 @@ def test_a_blow_up_raises_without_numpy_warnings(n, march):
     assert steppers._engine(problem, grid) is march
     with pytest.raises(FloatingPointError, match="non-finite between steps"):
         run(problem, grid, Classic(neumann=ClassicNeumann(0.3)))
+
+
+@pytest.mark.parametrize("given", ["forcing", "initial state", "wall"])
+@pytest.mark.parametrize("march", [_march_closed, _march_affine, _march_stepwise])
+def test_complex_inputs_on_the_real_kind_raise(march, given):
+    """A complex forcing, initial state or wall value on the real kind raises
+    ValueError naming it, on every engine, where a cast to float64 would drop
+    its imaginary part.  The complex kind takes the same inputs."""
+    s = sample_solution("s1")
+    closed = march is _march_closed
+    problem = s.problem if closed else opaque(s.problem)
+    f, bc = problem.forcing, problem.boundary
+    if given == "forcing":
+        forcing = (TwoModeForcing(f.omega, lambda x: (1 + 1j) * f.f_c(x), f.f_s) if closed
+                   else lambda t, x: (1 + 1j) * f(t, x))
+        problem = dataclasses.replace(problem, forcing=forcing)
+    elif given == "initial state":
+        problem = dataclasses.replace(problem, initial=lambda x: (1 + 1j) * s.problem.initial(x))
+    else:
+        left = (TwoModeWall(bc.left.omega, 1j, bc.left.s) if closed
+                else lambda t: (1 + 1j) * bc.left(t))
+        problem = dataclasses.replace(problem, boundary=Dirichlet(left, bc.right))
+    grid = with_steps(grid_for(s, 80 if march is _march_stepwise else 10, 1.0, 1.0),
+                      20 if march is _march_stepwise else 600)
+    assert steppers._engine(problem, grid) is march
+    message = f"the [a-z ]*{given}[a-z ]* is complex, but the problem is of the real kind"
+    with pytest.raises(ValueError, match=message):
+        run(problem, grid, Compact())
+    complex_kind = dataclasses.replace(problem, kind=ScalarKind.COMPLEX)
+    assert np.isfinite(run(complex_kind, grid, Compact()).final_state).all()
 
 
 def test_forcing_reading_only_the_first_block_time_falls_back():
@@ -760,11 +808,12 @@ def wall_spy(g, calls):
 
 
 def test_wall_data_come_in_bounded_blocks(monkeypatch):
-    """Each wall call sees at most _WALL_BLOCK times i * tau, and the march
-    equals, bit for bit, the one with all wall data in a single block."""
+    """Each wall call sees at most one block of times i * tau, sized by the
+    input block rule for the (b, 2) wall rows, and the march equals, bit for
+    bit, the one with all wall data in a single block."""
     s = sample_solution("s3", a=2.0)
-    grid = with_steps(grid_for(s, 20, 100.0, 1.0), 2 * steppers._WALL_BLOCK + 300)
-    block = steppers._WALL_BLOCK
+    block = steppers._block_steps(2)
+    grid = with_steps(grid_for(s, 20, 100.0, 1.0), 2 * block + 300)
 
     def march():
         calls = ([], [])
@@ -780,10 +829,80 @@ def test_wall_data_come_in_bounded_blocks(monkeypatch):
     for wall in calls:
         assert [c.size for c in wall] == [block, 1, block, 300]
         assert np.array_equal(np.concatenate([c for c in wall if c.ndim]), levels)
-    monkeypatch.setattr(steppers, "_WALL_BLOCK", 1024 * block)
+    monkeypatch.setattr(steppers, "_BLOCK_ENTRIES", 2**40)
     ref, calls = march()
     assert [c.size for c in calls[0]] == [grid.n_steps, 1]
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", ["s3", "snll"])
+@pytest.mark.parametrize("march", [_march_affine, _march_stepwise])
+def test_input_block_budget_moves_no_state(monkeypatch, name, march):
+    """Input blocks of one chunk, of the default budget and of the whole march
+    give bitwise the same final state, on Dirichlet (real) and Neumann
+    (complex) walls."""
+    s = sample_solution(name, a=2.0) if name == "s3" else sample_solution(name)
+    grid = with_steps(grid_for(s, 20, 100.0 if name == "s3" else 1j, 1.0), 3072 + 300)
+    problem = opaque(s.problem)
+    assert steppers._block_steps(grid.n + 1) == 3072
+
+    def final(budget):
+        monkeypatch.setattr(steppers, "_BLOCK_ENTRIES", budget)
+        return march_with(march, problem, grid, Compact())
+
+    got = final(steppers._BLOCK_ENTRIES)
+    for budget in (1, 2**40):
+        assert np.array_equal(final(budget), got)
+
+
+def input_spies(problem):
+    """``problem`` behind closures that record the time shape of every
+    forcing call and the time count of every wall call."""
+    forcing, boundary, shapes = problem.forcing, problem.boundary, {"f": [], "g": []}
+
+    def spy_forcing(t, x):
+        shapes["f"].append(np.shape(t))
+        return forcing(t, x)
+
+    def spy_wall(g):
+        return lambda t: shapes["g"].append(np.size(t)) or g(t)
+
+    if isinstance(boundary, Dirichlet):
+        boundary = Dirichlet(spy_wall(boundary.left), spy_wall(boundary.right))
+    return dataclasses.replace(problem, forcing=spy_forcing, boundary=boundary), shapes
+
+
+@pytest.mark.parametrize("budget", [None, 2**12])
+@pytest.mark.parametrize("name,scheme", [
+    ("s3", Compact()), ("s3", Classic(ClassicRhsVariant.FIVE_POINT)), ("snll", Compact())])
+@pytest.mark.parametrize("march", [_march_affine, _march_stepwise])
+def test_no_input_call_exceeds_the_block_rule(monkeypatch, budget, name, scheme, march):
+    """Each stream makes one call per block and one scalar check.  A forcing
+    call takes at most a block of ``_block_steps`` steps and the level before
+    it, on the node or half-node row, and so holds at most ``_BLOCK_ENTRIES``
+    entries unless one chunk alone holds more; a wall call takes at most a
+    block of the (b, 2) wall rows."""
+    if budget is not None:
+        monkeypatch.setattr(steppers, "_BLOCK_ENTRIES", budget)
+    budget, chunk = steppers._BLOCK_ENTRIES, steppers._FORCING_CHUNK
+    s = sample_solution(name, a=2.0) if name == "s3" else sample_solution(name)
+    grid = with_steps(grid_for(s, 20, 1.0, 1.0), 3500)
+    problem, shapes = input_spies(s.problem)
+    march_with(march, problem, grid, scheme)
+    width = steppers._forcing_grid(assemble(s.problem, grid, scheme)).size
+    block = steppers._block_steps(width)
+    assert block % chunk == 0 and (block == chunk or (block + 1) * width <= budget)
+    rows = [k for k, _ in filter(None, shapes["f"])]
+    assert shapes["f"].count(()) == 1 and shapes["f"].count(()) + len(rows) == len(shapes["f"])
+    assert len(rows) == math.ceil(grid.n_steps / block) and max(rows) <= block + 1
+    assert max(rows) * width <= max(budget, (chunk + 1) * width)
+    if name == "s3":
+        block = steppers._block_steps(2)
+        assert shapes["g"].count(1) == 2 and 2 * block <= budget
+        sizes = [size for size in shapes["g"] if size != 1]
+        assert len(sizes) == 2 * math.ceil(grid.n_steps / block) and max(sizes) <= block
+    else:
+        assert shapes["g"] == []
 
 
 def test_wall_reading_only_the_first_block_time_falls_back():
