@@ -86,12 +86,12 @@ def test_main_writes_one_record_per_tree(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     parent, change = fake_tree(tmp_path / "p", 10), fake_tree(tmp_path / "c", 7)
     canned = Canned()
-    argv = ["--pr", "31", "--seed", "5", "--seconds", "3", "--tree", f"parent={parent}",
+    argv = ["--pr", "7", "--seed", "5", "--seconds", "3", "--tree", f"parent={parent}",
             "--tree", f"change={change}", "--workloads", "stiff_march,fine_grid",
             "--out-dir", str(tmp_path)]
     assert bench_record.main(argv, execute=canned) == 0
-    body = json.loads((tmp_path / "BENCH_31.json").read_text())
-    assert (body["pr"], body["seed"], body["seconds"]) == (31, 5, 3.0)
+    body = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert (body["pr"], body["seed"], body["seconds"]) == (7, 5, 3.0)
     assert list(body["trees"]) == ["parent", "change"]
     for name, lines in (("parent", 10), ("change", 7)):
         tree = body["trees"][name]

@@ -1,6 +1,6 @@
 """Record the benchmark of one or more cpde trees in ``BENCH_<pr>.json``.
 
-    python3 tools/bench_record.py --pr 31 --seed 5 --tree parent=../parent --tree change=.
+    python3 tools/bench_record.py --pr PR --seed SEED --tree parent=../parent --tree change=.
 
 Each tree is the root of a cpde checkout or export.  For every workload
 this runs the tree's own ``perfbench/run.py`` unchanged, once per tree and
