@@ -198,13 +198,16 @@ class TwoModeForcing:
     Both forms are one ``np.einsum`` sum of products of the phases
     (cos omega t, sin omega t), a row per time, with the stacked (2, m)
     modes, complex modes taken as their real view.  A row is the same in
-    either form and has the plain formula's bits for finite modes, but for
-    the sign of a zero (the sum starts from +0).  f_c and f_s see x alone
-    and are evaluated once per node row: the modes of the last two rows (a
-    march's block row and its scalar-time row), matched by value, shape,
-    dtype and f_c and f_s, are kept with a copy of the row in one tuple,
-    which a concurrent call reads whole.  ``steppers.run`` reads omega, f_c
-    and f_s to march in closed form.
+    either form, since both go through the same kernel.  Where numpy's
+    sum-of-products kernel does not fuse the multiply-add (checked with
+    numpy 2.4 on x86-64), a row also has the plain formula's bits for
+    finite modes, but for the sign of a zero (the sum starts from +0); a
+    build that fuses it (FMA) may differ from the formula in the last ulp.
+    f_c and f_s see x alone and are evaluated once per node row: the modes
+    of the last two rows (a march's block row and its scalar-time row),
+    matched by value, shape, dtype and f_c and f_s, are kept with a copy of
+    the row in one tuple, which a concurrent call reads whole.
+    ``steppers.run`` reads omega, f_c and f_s to march in closed form.
     """
 
     __slots__ = ("omega", "f_c", "f_s", "_modes")
@@ -232,8 +235,9 @@ class TwoModeForcing:
             kept = (key, row.copy(), modes)
             self._modes = (kept, *self._modes[:1])
         modes = kept[2]
-        # complex modes with real phases as their real view: the bits of the
-        # complex sum of products for finite modes, at a third of its cost
+        # complex modes with real phases as their real view: a third of the
+        # complex sum of products' cost, and its bits for finite modes where
+        # the kernel does not fuse the multiply-add
         split = modes.dtype == np.complex128 and phases.dtype == np.float64
         rows = np.einsum("ki,im->km", phases, modes.view(np.float64) if split else modes)
         rows = rows.view(np.complex128) if split else rows

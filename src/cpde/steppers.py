@@ -587,12 +587,12 @@ def _views(blocks, block: int, n_steps: int, first: int):
     blocks of ``block`` steps that ``_levels`` times with this ``first``.  A
     chunk's rows are a view into the block that holds them; only a level
     before its block (first = 0, a block's first chunk after the first
-    block) comes from the block before, carried as one row and copied in
-    front of that chunk."""
+    block) comes from the block before, carried as a copy of one row (so
+    the block before is freed) and joined in front of that chunk."""
     for k in range(0, n_steps, _FORCING_CHUNK):
         at = k % block
         if at == 0:  # rows[i] is level k + shift + i
-            before, rows, shift = (rows[-1:], next(blocks), 1) if k else (None, next(blocks), first)
+            before, rows, shift = (rows[-1:].copy(), next(blocks), 1) if k else (None, next(blocks), first)
         start, end = at + first - shift, at + min(_FORCING_CHUNK, n_steps - k) + 1 - shift
         yield rows[start:end] if start >= 0 else np.concatenate((before, rows[:end]))
 

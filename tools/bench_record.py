@@ -2,9 +2,11 @@
 
     python3 tools/bench_record.py --pr PR --seed SEED --tree parent=../parent --tree change=.
 
-Each tree is the root of a cpde checkout or export.  For every workload
-this runs the tree's own ``perfbench/run.py`` unchanged, once per tree and
-tree after tree, then the tree's tier-1 suite (``python3 -m pytest -q``).
+Each tree is the root of a cpde checkout or export.  For each of the four
+workloads this runs the tree's own ``perfbench/run.py`` unchanged for 25 s,
+once per tree, the trees in the given order for the first workload and in
+reverse for the next, and so on; then each tree's tier-1 suite
+(``python3 -m pytest -q``).
 Every run gets a private, fresh ``PYTHONPYCACHEPREFIX``, warmed by one
 import that writes bytecode for numpy, cpde and the benchmark's modules:
 no run compiles what another left behind, and a prefix that were not
@@ -31,6 +33,7 @@ import tempfile
 import time
 
 WORKLOADS = ("stiff_march", "fine_grid", "paper_tables", "dense_spectral")
+SECONDS = 25.0  # per workload run
 # the modules a benchmark worker or the tier-1 run imports, run from a tree's root
 WARM_IMPORT = ("import sys; sys.path[:0] = ['src', 'perfbench']; "
                "import numpy, pytest, cpde, cpde.cli, run, tracer, worker, workloads")
@@ -109,13 +112,17 @@ def record_tier1(root: str, execute=subprocess.run) -> dict:
     return dict(parse_tier1(proc.stdout), exit_code=proc.returncode, wall_s=wall_s)
 
 
-def record(trees: dict, workloads, seed: int, seconds: float, execute=subprocess.run) -> dict:
-    """The benchmark record of each named tree: workloads first, tree after
-    tree for each, so that a slow spell of the host falls on every tree."""
+def record(trees: dict, seed: int, workloads=WORKLOADS, seconds: float = SECONDS,
+           execute=subprocess.run) -> dict:
+    """The benchmark record of each named tree: workloads first, every tree
+    for each, so that a slow spell of the host falls on every tree, and the
+    trees' order reversed from one workload to the next, so that no tree
+    always runs first."""
     out = {name: {"workloads": {}, "src_cpde_lines": count_lines(root)}
            for name, root in trees.items()}
-    for workload in workloads:
-        for name, root in trees.items():
+    order = list(trees.items())
+    for i, workload in enumerate(workloads):
+        for name, root in (order if i % 2 == 0 else order[::-1]):
             out[name]["workloads"][workload] = record_workload(root, workload, seed, seconds,
                                                                execute)
     for name, root in trees.items():
@@ -136,21 +143,15 @@ def main(argv=None, execute=subprocess.run) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=25.0, help="per workload run")
     ap.add_argument("--tree", type=parse_tree, action="append", required=True,
                     help="NAME=PATH of a tree to measure; repeat for more trees")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args(argv)
     trees = dict(args.tree)
     if len(trees) != len(args.tree):
         ap.error("tree names must differ")
-    workloads = args.workloads.split(",")
-    unknown = sorted(set(workloads) - set(WORKLOADS))
-    if unknown:
-        ap.error(f"unknown workloads {unknown}; choose from {list(WORKLOADS)}")
-    body = {"pr": args.pr, "seed": args.seed, "seconds": args.seconds,
-            "trees": record(trees, workloads, args.seed, args.seconds, execute)}
+    body = {"pr": args.pr, "seed": args.seed, "seconds": SECONDS,
+            "trees": record(trees, args.seed, execute=execute)}
     path = os.path.join(args.out_dir, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=1)
