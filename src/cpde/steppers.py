@@ -559,7 +559,8 @@ def _sampled(vector, scalar, time_blocks, dtype):
                 # np.allclose(rtol=1e-12, atol=1e-12 max|ref|) at a fifth of its cost;
                 # like it, equal infinities match
                 tol = 1e-12 * (np.abs(ref) + np.abs(ref).max())
-                if not ((rows[-1] == ref) | (np.abs(rows[-1] - ref) <= tol)).all():
+                close = np.abs(rows[-1] - ref) <= tol
+                if not (close.all() or (close | (rows[-1] == ref)).all()):
                     rows = None
             vector_ok = rows is not None
         if rows is None:
@@ -592,7 +593,8 @@ def _views(blocks, block: int, n_steps: int, first: int):
     for k in range(0, n_steps, _FORCING_CHUNK):
         at = k % block
         if at == 0:  # rows[i] is level k + shift + i
-            before, rows, shift = (rows[-1:].copy(), next(blocks), 1) if k else (None, next(blocks), first)
+            before = rows[-1:].copy() if k else None
+            rows, shift = next(blocks), (1 if k else first)
         start, end = at + first - shift, at + min(_FORCING_CHUNK, n_steps - k) + 1 - shift
         yield rows[start:end] if start >= 0 else np.concatenate((before, rows[:end]))
 
