@@ -331,7 +331,7 @@ def transition_matrix(mats: SchemeMatrices) -> np.ndarray:
     check.
     """
     m = mats.grid.n + 1
-    nodes = range(1, m - 1) if mats.dirichlet is not None else range(m)
+    nodes = range(1, m - 1) if mats.walls is None else range(m)
     if len(nodes) > MAX_EIGEN_SIZE:
         raise ValueError(f"transition matrix of size {len(nodes)} exceeds the {MAX_EIGEN_SIZE} cap")
     # row j of the probe is the response to unit state j: column j of M

@@ -195,50 +195,48 @@ class TwoModeForcing:
     It takes the two call forms a march makes: a scalar time t with a node
     array gives an array of the nodes' shape, and a (k, 1) time column with
     a (1, m) node row gives k rows.  Any other pairing raises ValueError.
-    Both forms are one ``np.einsum`` sum of products of the phases
+    A scalar time is taken as a one-row time column over the flattened node
+    row, so both forms are one ``np.einsum`` sum of products of the phases
     (cos omega t, sin omega t), a row per time, with the stacked (2, m)
-    modes, complex modes taken as their real view.  A row is the same in
-    either form, since both go through the same kernel.  Where numpy's
-    sum-of-products kernel does not fuse the multiply-add (checked with
-    numpy 2.4 on x86-64), a row also has the plain formula's bits for
-    finite modes, but for the sign of a zero (the sum starts from +0); a
-    build that fuses it (FMA) may differ from the formula in the last ulp.
-    f_c and f_s see x alone and are evaluated once per node row: the modes
-    of the last two rows (a march's block row and its scalar-time row),
-    matched by value, shape, dtype and f_c and f_s, are kept with a copy of
-    the row in one tuple, which a concurrent call reads whole.
-    ``steppers.run`` reads omega, f_c and f_s to march in closed form.
+    modes, complex modes taken as their real view, and a row is the same in
+    either form.  Where numpy's sum-of-products kernel does not fuse the
+    multiply-add (checked with numpy 2.4 on x86-64), a row also has the
+    plain formula's bits for finite modes, but for the sign of a zero (the
+    sum starts from +0); a build that fuses it (FMA) may differ from the
+    formula in the last ulp.  f_c and f_s see x alone, on the flattened
+    node row, and are evaluated once per node row: the modes of the last
+    row, matched by value, dtype and f_c and f_s, are kept with a copy of
+    the row in one tuple, which a concurrent call reads whole, and serve
+    both call forms.  ``steppers.run`` reads omega, f_c and f_s to march in
+    closed form.
     """
 
     __slots__ = ("omega", "f_c", "f_s", "_modes")
 
     def __init__(self, omega: float, f_c: Callable, f_s: Callable):
-        self.omega, self.f_c, self.f_s, self._modes = omega, f_c, f_s, ()
+        self.omega, self.f_c, self.f_s, self._modes = omega, f_c, f_s, None
 
     def __call__(self, t, x):
         row, wt = np.asarray(x), self.omega * np.asarray(t)
         if wt.ndim == 0:
-            phases = np.array(((np.cos(wt), np.sin(wt)),))
-        elif wt.ndim == 2 and wt.shape[1] == 1 and row.ndim == 2 and row.shape[0] == 1:
-            cos, sin = np.cos(wt), np.sin(wt)
-            phases = np.empty((wt.shape[0], 2), cos.dtype)
-            phases[:, :1], phases[:, 1:] = cos, sin
-        else:
+            wt = wt.reshape(1, 1)
+        elif not (wt.ndim == 2 and wt.shape[1] == 1 and row.ndim == 2 and row.shape[0] == 1):
             raise ValueError(f"a two-mode forcing takes a scalar time with any node array "
                              f"or a (k, 1) time column with a (1, m) node row, not times of "
                              f"shape {np.shape(t)} with nodes of shape {row.shape}")
-        key = (row.shape, row.dtype, self.f_c, self.f_s)
-        for kept in self._modes:
-            if kept[0] == key and np.array_equal(kept[1], row):
-                break
-        else:
-            # filled in place, like the phases: np.stack and np.concatenate
-            # each cost about 40 us on their first use in a process
-            c, s = np.asarray(self.f_c(x)), np.asarray(self.f_s(x))
-            modes = np.empty((2, *row.shape), np.result_type(c, s))
+        # filled in place, like the modes: np.stack and np.concatenate each
+        # cost about 40 us on their first use in a process
+        cos, sin = np.cos(wt), np.sin(wt)
+        phases = np.empty((wt.shape[0], 2), cos.dtype)
+        phases[:, :1], phases[:, 1:] = cos, sin
+        flat = row.reshape(-1)
+        key = (flat.dtype, self.f_c, self.f_s)
+        kept = self._modes
+        if kept is None or kept[0] != key or not np.array_equal(kept[1], flat):
+            c, s = np.asarray(self.f_c(flat)), np.asarray(self.f_s(flat))
+            modes = np.empty((2, flat.size), np.result_type(c, s))
             modes[0], modes[1] = c, s
-            kept = (key, row.copy(), modes.reshape(2, -1))
-            self._modes = (kept, *self._modes[:1])
+            kept = self._modes = (key, flat.copy(), modes)
         modes = kept[2]
         # complex modes with real phases as their real view: a third of the
         # complex sum of products' cost, and its bits for finite modes where
@@ -246,7 +244,7 @@ class TwoModeForcing:
         split = modes.dtype == np.complex128 and phases.dtype == np.float64
         rows = np.einsum("ki,im->km", phases, modes.view(np.float64) if split else modes)
         rows = rows.view(np.complex128) if split else rows
-        return rows if wt.ndim else rows.reshape(row.shape)
+        return rows if np.ndim(t) else rows.reshape(row.shape)
 
 
 class TwoModeWall:

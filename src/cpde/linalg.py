@@ -1,10 +1,10 @@
 """Small dense/banded linear algebra layer with explicit multiplication counts.
 
 Everything here works for real and complex data alike; the dtype of the
-inputs decides.  The tridiagonal solver and matvec return their
-multiplication counts (divisions included) next to the result, because
-the efficiency experiments compare schemes by arithmetic cost rather
-than wall time.
+inputs decides.  The tridiagonal solver returns its multiplication
+count (divisions included) next to the result, because the efficiency
+experiments compare schemes by arithmetic cost rather than wall time;
+the matvec returns its product alone.
 """
 
 from __future__ import annotations
@@ -53,15 +53,12 @@ class Tridiag:
     def size(self) -> int:
         return self.diag.size
 
-    def apply(self, v: np.ndarray) -> tuple[np.ndarray, int]:
-        """Matvec over the last axis of ``v``, so a stack of vectors works.
-
-        Returns (result, multiplication count 3m-2 per vector).
-        """
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Matvec over the last axis of ``v``, so a stack of vectors works."""
         out = self.diag * v
         out[..., 1:] += self.lower * v[..., :-1]
         out[..., :-1] += self.upper * v[..., 1:]
-        return out, 3 * self.size - 2
+        return out
 
     def copy(self) -> "Tridiag":
         return Tridiag(self.lower.copy(), self.diag.copy(), self.upper.copy())

@@ -37,9 +37,9 @@ with the last assembly's; when they match it returns the last operator,
 else it builds a new one and keeps only that, if it has at most
 ``_AFFINE_MAX_NODES`` nodes.  The key never holds the theta callable
 itself, whose parameters may have changed.  The operator holds no
-problem data: the ``SchemeMatrices`` an assembly returns pairs
-it with the caller's grid and Dirichlet walls, and forcing and initial
-state come from the problem at march time.  What the operator builds on
+problem data: the ``SchemeMatrices`` an assembly returns pairs it with
+the caller's grid alone, and the forcing, the Dirichlet data and the
+initial state come from the problem at march time.  What the operator builds on
 first use is kept with it: the factored A_new, and the opaque march's
 powers of P and input maps.  So a march run as consecutive ``run`` calls
 sets up once, and a reused operator gives bitwise the result of a fresh
@@ -94,9 +94,9 @@ the demo's series takes, blocked / stepwise, 1.3 / 2.5 ms at m = 51, 4.3 /
 
 The stepwise and opaque marches take the forcing and wall data by
 256-step chunks, views into blocks of whole chunks that one rule sizes
-for both streams (``_block_steps``: at most 2^16 entries, and never less
-than one chunk); each block is one call of the forcing and one of each
-wall.  No engine holds an array that grows with the step count.
+for every input stream (``_block_steps``: at most 2^16 entries, and never
+less than one chunk); each block is one call of the forcing and one of
+each wall.  No engine holds an array that grows with the step count.
 ``muls_per_step`` is the analytic cost of the banded step whichever
 engine runs, not the work executed.
 """
@@ -181,8 +181,10 @@ class SchemeMatrices:
     (left, right) pair of Neumann ``BoundaryRow``s, entries wall-inward,
     or None for Dirichlet walls: their alpha_2 are the corners outside
     the bands (column 2 and column N-2), and beta_2 = 0 in every closure.
-    ``grid`` and ``dirichlet`` are the caller's; every other field, and
-    ``_built``, is shared by all assemblies that reuse the operator.
+    ``grid`` is the caller's; every other field, and ``_built``, is shared
+    by all assemblies that reuse the operator.  The operator holds no
+    problem data: the Dirichlet data, like the forcing, come from the
+    problem when it is stepped.
     """
 
     grid: Grid1D
@@ -190,7 +192,6 @@ class SchemeMatrices:
     a_new: Tridiag
     a_old: Tridiag
     b: Optional[Tridiag]
-    dirichlet: Optional[Dirichlet]
     classic_rhs: Optional[ClassicRhsVariant]
     walls: Optional[tuple] = None
     muls_per_step: int = 0
@@ -312,30 +313,30 @@ def _assemble(problem: ProblemSpec, grid: Grid1D, scheme, points, fill) -> Schem
     theta is sampled at ``points`` and, for Neumann walls, at the wall
     fits' points.  When these samples, the grid's n, h and tau, the kind,
     the wall type and ``scheme`` equal the last assembly's, its operator
-    comes back paired with this grid and these walls.  Otherwise a new
-    one replaces it: ``fill(mats, samples at points)`` sets the interior
-    rows, and the walls and ``_finalize`` follow.
+    comes back paired with this grid.  Otherwise a new one replaces it:
+    ``fill(mats, samples at points)`` sets the interior rows, and the
+    walls and ``_finalize`` follow.
     """
-    dirichlet = problem.boundary if isinstance(problem.boundary, Dirichlet) else None
-    key = (grid.n, grid.h, grid.tau, problem.kind, dirichlet is None, scheme)
+    neumann = not isinstance(problem.boundary, Dirichlet)
+    key = (grid.n, grid.h, grid.tau, problem.kind, neumann, scheme)
     samples = [sample_theta(problem.theta, points)]
-    if dirichlet is None:
+    if neumann:
         samples.append(sample_theta(problem.theta, wall_points(grid.h)))
     for last_key, last_samples, last in _last_operator:
         if last_key == key and all(map(np.array_equal, last_samples, samples)):
-            return replace(last, grid=grid, dirichlet=dirichlet)
+            return replace(last, grid=grid)
     m, dtype = grid.n + 1, problem.kind.dtype
     classic_rhs = scheme.rhs if isinstance(scheme, Classic) else None
     b = None if classic_rhs is ClassicRhsVariant.FIVE_POINT else Tridiag.zeros(m, dtype)
     mats = SchemeMatrices(grid, problem.kind, Tridiag.zeros(m, dtype), Tridiag.zeros(m, dtype),
-                          b, dirichlet, classic_rhs)
+                          b, classic_rhs)
     fill(mats, samples[0])
-    if dirichlet is not None:
-        mats.a_new.diag[0] = mats.a_new.diag[m - 1] = 1.0
-    else:
+    if neumann:
         mats.walls = _build_walls(problem, grid, scheme.neumann, samples[1])
         patched = classic_rhs is not None or isinstance(scheme.neumann, ClassicNeumann)
         _mount_boundary(mats, patched)
+    else:
+        mats.a_new.diag[0] = mats.a_new.diag[m - 1] = 1.0
     _finalize(mats)
     _last_operator[:] = [(key, samples, mats)] if m <= _AFFINE_MAX_NODES else []
     return mats
@@ -399,25 +400,15 @@ def assemble_classic(
     return _assemble(problem, grid, Classic(rhs, neumann_variant), halves, fill)
 
 
-def _node_values(f: np.ndarray, m: int) -> np.ndarray:
-    """Node samples of a forcing array that may live on the half grid."""
-    if f.shape[-1] == m:
-        return f
-    if f.shape[-1] == 2 * m - 1:
-        return f[..., ::2]
-    raise ValueError(f"forcing length {f.shape[-1]} matches neither grid nor half grid")
-
-
-def _classic_average(variant: ClassicRhsVariant, f: np.ndarray, m: int) -> np.ndarray:
+def _classic_average(variant: ClassicRhsVariant, f: np.ndarray) -> np.ndarray:
+    """The classic right-hand side's average of the forcing ``f``, which is
+    on the half grid for five-point averaging and on the nodes otherwise."""
     if variant is ClassicRhsVariant.POINTWISE:
-        return _node_values(f, m)
+        return f
     if variant is ClassicRhsVariant.THREE_POINT:
-        fn = _node_values(f, m)
-        out = fn.copy()
-        out[..., 1:-1] = 0.25 * (fn[..., :-2] + 2.0 * fn[..., 1:-1] + fn[..., 2:])
+        out = f.copy()
+        out[..., 1:-1] = 0.25 * (f[..., :-2] + 2.0 * f[..., 1:-1] + f[..., 2:])
         return out
-    if f.shape[-1] != 2 * m - 1:
-        raise ValueError("five-point averaging needs forcing on the half grid")
     out = f[..., ::2].copy()
     f1, f2, f3 = f[..., 1:-3:2], f[..., 2:-2:2], f[..., 3:-1:2]
     out[..., 1:-1] = (f[..., :-4:2] + 2.0 * f1 + 2.0 * f2 + 2.0 * f3 + f[..., 4::2]) / 8.0
@@ -438,27 +429,27 @@ def _classic_average(variant: ClassicRhsVariant, f: np.ndarray, m: int) -> np.nd
 _BLOCKED_MIN_NODES = 64
 
 
-def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
-    """One step; u and f may be stacks of states with the node axis last."""
+def _step(mats: SchemeMatrices, u, f_n, f_np1, bc_vals=None):
+    """One step; u and f may be stacks of states with the node axis last.
+
+    ``bc_vals`` is the (left, right) Dirichlet data at the new time level,
+    and is not read for Neumann walls.
+    """
     m = mats.grid.n + 1
     tau = mats.grid.tau
     if mats.classic_rhs is None:
         # left unnamed, so a probe frees its m x m stack of z before the sweep
-        rhs, _ = mats._b4.apply(u + 0.25 * tau * (f_n + f_np1))
+        rhs = mats._b4.apply(u + 0.25 * tau * (f_n + f_np1))
     else:
-        fa = _classic_average(mats.classic_rhs, f_n, m)
-        fb = _classic_average(mats.classic_rhs, f_np1, m)
+        fa = _classic_average(mats.classic_rhs, f_n)
+        fb = _classic_average(mats.classic_rhs, f_np1)
         rhs = u + 0.25 * tau * (fa + fb)
-    if mats.dirichlet is not None:
-        if bc_vals is None:
-            if t_new is None:
-                raise ValueError("Dirichlet stepping needs the new time level")
-            bc_vals = (mats.dirichlet.left(t_new), mats.dirichlet.right(t_new))
+    if mats.walls is None:
         rhs[..., 0] = u[..., 0] + bc_vals[0]
         rhs[..., m - 1] = u[..., m - 1] + bc_vals[1]
     elif mats._patch:
-        f0n = _node_values(f_n, m)
-        f1n = _node_values(f_np1, m)
+        # the node values of a forcing that may be on the half grid
+        f0n, f1n = (f if f.shape[-1] == m else f[..., ::2] for f in (f_n, f_np1))
         for (_, i, _, nodes), (d, bn, bo) in zip(_SIDES, mats._patch):
             # an elementwise sum: np.dot rounds a state's row differently with
             # its place in a stack, and a probe must give each state the same bits
@@ -474,11 +465,6 @@ def _step(mats: SchemeMatrices, u, f_n, f_np1, t_new=None, bc_vals=None):
     return v - u
 
 
-def step(mats: SchemeMatrices, u_n, f_n, f_np1, t_new=None) -> np.ndarray:
-    """Advance one time layer; see module docstring for the algebra."""
-    return _step(mats, np.asarray(u_n), np.asarray(f_n), np.asarray(f_np1), t_new)
-
-
 def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
     if mats.classic_rhs is ClassicRhsVariant.FIVE_POINT:
         n = mats.grid.n
@@ -492,7 +478,7 @@ def _forcing_grid(mats: SchemeMatrices) -> np.ndarray:
 # finiteness per chunk.  Each input stream is evaluated once per block of
 # whole chunks, as one call with a (k, 1) time column and a (1, m) node row
 # for the forcing and a (k,) time array for each wall, which amortizes the
-# per-call overhead.  ``_block_steps`` sizes the blocks of both streams: the
+# per-call overhead.  ``_block_steps`` sizes the blocks of every stream: the
 # most whole chunks whose rows hold at most ``_BLOCK_ENTRIES`` entries, and
 # never less than one chunk.  ``TwoModeForcing`` evaluates a block as one
 # sum of products of its phases with its kept modes.  s3 a=2 at m = 21 and
@@ -514,119 +500,95 @@ def _block_steps(width: int) -> int:
     return _FORCING_CHUNK * max(1, (_BLOCK_ENTRIES // width - 1) // _FORCING_CHUNK)
 
 
-def _levels(n_steps: int, block: int, tau: float, first: int):
-    """The times of levels k + 1..k + b of each block [k, k + b) of ``block``
-    steps, the first block's from level ``first`` (0 or 1) on."""
-    for k in range(0, n_steps, block):
-        yield (k + np.arange(1 if k else first, min(block, n_steps - k) + 1)) * tau
-
-
-def _cast(value, dtype, what: str) -> np.ndarray:
-    """``value`` as an array of the kind's ``dtype``.  A complex value on the
-    real kind raises ValueError naming ``what``, since the cast would drop its
-    imaginary part."""
+def _cast(value, dtype, what: str, shape=None) -> np.ndarray:
+    """``value`` as an array of the kind's ``dtype``, broadcast to ``shape``
+    unless that is None.  A complex value on the real kind, since the cast
+    would drop its imaginary part, and a value that does not broadcast raise
+    ValueError naming ``what``."""
     a = np.asarray(value)
     if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise ValueError(f"the {what} is complex, but the problem is of the real kind")
-    return a.astype(dtype, copy=False)
+    a = a.astype(dtype, copy=False)
+    if shape is None or a.shape == shape:
+        return a
+    try:
+        return np.broadcast_to(a, shape)
+    except ValueError:
+        raise ValueError(f"the {what} has shape {a.shape}, which does not broadcast "
+                         f"to {shape}") from None
 
 
-def _forcing_one(problem: ProblemSpec, t: float, xf: np.ndarray, dtype) -> np.ndarray:
-    f = _cast(problem.forcing(t, xf), dtype, "forcing")
-    if f.shape != xf.shape:
-        f = np.broadcast_to(f, xf.shape).astype(dtype)
-    return f
+def _stream(vector, scalar, n_steps: int, block: int, tau: float, first: int, dtype):
+    """Yield one input stream's rows of levels k + first..k + c for each chunk
+    [k, k + c) of the march, ``first`` being 0 or 1.
 
-
-def _sampled(vector, scalar, time_blocks, dtype):
-    """Yield vector(t) for each array t of time levels in ``time_blocks``.
-
-    The first block is checked against scalar() at its last time.  A
-    callable that raises on array times, returns a shape that does not
-    broadcast, or fails that check (say, one that reads only its first
-    time) is called one time level at a time from then on.
-    """
-    vector_ok = True
-    for i, times in enumerate(time_blocks):
-        rows = None
-        if vector_ok:
-            try:
-                rows = vector(times)
-            except (TypeError, ValueError, IndexError):
-                rows = None
-            if rows is not None and i == 0:
-                ref = scalar(float(times[-1]))
-                # np.allclose(rtol=1e-12, atol=1e-12 max|ref|) at a fifth of its cost;
-                # like it, equal infinities match
-                tol = 1e-12 * (np.abs(ref) + np.abs(ref).max())
-                close = np.abs(rows[-1] - ref) <= tol
-                if not (close.all() or (close | (rows[-1] == ref)).all()):
-                    rows = None
-            vector_ok = rows is not None
-        if rows is None:
-            rows = np.array([scalar(float(t)) for t in times], dtype=dtype)
-        yield rows
-
-
-def _wall_blocks(bc: Dirichlet, tau: float, n_steps: int, block: int, dtype):
-    """Yield the (left, right) Dirichlet data at levels k+1..k+b as a (b, 2)
-    array for each block [k, k + b) of ``block`` steps."""
-    left, right = (
-        _sampled(
-            lambda t, g=g, what=what: np.broadcast_to(_cast(g(t), dtype, what), t.shape),
-            lambda t, g=g, what=what: _cast(g(t), dtype, what),
-            _levels(n_steps, block, tau, 1),
-            dtype,
-        )
-        for what, g in (("left wall", bc.left), ("right wall", bc.right))
-    )
-    return (np.column_stack(pair) for pair in zip(left, right))
-
-
-def _views(blocks, block: int, n_steps: int, first: int):
-    """For each chunk [k, k + c), its rows of levels k + first..k + c, from the
-    blocks of ``block`` steps that ``_levels`` times with this ``first``.  A
-    chunk's rows are a view into the block that holds them; only a level
+    The stream is evaluated once per block [k, k + b) of ``block`` steps,
+    as vector(t) on the times of levels k + 1..k + b, the first block's
+    from level ``first`` on.  The first block is checked against scalar()
+    at its last time.  A callable that raises on array times, returns a
+    shape that does not broadcast, or fails that check (say, one that reads
+    only its first time) is called one time level at a time from then on.
+    A chunk's rows are a view into the block that holds them; only a level
     before its block (first = 0, a block's first chunk after the first
     block) comes from the block before, carried as a copy of one row (so
-    the block before is freed) and joined in front of that chunk."""
+    the block before is freed) and joined in front of that chunk.  So
+    every level is evaluated once.
+    """
+    vector_ok = True
     for k in range(0, n_steps, _FORCING_CHUNK):
         at = k % block
         if at == 0:  # rows[i] is level k + shift + i
-            before = rows[-1:].copy() if k else None
-            rows, shift = next(blocks), (1 if k else first)
+            before, shift = (rows[-1:].copy(), 1) if k else (None, first)
+            times = (k + np.arange(shift, min(block, n_steps - k) + 1)) * tau
+            rows = None
+            if vector_ok:
+                try:
+                    rows = vector(times)
+                except (TypeError, ValueError, IndexError):
+                    pass
+                if rows is not None and k == 0:
+                    ref = scalar(float(times[-1]))
+                    # np.allclose(rtol=1e-12, atol=1e-12 max|ref|) at a fifth of its
+                    # cost; like it, equal infinities match
+                    tol = 1e-12 * (np.abs(ref) + np.abs(ref).max())
+                    close = np.abs(rows[-1] - ref) <= tol
+                    if not (close.all() or (close | (rows[-1] == ref)).all()):
+                        rows = None
+                vector_ok = rows is not None
+            if rows is None:
+                rows = np.array([scalar(float(t)) for t in times], dtype=dtype)
         start, end = at + first - shift, at + min(_FORCING_CHUNK, n_steps - k) + 1 - shift
         yield rows[start:end] if start >= 0 else np.concatenate((before, rows[:end]))
 
 
 def _chunks(problem: ProblemSpec, mats: SchemeMatrices, n_steps: int):
-    """The (k, f, g) of each chunk [k, k + c) of the march, in order.
+    """The (k, f, gl, gr) of each chunk [k, k + c) of the march, in order.
 
-    f holds the forcing at time levels k..k+c, and g the (left, right)
-    Dirichlet data at levels k+1..k+c as a (c, 2) array, or is None for
-    Neumann walls.  Both come from blocks of whole chunks, each stream's
-    block evaluated once (``_block_steps``); consecutive forcing blocks
-    share their boundary row, which is evaluated once and carried
-    (``_views``).  Level i is at time i * tau, and no array grows with the
-    step count.
+    f holds the forcing at time levels k..k+c, and gl and gr the left and
+    right Dirichlet data of ``problem`` at levels k+1..k+c, or are None for
+    Neumann walls.  Each is a ``_stream``: a view into blocks of whole
+    chunks, each block evaluated once (``_block_steps``, the walls' sized
+    for their (b, 2) rows).  Consecutive forcing blocks share their
+    boundary row, which is evaluated once and carried.  Level i is at time
+    i * tau, and no array grows with the step count.
     """
     tau, dtype = mats.grid.tau, mats.kind.dtype
     xf = _forcing_grid(mats)
-
-    def vector(t):
-        rows = _cast(problem.forcing(t[:, None], xf[None, :]), dtype, "forcing")
-        shape = (t.size, xf.size)
-        return rows if rows.shape == shape else np.broadcast_to(rows, shape)
-
-    block = _block_steps(xf.size)
-    forcing = _sampled(vector, lambda t: _forcing_one(problem, t, xf, dtype),
-                       _levels(n_steps, block, tau, 0), dtype)
-    f = _views(forcing, block, n_steps, 0)
-    g = itertools.repeat(None)
-    if mats.dirichlet is not None:
-        block = _block_steps(2)
-        g = _views(_wall_blocks(mats.dirichlet, tau, n_steps, block, dtype), block, n_steps, 1)
-    return zip(range(0, n_steps, _FORCING_CHUNK), f, g)
+    f = _stream(
+        lambda t: _cast(problem.forcing(t[:, None], xf[None, :]), dtype, "forcing",
+                        (t.size, xf.size)),
+        lambda t: _cast(problem.forcing(t, xf), dtype, "forcing", xf.shape),
+        n_steps, _block_steps(xf.size), tau, 0, dtype,
+    )
+    gl = gr = itertools.repeat(None)
+    if isinstance(problem.boundary, Dirichlet):
+        gl, gr = (
+            _stream(lambda t, g=g, what=what: _cast(g(t), dtype, what, t.shape),
+                    lambda t, g=g, what=what: _cast(g(t), dtype, what),
+                    n_steps, _block_steps(2), tau, 1, dtype)
+            for what, g in zip(("left wall", "right wall"), problem.boundary)
+        )
+    return zip(range(0, n_steps, _FORCING_CHUNK), f, gl, gr)
 
 
 # The opaque march probes the step once and builds its two stacks (35
@@ -713,10 +675,10 @@ def _stepwise_states(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int
     The finiteness check runs once per forcing chunk, after that chunk's
     states are yielded.
     """
-    for k, f, g in _chunks(problem, mats, n_steps):
+    for k, f, gl, gr in _chunks(problem, mats, n_steps):
         c = f.shape[0] - 1
         for i in range(c):
-            u = _step(mats, u, f[i], f[i + 1], bc_vals=None if g is None else g[i])
+            u = _step(mats, u, f[i], f[i + 1], bc_vals=None if gl is None else (gl[i], gr[i]))
             yield u
         _check_finite(u, k, k + c)
 
@@ -789,15 +751,15 @@ def _march_affine(mats: SchemeMatrices, u, problem: ProblemSpec, n_steps: int):
         built.powers = ms.reshape(-1, m), s2.reshape(-1, m), t.copy(), q1.copy()
     ms, s2, t, q1 = built.powers
     z = np.zeros((_FORCING_CHUNK + b, q1.shape[0] + 2), u.dtype)  # refilled by each chunk
-    for k, f, g in _chunks(problem, mats, n_steps):
+    for k, f, gl, gr in _chunks(problem, mats, n_steps):
         if k == 0:
             v = u - f[0] @ q1
         c = f.shape[0] - 1
         q, r = divmod(c, b)
         z[-(q + 1) * b : -c] = 0.0
         z[-c:, : f.shape[1]] = f[:-1]
-        if g is not None:
-            z[-c:, f.shape[1] :] = g
+        if gl is not None:
+            z[-c:, -2], z[-c:, -1] = gl, gr
         y = z[-(q + 1) * b :].reshape(q + 1, -1) @ ms
         for _ in range(r):
             v = v @ t
@@ -896,7 +858,9 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
     Forcing and Dirichlet wall callables are evaluated in vectorized
     blocks over time when they broadcast numpy-style; anything else
     falls back to pointwise evaluation automatically.  The engine is
-    chosen as the module docstring says.  A non-finite state raises
+    chosen as the module docstring says.  The initial state is broadcast
+    to the nodes, as forcing and wall values are, and one that does not
+    broadcast raises ValueError naming it.  A non-finite state raises
     FloatingPointError; numpy's overflow and invalid-value warnings are
     held back while the march runs.  A run on the operator of the
     previous assembly (same theta samples, grid, kind, wall type and
@@ -909,7 +873,7 @@ def run(problem: ProblemSpec, grid: Grid1D, scheme: SchemeDescriptor) -> StepRep
         mats = assemble_classic(problem, grid, scheme.rhs, scheme.neumann)
     else:
         raise TypeError(f"unknown scheme descriptor {scheme!r}")
-    u = _cast(problem.initial(grid.x), mats.kind.dtype, "initial state").copy()
+    u = _cast(problem.initial(grid.x), mats.kind.dtype, "initial state", grid.x.shape).copy()
     # a blow-up is reported by the march's finiteness check, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         u = _engine(problem, grid)(mats, u, problem, grid.n_steps)

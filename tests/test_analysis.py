@@ -460,7 +460,7 @@ def assemble(problem, grid, scheme):
 def dense_transition(mats):
     """-A_new^{-1} A_old by the dense LU, on the interior block for Dirichlet walls."""
     a_new, a_old = dense_layers(mats)
-    if mats.dirichlet is not None:
+    if mats.walls is None:
         a_new, a_old = a_new[1:-1, 1:-1], a_old[1:-1, 1:-1]
     return -solve_dense(a_new, a_old)
 
@@ -486,7 +486,7 @@ def test_probed_transition_matches_the_dense_solve(name, scheme, kind):
     for n in (10, 50, 100):
         mats = assemble(problem, analysis._matrix_grid(n, courant, problem.theta), scheme)
         got, want = transition_matrix(mats), dense_transition(mats)
-        size = n - 1 if mats.dirichlet is not None else n + 1
+        size = n - 1 if mats.walls is None else n + 1
         assert got.shape == want.shape == (size, size)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), n
 

@@ -64,6 +64,45 @@ def fake_tree(path: Path, lines: int) -> str:
     return str(path)
 
 
+CANNED_MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment alone
+import os  # a comment after code
+
+
+class Record:
+    """A class docstring."""
+
+    label = "a string, not a docstring"
+
+    def path(self):
+        """A function docstring
+        over two lines."""
+        text = """a string
+        over two lines"""
+        return os.path.join(text)
+
+
+async def wait():
+    \'\'\'An async function docstring.\'\'\'
+    return 1
+'''
+
+
+def test_count_lines_counts_code_apart_from_docstrings_comments_and_blanks(tmp_path):
+    """Every line counts in the total; a code line is one that is not blank,
+    not a comment alone and not in a module, class or function docstring."""
+    root = tmp_path / "tree"
+    (root / "src" / "cpde").mkdir(parents=True)
+    (root / "src" / "cpde" / "a.py").write_text(CANNED_MODULE)
+    (root / "src" / "cpde" / "b.py").write_text("x = 1\n" * 3)
+    (root / "src" / "cpde" / "notes.txt").write_text("not a module\n")
+    code = ["import os", "class Record:", "label =", "def path", "text =", "over two lines\"\"\"",
+            "return os", "async def", "return 1"]
+    assert bench_record.count_lines(str(root)) == (CANNED_MODULE.count("\n") + 3, len(code) + 3)
+
+
 class Canned:
     """Stands in for ``subprocess.run``: records each call and answers with
     the canned output of the command it was given."""
@@ -94,7 +133,7 @@ def test_main_writes_one_record_per_tree(tmp_path, monkeypatch):
     assert list(body["trees"]) == ["parent", "change"]
     for name, lines in (("parent", 10), ("change", 7)):
         tree = body["trees"][name]
-        assert tree["src_cpde_lines"] == lines
+        assert tree["src_cpde_lines"] == tree["src_cpde_code_lines"] == lines
         assert list(tree["workloads"]) == list(bench_record.WORKLOADS)
         assert tree["workloads"]["fine_grid"] == bench_record.parse_run(RUN_STDOUT)
         assert tree["tier1"]["counts"] == {"passed": 1362, "skipped": 1}

@@ -64,11 +64,11 @@ def test_stacked_right_hand_sides_match_one_at_a_time(dtype):
     if dtype is complex:
         b = b + 1j * rng.normal(size=(k, m))
     x, muls = solve_tridiag(t, b)
-    y, _ = t.apply(b)
+    y = t.apply(b)
     assert x.shape == y.shape == (k, m)
     assert muls == 5 * m - 4
     x_cols = np.array([solve_tridiag(t, row)[0] for row in b])
-    y_cols = np.array([t.apply(row)[0] for row in b])
+    y_cols = np.array([t.apply(row) for row in b])
     if dtype is float:
         assert np.array_equal(x, x_cols)
         assert np.array_equal(y, y_cols)
@@ -89,8 +89,7 @@ def test_matvec_count_and_value():
     for m in (2, 9, 64):
         t = random_tridiag(m)
         v = rng.normal(size=m)
-        out, muls = t.apply(v)
-        assert muls == 3 * m - 2
+        out = t.apply(v)
         assert np.allclose(out, dense(t) @ v, rtol=1e-13, atol=1e-14)
 
 
@@ -98,7 +97,7 @@ def test_matvec_mixed_dtype_falls_back():
     """A complex vector against real bands must still be exact."""
     t = random_tridiag(12)
     v = rng.normal(size=12) + 1j * rng.normal(size=12)
-    out, _ = t.apply(v)
+    out = t.apply(v)
     assert np.allclose(out, dense(t) @ v)
     assert np.iscomplexobj(out)
 

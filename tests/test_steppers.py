@@ -11,6 +11,7 @@ for every boundary treatment that has a nodal matrix representation.
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -51,7 +52,6 @@ from cpde.steppers import (
     assemble_compact,
     c_norm_error,
     run,
-    step,
 )
 from cpde.theta_fit import TWO_PI, CoefficientDomainError, fit_interior
 from reference import dense_operators
@@ -67,6 +67,12 @@ def dense_step(mats, problem, u0, f0, f1, t1):
         rhs[0] = problem.boundary.left(t1)
         rhs[-1] = problem.boundary.right(t1)
     return solve_dense(a_new, rhs)
+
+
+def walls_at(problem, t):
+    """The Dirichlet data of ``problem`` at time t, or None for Neumann walls."""
+    bc = problem.boundary
+    return (bc.left(t), bc.right(t)) if isinstance(bc, Dirichlet) else None
 
 
 def dirichlet_problem(kind=ScalarKind.REAL):
@@ -127,7 +133,7 @@ def test_step_matches_dense_two_layer_form(label, problem, assemble):
     u0 = np.asarray(problem.initial(grid.x), dtype=dtype)
     f0 = np.asarray(problem.forcing(0.0, grid.x), dtype=dtype)
     f1 = np.asarray(problem.forcing(grid.tau, grid.x), dtype=dtype)
-    got = step(mats, u0, f0, f1, t_new=grid.tau)
+    got = _step(mats, u0, f0, f1, bc_vals=walls_at(problem, grid.tau))
     want = dense_step(mats, problem, u0, f0, f1, grid.tau)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(got - want).max() < 1e-11 * scale
@@ -140,7 +146,7 @@ def test_step_matches_dense_complex_kind():
     u0 = np.asarray(problem.initial(grid.x), dtype=np.complex128)
     f0 = np.asarray(problem.forcing(0.0, grid.x), dtype=np.complex128)
     f1 = np.asarray(problem.forcing(grid.tau, grid.x), dtype=np.complex128)
-    got = step(mats, u0, f0, f1, t_new=grid.tau)
+    got = _step(mats, u0, f0, f1, bc_vals=walls_at(problem, grid.tau))
     want = dense_step(mats, problem, u0, f0, f1, grid.tau)
     assert np.abs(got - want).max() < 1e-11 * max(1.0, np.abs(want).max())
 
@@ -156,7 +162,7 @@ def layer_gap(mats):
         getattr(mats.a_new, band) - getattr(mats.a_old, band) - 4.0 * getattr(mats.b, band)
         for band in BANDS
     )
-    if mats.dirichlet is not None:
+    if mats.walls is None:
         lower, diag, upper = lower[:-1], diag[1:-1], upper[1:]
     corners = [w.alpha_new[2] - w.alpha_old[2] for w in mats.walls or ()]
     return np.concatenate((lower, diag, upper, corners))
@@ -275,16 +281,6 @@ def test_linear_in_time_state_is_exact():
     grid = make_grid(12, 1.0, 1.0, 3.0)
     rep = run(problem, grid, Compact())
     assert np.abs(rep.final_state - c * grid.t_final).max() < 1e-10
-
-
-def test_step_requires_time_for_dirichlet():
-    problem = dirichlet_problem()
-    grid = make_grid(8, 1.0, 1.0, 2.0)
-    mats = assemble_compact(problem, grid)
-    u0 = problem.initial(grid.x)
-    f0 = problem.forcing(0.0, grid.x)
-    with pytest.raises(ValueError, match="time level"):
-        step(mats, u0, f0, f0)
 
 
 def test_pointwise_forcing_fallback_matches_vectorized():
@@ -784,6 +780,28 @@ def test_complex_inputs_on_the_real_kind_raise(march, given):
     assert np.isfinite(run(complex_kind, grid, Compact()).final_state).all()
 
 
+@pytest.mark.parametrize("march", [_march_closed, _march_affine, _march_stepwise])
+def test_an_initial_state_is_broadcast_to_the_nodes_or_raises(march):
+    """A scalar initial state marches as that value at every node, on every
+    engine; a (3,) or a (1, m) one does not broadcast to the m nodes and
+    raises ValueError naming the initial state."""
+    s = sample_solution("s1")
+    problem = s.problem if march is _march_closed else opaque(s.problem)
+    grid = with_steps(grid_for(s, 20, 1.0, 1.0), 10 if march is _march_stepwise else 64)
+    assert steppers._engine(problem, grid) is march
+
+    def final(initial):
+        return run(dataclasses.replace(problem, initial=initial), grid, Compact()).final_state
+
+    got = final(lambda x: 0.5)
+    assert got.shape == grid.x.shape
+    assert np.array_equal(got, final(lambda x: np.full_like(x, 0.5)))
+    for shape in ((3,), (1, grid.n + 1)):
+        message = re.escape(f"the initial state has shape {shape}, which does not broadcast")
+        with pytest.raises(ValueError, match=message):
+            final(lambda x, shape=shape: np.zeros(shape))
+
+
 def test_forcing_reading_only_the_first_block_time_falls_back():
     """A closure that broadcasts f(times[0]) over a block must not corrupt the run."""
     s = sample_solution("s1")
@@ -857,11 +875,15 @@ def test_input_block_budget_moves_no_state(monkeypatch, name, march):
 
 def input_spies(problem):
     """``problem`` behind closures that record the time shape of every
-    forcing call and the time count of every wall call."""
-    forcing, boundary, shapes = problem.forcing, problem.boundary, {"f": [], "g": []}
+    forcing call, the times of every forcing block call and the time count
+    of every wall call."""
+    forcing, boundary = problem.forcing, problem.boundary
+    shapes = {"f": [], "levels": [], "g": []}
 
     def spy_forcing(t, x):
         shapes["f"].append(np.shape(t))
+        if np.ndim(t):
+            shapes["levels"].append(np.ravel(t))
         return forcing(t, x)
 
     def spy_wall(g):
@@ -881,7 +903,9 @@ def test_no_input_call_exceeds_the_block_rule(monkeypatch, budget, name, scheme,
     call takes at most a block of ``_block_steps`` steps and the level before
     it, on the node or half-node row, and so holds at most ``_BLOCK_ENTRIES``
     entries unless one chunk alone holds more; a wall call takes at most a
-    block of the (b, 2) wall rows."""
+    block of the (b, 2) wall rows.  The forcing's block calls, in order,
+    take the levels 0..n with none repeated: the level before each block
+    after the first is carried from the block before."""
     if budget is not None:
         monkeypatch.setattr(steppers, "_BLOCK_ENTRIES", budget)
     budget, chunk = steppers._BLOCK_ENTRIES, steppers._FORCING_CHUNK
@@ -896,6 +920,8 @@ def test_no_input_call_exceeds_the_block_rule(monkeypatch, budget, name, scheme,
     assert shapes["f"].count(()) == 1 and shapes["f"].count(()) + len(rows) == len(shapes["f"])
     assert len(rows) == math.ceil(grid.n_steps / block) and max(rows) <= block + 1
     assert max(rows) * width <= max(budget, (chunk + 1) * width)
+    levels = np.concatenate(shapes["levels"])
+    assert np.array_equal(levels, np.arange(grid.n_steps + 1) * grid.tau)
     if name == "s3":
         block = steppers._block_steps(2)
         assert shapes["g"].count(1) == 2 and 2 * block <= budget
@@ -1018,11 +1044,11 @@ def test_step_hands_single_states_the_factor_and_stacks_the_sweep(solve_calls):
     dense_operators(mats)
     assert mats._built.factored is None  # matrix-only use builds no factor
     u = np.asarray(s.problem.initial(grid.x))
-    f = np.zeros_like(u)
-    step(mats, u, f, f, t_new=grid.tau)
+    f, walls = np.zeros_like(u), walls_at(s.problem, grid.tau)
+    _step(mats, u, f, f, bc_vals=walls)
     factor = mats._built.factored
-    step(mats, u, f, f, t_new=grid.tau)
-    _step(mats, np.stack((u, 2.0 * u)), f, f, t_new=grid.tau)
+    _step(mats, u, f, f, bc_vals=walls)
+    _step(mats, np.stack((u, 2.0 * u)), f, f, bc_vals=walls)
     assert solve_calls == [TridiagLU, TridiagLU, Tridiag]
     assert mats._built.factored is factor  # built once
 
@@ -1052,7 +1078,8 @@ def test_single_state_sweep_rejects_a_relatively_tiny_pivot():
     u = np.asarray(s.problem.initial(grid.x))
     for _ in range(2):  # every step checks, not only an operator's first
         with pytest.raises(SingularMatrixError, match="pivot .* at row 1 is below 1e-14"):
-            step(mats, u, np.zeros_like(u), np.zeros_like(u), t_new=grid.tau)
+            _step(mats, u, np.zeros_like(u), np.zeros_like(u),
+                  bc_vals=walls_at(s.problem, grid.tau))
 
 
 # ---------------------------------------------------------------------------
@@ -1380,14 +1407,15 @@ def test_step_on_a_shared_operator_reads_its_own_walls():
     first, second = s.problem, other_data(s.problem)
     mats_first = assemble_compact(first, grid)
     mats = assemble_compact(second, grid)
-    assert mats._built is mats_first._built and mats.dirichlet is second.boundary
+    assert mats._built is mats_first._built
     u0 = np.asarray(second.initial(grid.x))
     f0, f1 = (np.asarray(second.forcing(t, grid.x)) for t in (0.0, grid.tau))
-    got = step(mats, u0, f0, f1, t_new=grid.tau)
+    walls = walls_at(second, grid.tau)
+    got = _step(mats, u0, f0, f1, bc_vals=walls)
     want = dense_step(mats, second, u0, f0, f1, grid.tau)
     assert np.abs(got - want).max() < 1e-11 * max(1.0, np.abs(want).max())
     steppers._last_operator.clear()
-    assert np.array_equal(got, step(assemble_compact(second, grid), u0, f0, f1, t_new=grid.tau))
+    assert np.array_equal(got, _step(assemble_compact(second, grid), u0, f0, f1, bc_vals=walls))
 
 
 def test_every_part_of_the_key_can_miss():

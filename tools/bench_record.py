@@ -17,12 +17,15 @@ per tree:
   the probe-scaled ``metrics``), the raw (unscaled) quartiles of its
   detail record, its pass count, host speed and set-up record;
 - the tier-1 counts and wall time;
-- the line count of ``src/cpde``.
+- the line count of ``src/cpde``, and its count of code lines: those that
+  are not blank, not a comment alone and not in a module, class or
+  function docstring.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import json
 import os
@@ -74,13 +77,24 @@ def parse_tier1(stdout: str) -> dict:
     return {"counts": counts, "pytest_s": float(_SECONDS.search(summary).group(1))}
 
 
-def count_lines(root: str) -> int:
-    """Lines of the ``src/cpde`` modules."""
-    total = 0
+def count_lines(root: str) -> tuple[int, int]:
+    """Lines and code lines of the ``src/cpde`` modules (module docstring)."""
+    total = code = 0
     for path in sorted(glob.glob(os.path.join(root, "src", "cpde", "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            total += sum(1 for _ in fh)
-    return total
+            text = fh.read()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                        and isinstance(first.value.value, str)):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+        lines = text.splitlines()
+        total += len(lines)
+        code += sum(1 for i, line in enumerate(lines, 1)
+                    if i not in docs and line.strip() and not line.lstrip().startswith("#"))
+    return total, code
 
 
 def run_fresh(cmd: list, root: str, execute=subprocess.run):
@@ -118,8 +132,10 @@ def record(trees: dict, seed: int, workloads=WORKLOADS, seconds: float = SECONDS
     for each, so that a slow spell of the host falls on every tree, and the
     trees' order reversed from one workload to the next, so that no tree
     always runs first."""
-    out = {name: {"workloads": {}, "src_cpde_lines": count_lines(root)}
-           for name, root in trees.items()}
+    out = {}
+    for name, root in trees.items():
+        lines, code = count_lines(root)
+        out[name] = {"workloads": {}, "src_cpde_lines": lines, "src_cpde_code_lines": code}
     order = list(trees.items())
     for i, workload in enumerate(workloads):
         for name, root in (order if i % 2 == 0 else order[::-1]):
