@@ -363,6 +363,16 @@ def mirror_blocks(a: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return even, s[:k, :k] - corner
 
 
+def is_mirror_symmetric(t: Tridiag) -> bool:
+    """Whether t equals its reversal J t J within REVERSIBLE_RTOL of its
+    largest band entry: the diagonal its own reverse, the lower band the
+    upper one reversed.  The bands of J t J, laid end to end, are t's
+    reversed.  ``steppers._mirrored`` reads it for the step's bands.
+    """
+    bands = np.concatenate((t.lower, t.diag, t.upper))
+    return bool(np.abs(bands - bands[::-1]).max() <= REVERSIBLE_RTOL * np.abs(bands).max())
+
+
 def block_eigenvalues(blocks) -> np.ndarray:
     """Eigenvalues of diag(*blocks), sorted by (real, imag): one LAPACK
     Hessenberg-QR eigensolve per block, a convergence failure in any of

@@ -9,6 +9,7 @@ import cpde
 from cpde.linalg import (
     EigenConvergenceError,
     MAX_EIGEN_SIZE,
+    REVERSIBLE_RTOL,
     RankError,
     SingularMatrixError,
     Tridiag,
@@ -18,6 +19,7 @@ from cpde.linalg import (
     eigenvalues,
     factor_tridiag,
     frobenius,
+    is_mirror_symmetric,
     mirror_blocks,
     null_space_1d,
     solve_dense,
@@ -452,6 +454,36 @@ def test_mirror_blocks_come_from_the_symmetrized_matrix():
     e, o = mirror_blocks(a)
     e2, o2 = mirror_blocks(0.5 * (a + a[::-1, ::-1]))
     assert np.array_equal(e, e2) and np.array_equal(o, o2)
+
+
+def mirror_tridiag(m, dtype=float):
+    """A random tridiagonal t with J t J = t exactly."""
+    t = random_tridiag(m, dtype)
+    diag = t.diag + t.diag[::-1]
+    return Tridiag(t.lower + t.upper[::-1], diag, t.upper + t.lower[::-1])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m", [1, 2, 7, 8])
+def test_is_mirror_symmetric_within_its_tolerance(m, dtype):
+    """Exact reversal passes; one entry moved by half the tolerance of the
+    largest band entry passes, by twice it fails, on every band."""
+    t = mirror_tridiag(m, dtype)
+    assert is_mirror_symmetric(t)
+    tol = REVERSIBLE_RTOL * np.abs(np.concatenate((t.lower, t.diag, t.upper))).max()
+    for band in ("lower", "diag", "upper"):
+        if getattr(t, band).size == 0 or (band == "diag" and m == 1):
+            continue
+        for moved, passes in ((0.5 * tol, True), (2.0 * tol, False)):
+            bumped = t.copy()
+            getattr(bumped, band)[0] += moved
+            assert is_mirror_symmetric(bumped) is passes, (band, moved)
+
+
+def test_is_mirror_symmetric_rejects_non_finite_bands():
+    t = mirror_tridiag(5)
+    t.diag[2] = np.nan
+    assert not is_mirror_symmetric(t)
 
 
 def eigvals_sorted(a):

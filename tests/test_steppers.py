@@ -447,19 +447,28 @@ def test_affine_engine_matches_stepwise(name, kind, scheme, n_steps):
     assert engine_deviation(s.problem, grid, scheme) <= 1e-12
 
 
-@pytest.mark.parametrize("name,kind,scheme", ENGINE_CASES)
-def test_closed_form_matches_stepwise(name, kind, scheme):
+def on_both_parities(n):
+    """ENGINE_CASES on n intervals, an even n (an odd node count, with a
+    middle node), under their own ids, then on n - 1 (an even node count)
+    with ids ending in -N<n-1>."""
+    return [pytest.param(*p.values, n, id=p.id) for p in ENGINE_CASES] + [
+        pytest.param(*p.values, n - 1, id=f"{p.id}-N{n - 1}") for p in ENGINE_CASES]
+
+
+@pytest.mark.parametrize("name,kind,scheme,n", on_both_parities(16))
+def test_closed_form_matches_stepwise(name, kind, scheme, n):
     s = sample_solution(name, kind=kind)
-    grid = with_steps(grid_for(s, 16, 1.0, 1.0), 300)
+    grid = with_steps(grid_for(s, n, 1.0, 1.0), 300)
     assert steppers._engine(s.problem, grid) is _march_closed
     assert engine_deviation(s.problem, grid, scheme, _march_closed) <= 1e-11
 
 
-@pytest.mark.parametrize("name,kind,scheme", ENGINE_CASES)
-def test_closed_form_matches_stepwise_over_2000_steps(name, kind, scheme):
-    """N=50: measured up to 8.1e-13 apart (snll, compact cut 5)."""
+@pytest.mark.parametrize("name,kind,scheme,n", on_both_parities(50))
+def test_closed_form_matches_stepwise_over_2000_steps(name, kind, scheme, n):
+    """N=50: measured up to 8.1e-13 apart (snll, compact cut 5); N=49: up to
+    1.7e-13 (snll, compact)."""
     s = sample_solution(name, kind=kind)
-    grid = with_steps(grid_for(s, 50, 1.0, 1.0), 2000)
+    grid = with_steps(grid_for(s, n, 1.0, 1.0), 2000)
     assert engine_deviation(s.problem, grid, scheme, _march_closed) <= 1e-12
 
 
@@ -491,15 +500,15 @@ LONG_CLOSED_CASES = [
 
 @pytest.mark.parametrize(
     "name,params,kind,scheme,n,courant,n_steps,bound",
-    [pytest.param(name, {}, kind, scheme, 50, 1.0, 2000, 1e-12, id=p.id)
-     for p in ENGINE_CASES for name, kind, scheme in [p.values]] + LONG_CLOSED_CASES,
+    [pytest.param(name, {}, kind, scheme, n, 1.0, 2000, 1e-12, id=p.id)
+     for p in on_both_parities(50) for name, kind, scheme, n in [p.values]] + LONG_CLOSED_CASES,
 )
 def test_closed_form_matches_an_extended_precision_power(
     name, params, kind, scheme, n, courant, n_steps, bound
 ):
     """The binary power's own rounding, against the same power in long double.
     The N=50 cases measured up to 7.4e-13, where the stepwise march is up to
-    9.2e-13 from the same references."""
+    9.2e-13 from the same references, and the N=49 ones up to 5.1e-14."""
     s = sample_solution(name, kind=kind, **params)
     grid = grid_for(s, n, courant, 1.0)
     grid = with_steps(grid, n_steps) if n_steps else grid
@@ -595,6 +604,122 @@ def test_closed_form_flush_moves_no_result(monkeypatch):
     flushed = run(s.problem, grid, Compact()).final_state
     monkeypatch.setattr(steppers, "_CLOSED_FLUSH", 0.0)
     assert relative_gap(run(s.problem, grid, Compact()).final_state, flushed) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the closed form of mirror-symmetric real Dirichlet problems
+
+
+@pytest.fixture
+def probe_heights(monkeypatch):
+    """The number of unit states of each ``_probe`` call of the steppers."""
+    heights = []
+    probe = steppers._probe
+
+    def spy(mats, states, *inputs):
+        heights.append(len(states))
+        return probe(mats, states, *inputs)
+
+    monkeypatch.setattr(steppers, "_probe", spy)
+    return heights
+
+
+@pytest.mark.parametrize("kind", list(ScalarKind))
+@pytest.mark.parametrize("n", [20, 100])
+def test_a_half_probe_has_the_full_probes_bits(n, kind):
+    """A row's bits depend only on its own state and inputs: the probe of the
+    first ceil(m/2) unit states and two inputs is bitwise the full probe's
+    rows for them, which keeps the probed half of a mirrored G at the full
+    probe's bits.  Below ``_BLOCKED_MIN_NODES`` a real row also has the bits
+    of its state stepped alone (measured: every row of a complex one, and of
+    either kind at N=100, differs from it in the last digits)."""
+    s = sample_solution("s1", kind=kind)
+    mats = assemble_compact(s.problem, grid_for(s, n, 1.0 if kind is ScalarKind.REAL else 1j, 1.0))
+    m, dtype = n + 1, kind.dtype
+    half = m - m // 2
+    local = np.random.default_rng(n)
+    f0, f1, g = (local.normal(size=shape).astype(dtype) for shape in ((2, m), (2, m), (2, 2)))
+    full = steppers._probe(mats, range(m), f0, f1, g)
+    got = steppers._probe(mats, range(half), f0, f1, g)
+    assert np.array_equal(got[:half], full[:half]) and np.array_equal(got[half:], full[m:])
+    if m < steppers._BLOCKED_MIN_NODES and kind is ScalarKind.REAL:
+        zero = np.zeros(m, dtype)
+        alone = [_step(mats, np.eye(m, dtype=dtype)[j], zero, zero, bc_vals=(0.0, 0.0))
+                 for j in range(half)]
+        assert np.array_equal(np.array(alone), got[:half])
+
+
+@pytest.mark.parametrize("n", [15, 16, 100])
+def test_a_mirrored_map_fills_p_by_the_exchange(n):
+    """P e_(m-1-j) = J P e_j for the columns the half probe leaves out; the
+    probed columns, the middle one of an odd m among them, are the probe's."""
+    s = sample_solution("s1")
+    mats = assemble_compact(s.problem, grid_for(s, n, 1.0, 1.0))
+    step_map = steppers._closed_map(mats, s.problem, float)
+    m, k = n + 1, (n + 1) // 2
+    assert steppers._mirrored(mats)
+    assert np.array_equal(step_map[:m, m - k : m], step_map[:m, :k][::-1, ::-1])
+    assert np.array_equal(step_map[:m, : m - k], steppers._probe(mats, range(m - k)).T)
+
+
+@pytest.mark.parametrize("n", [49, 50])
+@pytest.mark.parametrize("label", WALL_SCHEMES)
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_mirrored_real_dirichlet_marches_probe_half_in_one_solve(probe_heights, solve_calls,
+                                                                 name, label, n):
+    """s1 and s2 (theta = cos^2 x + 1) of the real kind on every wall scheme:
+    one probe of ceil(m/2) unit states, one solve, and the stepwise state."""
+    s = sample_solution(name)
+    scheme = WALL_SCHEMES[label]
+    grid = with_steps(grid_for(s, n, 1.0, 1.0), 600)
+    assert steppers._mirrored(assemble(s.problem, grid, scheme))
+    got = run(s.problem, grid, scheme).final_state
+    assert probe_heights == [n + 1 - (n + 1) // 2] and len(solve_calls) == 1
+    assert relative_gap(got, march_with(_march_stepwise, s.problem, grid, scheme)) <= 1e-12
+
+
+def bumped_near_the_left_wall(problem):
+    """``problem`` with theta scaled by 1 + 1e-9 exp(-(x/0.3)^2): no longer
+    symmetric about pi, by far more than the band test's tolerance."""
+    theta = problem.theta
+    return dataclasses.replace(problem, theta=lambda x: theta(x) * (1.0 + 1e-9 * np.exp(-(x / 0.3) ** 2)))
+
+
+FULL_PROBE_CASES = [
+    pytest.param(name, kind, scheme, bump, id=f"{name}-{kind.value if kind else 'own'}-{label}")
+    for name, kind, bump in [("s3", ScalarKind.REAL, False), ("s3", ScalarKind.COMPLEX, False),
+                             ("s1", ScalarKind.COMPLEX, False), ("s2", ScalarKind.COMPLEX, False),
+                             ("sn", None, False), ("snll", None, False)]
+    for label, scheme in [("compact", Compact()), ("classic", Classic())]
+] + [pytest.param("s1", ScalarKind.REAL, scheme, True, id=f"s1-real-bumped-{label}")
+     for label, scheme in [("compact", Compact()), ("classic", Classic())]]
+
+
+@pytest.mark.parametrize("name,kind,scheme,bumped", FULL_PROBE_CASES)
+def test_other_closed_form_marches_keep_the_full_probe(monkeypatch, probe_heights, solve_calls,
+                                                       name, kind, scheme, bumped):
+    """s3, the complex kind, Neumann walls and a theta off mirror symmetry by
+    a 1e-9 bump: one probe of all m unit states in one solve, and bitwise
+    the state of a run whose mirror predicate is forced false."""
+    s = sample_solution(name, kind=kind)
+    problem = bumped_near_the_left_wall(s.problem) if bumped else s.problem
+    grid = with_steps(grid_for(s, 40, 1.0 if s.problem.kind is ScalarKind.REAL else 1j, 1.0), 600)
+    assert steppers._engine(problem, grid) is _march_closed
+    assert not steppers._mirrored(assemble(problem, grid, scheme))
+    got = run(problem, grid, scheme).final_state
+    assert probe_heights == [41] and len(solve_calls) == 1
+    monkeypatch.setattr(steppers, "_mirrored", lambda mats: False)
+    assert np.array_equal(run(problem, grid, scheme).final_state, got)
+
+
+def test_mirrored_closed_form_matches_stepwise_on_a_fine_grid():
+    """s1 compact at N=400 and courant 1, 8106 steps: the even and odd blocks
+    measured 3.2e-13 from the stepwise march, the full G 1.6e-13."""
+    s = sample_solution("s1")
+    grid = grid_for(s, 400, 1.0, 1.0)
+    assert grid.n_steps == 8106 and steppers._engine(s.problem, grid) is _march_closed
+    assert steppers._mirrored(assemble_compact(s.problem, grid))
+    assert engine_deviation(s.problem, grid, Compact(), _march_closed) <= 1e-12
 
 
 @pytest.mark.parametrize(
